@@ -22,7 +22,7 @@ namespace {
 // EPC sweep (the working-set pressure axis): cycles and fault counts per EPC
 // size, one table per workload. `--mode=live` re-executes the workload per
 // point; `--mode=replay` executes once, records the trace, and re-simulates
-// every point through EpcSweeper; `--mode=sweep` also executes once but
+// every point through a ConfigSweeper; `--mode=sweep` also executes once but
 // routes the whole (workload x EPC) grid through the SweepEngine, which
 // decodes each trace once, amortizes one capture per trace, and work-steals
 // the grid across --bench_threads. All three print identical series —
@@ -44,7 +44,8 @@ void RunEpcSweep(const std::vector<const sgxb::WorkloadInfo*>& workloads,
     ParallelFor(workloads.size(), ResolveBenchThreads(), [&](size_t i) {
       const WorkloadInfo* w = workloads[i];
       const RecordedRun rec = RecordWorkloadRun(*w, kind, MachineSpec{}, PolicyOptions{}, cfg);
-      const EpcSweeper sweeper(rec.trace, SimConfigFromHeader(rec.trace.header));
+      const ConfigSweeper sweeper(DecodedTrace(rec.trace),
+                                  SimConfigFromHeader(rec.trace.header));
       for (uint64_t mib : epc_mibs) {
         all_points[i].push_back(ToRunResult(sweeper.ReplayAt(mib * kMiB), rec.trace));
       }

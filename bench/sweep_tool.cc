@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/digest.h"
 #include "src/trace/record.h"
 #include "src/trace/sweep.h"
 #include "src/trace/trace_io.h"
@@ -60,10 +61,7 @@ uint64_t FoldResult(uint64_t h, const ReplayResult& r) {
   const uint64_t words[] = {r.cycles, r.counters.cycles, r.counters.llc_misses,
                             r.counters.epc_faults, r.counters.minor_faults};
   for (uint64_t w : words) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (w >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
+    h = FnvMix(h, w);
   }
   return h;
 }
@@ -296,9 +294,9 @@ int Main(int argc, char** argv) {
 
   // --- deterministic digest ------------------------------------------------
   Table digest({"trace", "configs", "digest", "min cycles", "max cycles"});
-  uint64_t total_digest = 14695981039346656037ull;
+  uint64_t total_digest = kFnvOffset;
   for (size_t t = 0; t < traces.size(); ++t) {
-    uint64_t h = 14695981039346656037ull;
+    uint64_t h = kFnvOffset;
     uint64_t min_cycles = UINT64_MAX, max_cycles = 0;
     size_t count = 0;
     for (size_t i = 0; i < grid.size(); ++i) {

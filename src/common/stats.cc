@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "src/common/check.h"
+#include "src/common/digest.h"
 
 namespace sgxb {
 
@@ -162,13 +163,8 @@ double LatencyHistogram::CappedQuantile(double q) const {
 }
 
 uint64_t LatencyHistogram::Digest() const {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  auto mix64 = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
+  uint64_t h = kLegacyDigestSeed;
+  auto mix64 = [&h](uint64_t v) { h = FnvMix(h, v); };
   for (size_t i = 0; i < buckets_.size(); ++i) {
     if (buckets_[i] != 0) {
       mix64(i);

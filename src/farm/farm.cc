@@ -9,6 +9,7 @@
 #include "src/apps/kvstore.h"
 #include "src/apps/memcached.h"
 #include "src/apps/nginx_app.h"
+#include "src/common/digest.h"
 #include "src/common/host_parallel.h"
 #include "src/farm/ring.h"
 #include "src/runtime/syscall_shim.h"
@@ -165,14 +166,6 @@ void ServeShard(Env<P>& env, const FarmConfig& cfg, const std::vector<FarmReques
     }
     served ? ++out->served : ++out->dropped;
   }
-}
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace
@@ -350,7 +343,7 @@ FarmResult RunFarm(const FarmConfig& cfg) {
 
   result.makespan_cycles = makespan;
   result.shards.resize(cfg.shards);
-  uint64_t digest = 1469598103934665603ull;
+  uint64_t digest = kLegacyDigestSeed;
   for (uint32_t s = 0; s < cfg.shards; ++s) {
     FarmShardStats& st = result.shards[s];
     st.requests = routed[s].size();

@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "src/common/check.h"
+#include "src/common/digest.h"
 
 namespace sgxb {
 
@@ -11,14 +12,6 @@ namespace {
 
 constexpr const char* kModeNames[] = {"failstop", "restart", "failover",
                                       "failover+hedge"};
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // One discrete event. Ordering is (time, seq) with seq assigned at push, so
 // simultaneous events resolve in a fixed, input-determined order; in
@@ -485,7 +478,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
   *served = rep.completed;
   *dropped = rep.failed_app + rep.failed_timeout;
 
-  uint64_t digest = 1469598103934665603ull;
+  uint64_t digest = kLegacyDigestSeed;
   digest = FnvMix(digest, rep.completed);
   digest = FnvMix(digest, rep.failed_app);
   digest = FnvMix(digest, rep.failed_timeout);

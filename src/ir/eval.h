@@ -1,7 +1,7 @@
 // Scalar evaluation helpers shared by the two IR execution engines.
 //
-// The reference interpreter (interp.cc) and the decoded micro-op engine
-// (exec/engine.cc) must produce bit-identical results; keeping truncation
+// The reference interpreter (interp.cc) and the decoded micro-op bodies
+// (exec/ops.h) must produce bit-identical results; keeping truncation
 // and comparison semantics in one header is what prevents them drifting.
 
 #ifndef SGXBOUNDS_SRC_IR_EVAL_H_

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/digest.h"
 
 namespace sgxb {
 
@@ -147,9 +148,9 @@ class Decoder {
     return true;
   }
 
-  // True if `in[i..]` starts the instrumented access shape the SGXBounds
-  // pass emits:
-  //   t = gep base, idx ; p = maskptr t, base ; [sgxcheck p] ; load/store p
+  // True if `in[i..]` starts the instrumented access shape the SGXBounds and
+  // registry-scheme passes emit (they mask every gep):
+  //   t = gep base, idx ; p = maskptr t, base ; [check p] ; load/store p
   // Fills the fused opcode and the number of IR instructions consumed (3
   // without a check, 4 with). Scale and offset must both fit 32 bits so one
   // imm field can carry them packed.
@@ -170,16 +171,13 @@ class Decoder {
     }
     size_t a = i + 2;
     bool has_check = false;
-    bool upper = false;
     bool scheme = false;
     const IrInstr& chk = instrs[a];
-    if (chk.op == IrOp::kSgxCheck || chk.op == IrOp::kSgxCheckUpper ||
-        chk.op == IrOp::kSchemeCheck) {
+    if (chk.op == IrOp::kSgxCheck || chk.op == IrOp::kSchemeCheck) {
       if (a + 1 >= end || chk.args.empty() || chk.args[0] != mask.id) {
         return false;
       }
       has_check = true;
-      upper = chk.op == IrOp::kSgxCheckUpper;
       scheme = chk.op == IrOp::kSchemeCheck;
       ++a;
     }
@@ -190,59 +188,19 @@ class Decoder {
       return false;
     }
     if (acc.op == IrOp::kLoad && !acc.args.empty() && acc.args[0] == mask.id) {
-      *fused = has_check
-                   ? (scheme ? UOp::kGepMaskSchemeCheckLoad
-                             : upper ? UOp::kGepMaskSgxCheckUpperLoad
-                                     : UOp::kGepMaskSgxCheckLoad)
-                   : UOp::kGepMaskLoad;
+      *fused = !has_check ? UOp::kGepMaskLoad
+               : scheme   ? UOp::kGepMaskSchemeCheckLoad
+                          : UOp::kGepMaskSgxCheckLoad;
     } else if (acc.op == IrOp::kStore && acc.args.size() >= 2 &&
                acc.args[1] == mask.id) {
-      *fused = has_check
-                   ? (scheme ? UOp::kGepMaskSchemeCheckStore
-                             : upper ? UOp::kGepMaskSgxCheckUpperStore
-                                     : UOp::kGepMaskSgxCheckStore)
-                   : UOp::kGepMaskStore;
+      *fused = !has_check ? UOp::kGepMaskStore
+               : scheme   ? UOp::kGepMaskSchemeCheckStore
+                          : UOp::kGepMaskSgxCheckStore;
     } else {
       return false;
     }
     *consumed = a - i + 1;
     return true;
-  }
-
-  // True if `in[i..]` starts the gep+sgxcheck+access pattern; fills the
-  // fused opcode. Requires the check and access to agree on size so one aux
-  // field carries both.
-  bool MatchGepCheckAccess(const std::vector<IrInstr>& instrs, size_t i, size_t end,
-                           UOp* fused) const {
-    if (!options_.fuse || options_.track_mpx || i + 2 >= end) {
-      return false;
-    }
-    const IrInstr& gep = instrs[i];
-    const IrInstr& chk = instrs[i + 1];
-    const IrInstr& acc = instrs[i + 2];
-    if (gep.op != IrOp::kGep) {
-      return false;
-    }
-    const bool upper = chk.op == IrOp::kSgxCheckUpper;
-    if (chk.op != IrOp::kSgxCheck && !upper) {
-      return false;
-    }
-    if (chk.args.empty() || chk.args[0] != gep.id) {
-      return false;
-    }
-    const uint32_t access_size = IrTypeSize(acc.type);
-    if (chk.imm != static_cast<int64_t>(access_size) || access_size > 0xff) {
-      return false;
-    }
-    if (acc.op == IrOp::kLoad && acc.args[0] == gep.id) {
-      *fused = upper ? UOp::kGepSgxCheckUpperLoad : UOp::kGepSgxCheckLoad;
-      return true;
-    }
-    if (acc.op == IrOp::kStore && acc.args[1] == gep.id) {
-      *fused = upper ? UOp::kGepSgxCheckUpperStore : UOp::kGepSgxCheckStore;
-      return true;
-    }
-    return false;
   }
 
   void LowerBlock(uint32_t block) {
@@ -286,24 +244,6 @@ class Decoder {
         }
         ++df_.fused_superinstructions;
         i += consumed - 1;
-        continue;
-      }
-      if (MatchGepCheckAccess(bb.instrs, i, end, &fused)) {
-        const IrInstr& gep = bb.instrs[i];
-        const IrInstr& chk = bb.instrs[i + 1];
-        const IrInstr& acc = bb.instrs[i + 2];
-        MicroOp& u = Emit(fused);
-        u.a = gep.args[0];
-        u.b = gep.args[1];
-        u.c = gep.id;
-        u.imm = gep.imm;
-        u.imm2 = gep.imm2;
-        u.aux = static_cast<uint8_t>(IrTypeSize(acc.type));
-        u.flag = chk.imm2 != 0 ? 1 : 0;
-        u.type = acc.type;
-        u.dst = acc.op == IrOp::kLoad ? acc.id : acc.args[0];  // result / stored value
-        ++df_.fused_superinstructions;
-        i += 2;
         continue;
       }
       if (MatchXorShiftImm(bb.instrs, i, end, &fused)) {
@@ -511,10 +451,8 @@ class Decoder {
         u.aux = static_cast<uint8_t>(IrTypeSize(in.type));
         break;
       }
-      case IrOp::kSgxCheck:
-      case IrOp::kSgxCheckUpper: {
-        MicroOp& u =
-            Emit(in.op == IrOp::kSgxCheck ? UOp::kSgxCheck : UOp::kSgxCheckUpper);
+      case IrOp::kSgxCheck: {
+        MicroOp& u = Emit(UOp::kSgxCheck);
         u.a = in.args[0];
         u.imm = in.imm;
         u.flag = in.imm2 != 0 ? 1 : 0;
@@ -712,13 +650,8 @@ DecodedFunction DecodeFunction(const IrFunction& fn, const DecodeOptions& option
 }
 
 uint64_t HashIrFunction(const IrFunction& fn) {
-  uint64_t h = 14695981039346656037ULL;
-  const auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
+  uint64_t h = kFnvOffset;
+  const auto mix = [&h](uint64_t v) { h = FnvMix(h, v); };
   mix(fn.num_args);
   mix(fn.num_values);
   mix(fn.blocks.size());
@@ -749,80 +682,13 @@ uint64_t HashIrFunction(const IrFunction& fn) {
 
 const char* UOpName(UOp op) {
   switch (op) {
-    case UOp::kConst: return "const";
-    case UOp::kArg: return "arg";
-    case UOp::kAdd: return "add";
-    case UOp::kSub: return "sub";
-    case UOp::kMul: return "mul";
-    case UOp::kUDiv: return "udiv";
-    case UOp::kURem: return "urem";
-    case UOp::kAnd: return "and";
-    case UOp::kOr: return "or";
-    case UOp::kXor: return "xor";
-    case UOp::kShl: return "shl";
-    case UOp::kLShr: return "lshr";
-    case UOp::kAddImm: return "add.i";
-    case UOp::kSubImm: return "sub.i";
-    case UOp::kMulImm: return "mul.i";
-    case UOp::kAndImm: return "and.i";
-    case UOp::kOrImm: return "or.i";
-    case UOp::kXorImm: return "xor.i";
-    case UOp::kShlImm: return "shl.i";
-    case UOp::kLShrImm: return "lshr.i";
-    case UOp::kXorShlImm: return "xor+shl.i";
-    case UOp::kXorLShrImm: return "xor+lshr.i";
-    case UOp::kICmp: return "icmp";
-    case UOp::kICmpImm: return "icmp.i";
-    case UOp::kBr: return "br";
-    case UOp::kCondBr: return "condbr";
-    case UOp::kCmpBr: return "cmpbr";
-    case UOp::kRet: return "ret";
-    case UOp::kCopy: return "copy";
-    case UOp::kBoundsCopy: return "bcopy";
-    case UOp::kJump: return "jump";
-    case UOp::kAllocaNative: return "alloca";
-    case UOp::kAllocaNativeMpx: return "alloca.mpx";
-    case UOp::kAllocaSgx: return "alloca.sgx";
-    case UOp::kAllocaAsan: return "alloca.asan";
-    case UOp::kMallocNative: return "malloc";
-    case UOp::kMallocNativeMpx: return "malloc.mpx";
-    case UOp::kMallocSgx: return "malloc.sgx";
-    case UOp::kMallocAsan: return "malloc.asan";
-    case UOp::kFreeNative: return "free";
-    case UOp::kFreeSgx: return "free.sgx";
-    case UOp::kFreeAsan: return "free.asan";
-    case UOp::kGep: return "gep";
-    case UOp::kGepMpx: return "gep.mpx";
-    case UOp::kMaskPtr: return "maskptr";
-    case UOp::kLoad: return "load";
-    case UOp::kStore: return "store";
-    case UOp::kSgxCheck: return "sgxcheck";
-    case UOp::kSgxCheckUpper: return "sgxcheck.ub";
-    case UOp::kSgxCheckRange: return "sgxcheck.range";
-    case UOp::kAsanCheck: return "asancheck";
-    case UOp::kMpxCheck: return "mpxcheck";
-    case UOp::kMpxLdx: return "mpxldx";
-    case UOp::kMpxStx: return "mpxstx";
-    case UOp::kGepSgxCheckLoad: return "gep+check+load";
-    case UOp::kGepSgxCheckUpperLoad: return "gep+check.ub+load";
-    case UOp::kGepSgxCheckStore: return "gep+check+store";
-    case UOp::kGepSgxCheckUpperStore: return "gep+check.ub+store";
-    case UOp::kGepMaskLoad: return "gep+mask+load";
-    case UOp::kGepMaskStore: return "gep+mask+store";
-    case UOp::kGepMaskSgxCheckLoad: return "gep+mask+check+load";
-    case UOp::kGepMaskSgxCheckUpperLoad: return "gep+mask+check.ub+load";
-    case UOp::kGepMaskSgxCheckStore: return "gep+mask+check+store";
-    case UOp::kGepMaskSgxCheckUpperStore: return "gep+mask+check.ub+store";
-    case UOp::kCallAbs64: return "call.abs64";
-    case UOp::kCallNop: return "call.nop";
-    case UOp::kAllocaScheme: return "alloca.scheme";
-    case UOp::kMallocScheme: return "malloc.scheme";
-    case UOp::kFreeScheme: return "free.scheme";
-    case UOp::kSchemeCheck: return "schemecheck";
-    case UOp::kSchemeCheckRange: return "schemecheck.range";
-    case UOp::kGepMaskSchemeCheckLoad: return "gep+mask+scheck+load";
-    case UOp::kGepMaskSchemeCheckStore: return "gep+mask+scheck+store";
-    case UOp::kCount: break;
+#define SGXB_UOP_NAME(name, text) \
+  case UOp::name:                 \
+    return text;
+    SGXB_UOP_LIST(SGXB_UOP_NAME, SGXB_UOP_NAME)
+#undef SGXB_UOP_NAME
+    case UOp::kCount:
+      break;
   }
   return "?";
 }

@@ -1,7 +1,9 @@
 // Per-op x86-64 templates for the JIT tier. See jit_frame.h for the register
-// pinning and the helper-call protocol; semantics for every template are
-// copied from the threaded engine's op bodies (exec/engine.cc) - same step
-// accounting, same pending-charge increments, same value write-back order.
+// pinning and the helper-call protocol; every inline template reproduces the
+// op's shared body (ExecOp in exec/ops.h) - same step accounting, same
+// pending-charge increments, same value write-back order. Run with
+// SGXB_IR_JIT_HELPER_ONLY=1 to route every op through those bodies instead
+// and cross-check the templates against them.
 
 #include "src/ir/exec/jit/compiler.h"
 
@@ -167,7 +169,7 @@ class Compiler {
   }
 
   // The uniform helper call: spill hot state, call the op's specialized
-  // slow-path thunk (SgxbJitSlowOp ABI with the dispatch switch folded away),
+  // slow-path thunk (it runs the op's shared body from exec/ops.h),
   // bail on nonzero, reload hot state (helpers may flush, stepping through
   // runtime code that charges the Cpu and zeroes the pending counters).
   void EmitSlow(size_t i) {

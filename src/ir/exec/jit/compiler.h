@@ -2,8 +2,8 @@
 //
 // Each MicroOp is stamped out from a hand-written code template (pure
 // compute and control flow inline; everything observable - memory traffic,
-// runtime calls, checks, allocation - bails to the shared C++ slow op via
-// SgxbJitSlowOp). Branch targets are recorded during emission and fixed up
+// runtime calls, checks, allocation - calls that op's thunk, which runs the
+// shared C++ body from exec/ops.h). Branch targets are recorded during emission and fixed up
 // in a second pass once every op's native offset is known. See jit_frame.h
 // for the frame ABI and compiler.cc for the per-op templates.
 

@@ -18,17 +18,22 @@
 //
 // pend_call and the loads/stores/checks counters live in frame memory (cold).
 //
-// Helper protocol: non-template-able ops call
-//   uint64_t JitSlowOp(JitFrame*, uint64_t op_index)
-// with steps/pend_alu/pend_branch spilled to the frame first. The helper runs
-// the exact C++ op body the threaded engine uses (jit/runtime.cc), mutating
-// frame fields, and returns kJitContinue or kJitBail. C++ exceptions never
-// unwind through the JIT frame (it has no unwind info): the helper catches
-// everything, stashes the std::exception_ptr through ex_slot, and bails; the
-// RunJit wrapper rethrows after restoring the interpreter's invariants
-// (flush, stats write-back, frame pop) - exactly the threaded engine's
-// catch(...) path. Control flow is never delegated: branches are always
-// inlined, so a helper's answer is only "keep going" or "stop".
+// Helper protocol: every op that is not emitted as an inline template calls
+// its own per-opcode thunk (SgxbJitSlowFnFor(op), jit/runtime.cc)
+//   uint64_t thunk(JitFrame*, uint64_t op_index)
+// with steps/pend_alu/pend_branch spilled to the frame first. The thunk runs
+// the op's shared C++ body (ExecOp in exec/ops.h, the same body the threaded
+// engine runs), mutating frame fields, and returns kJitContinue or kJitBail.
+// C++ exceptions never unwind through the JIT frame (it has no unwind info):
+// the thunk catches everything, stashes the std::exception_ptr through
+// ex_slot, and bails; the RunJit wrapper rethrows after restoring the
+// interpreter's invariants (flush, stats write-back, frame pop) - exactly the
+// threaded engine's catch(...) path. Control flow is never delegated:
+// branches are always inlined, so a thunk's answer is only "keep going" or
+// "stop".
+//
+// The threaded engine runs on a JitFrame too (a register-resident local), so
+// the shared op bodies see one frame type.
 
 #ifndef SGXBOUNDS_SRC_IR_EXEC_JIT_JIT_FRAME_H_
 #define SGXBOUNDS_SRC_IR_EXEC_JIT_JIT_FRAME_H_
@@ -55,7 +60,7 @@ enum : uint64_t {
   kJitStatusStepLimit = 2,  // inline step check tripped (max_steps exceeded)
 };
 
-// JitSlowOp return values.
+// Slow-path thunk return values.
 enum : uint64_t {
   kJitContinue = 0,
   kJitBail = 1,
@@ -77,7 +82,7 @@ struct JitFrame {
   uint64_t ret = 0;
   const uint64_t* args = nullptr;
   uint64_t nargs = 0;
-  const MicroOp* code = nullptr;  // decoded stream, indexed by JitSlowOp
+  const MicroOp* code = nullptr;  // decoded stream, indexed by the thunks
   // Host objects for the slow paths (null when not attached).
   Cpu* cpu = nullptr;
   Enclave* enclave = nullptr;
@@ -92,14 +97,9 @@ struct JitFrame {
   void* ex_slot = nullptr;  // std::exception_ptr* owned by the RunJit wrapper
 };
 
-// The uniform helper-call thunk (jit/runtime.cc). noexcept by construction:
-// every exception is converted into a kJitBail through ex_slot.
-extern "C" uint64_t SgxbJitSlowOp(JitFrame* frame, uint64_t index) noexcept;
-
-// Per-opcode specialization of SgxbJitSlowOp: identical ABI and semantics,
-// but the opcode switch is folded away at compile time, so each generated
-// call site targets a helper containing only its own op body. `op` is the
-// numeric UOp value of the micro-op at that site.
+// The slow-path thunk for micro-op `op` (its numeric UOp value; control-flow
+// ops have none). noexcept by construction: every exception is converted
+// into a kJitBail through ex_slot.
 using SgxbJitSlowFn = uint64_t (*)(JitFrame*, uint64_t);
 SgxbJitSlowFn SgxbJitSlowFnFor(uint16_t op);
 

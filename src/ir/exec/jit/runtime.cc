@@ -1,671 +1,32 @@
-// The JIT's slow-path op implementations: every observable micro-op (memory
-// traffic, checks, allocation, MPX side table, scheme hooks, fused access
-// quads) executes here, in C++ bodies copied line-for-line from the threaded
-// engine (exec/engine.cc) - policy semantics live in one place and the JIT
-// can never drift from the interpreters on anything a simulation observes.
+// The JIT's slow-path thunks: one per non-control micro-op, each running
+// that op's shared body (ExecOp in exec/ops.h - the same body the threaded
+// engine runs), so the JIT can never drift from the interpreters on anything
+// a simulation observes. Generated code calls them for every observable op
+// (memory traffic, checks, allocation, MPX side table, scheme hooks, fused
+// access quads), and for every op under SGXB_IR_JIT_HELPER_ONLY.
 //
 // Also the exception firewall: generated code has no unwind tables, so a
 // SimTrap (or anything else) thrown by a runtime must not propagate through
-// the JIT frame. SgxbJitSlowOp catches everything, parks the exception in
-// the wrapper-owned std::exception_ptr behind JitFrame::ex_slot, and returns
+// the JIT frame. Each thunk catches everything, parks the exception in the
+// wrapper-owned std::exception_ptr behind JitFrame::ex_slot, and returns
 // kJitBail; Interpreter::RunJit rethrows after restoring the interpreter
 // invariants.
 
-#include <array>
 #include <exception>
-#include <utility>
 
-#include "src/asan/asan_runtime.h"
 #include "src/common/check.h"
-#include "src/enclave/enclave.h"
-#include "src/ir/eval.h"
-#include "src/ir/exec/flush.h"
 #include "src/ir/exec/jit/jit_frame.h"
+#include "src/ir/exec/ops.h"
 #include "src/ir/exec/uop.h"
-#include "src/ir/scheme_rt.h"
-#include "src/mpx/mpx_runtime.h"
-#include "src/runtime/heap.h"
-#include "src/runtime/stack.h"
-#include "src/sgxbounds/bounds_runtime.h"
 
 namespace sgxb {
 
 namespace {
 
-#define SGXB_STEP()                                                                  \
-  do {                                                                               \
-    if (++f.steps > f.max_steps) {                                                   \
-      throw SimTrap(TrapKind::kIllegalInstruction, 0, "interpreter step limit exceeded"); \
-    }                                                                                \
-  } while (0)
-
-#define SGXB_FLUSH() FlushPending(cpu, f.pend_alu, f.pend_branch, f.pend_call)
-
-// kKnownOp == UOp::kCount selects generic dispatch on u.op (the extern "C"
-// SgxbJitSlowOp entry); any other value folds the switch to that single op's
-// body, giving the compiler's per-opcode call sites a helper with no
-// dispatch at all.
-template <UOp kKnownOp>
-void ExecSlowOp(JitFrame& f, const MicroOp& u) {
-  uint64_t* const v = f.v;
-  Cpu& cpu = *f.cpu;
-
-  const auto set_bounds = [&f](uint32_t id, const MpxBounds& b) {
-    f.mpx_bounds[id] = b;
-    f.mpx_valid[id] = 1;
-  };
-  const auto copy_bounds = [&f](uint32_t dst, uint32_t src) {
-    if (f.mpx_valid[src]) {
-      f.mpx_bounds[dst] = f.mpx_bounds[src];
-      f.mpx_valid[dst] = 1;
-    }
-  };
-  const auto bounds_or_init = [&f](uint32_t id) {
-    return f.mpx_valid[id] ? f.mpx_bounds[id] : MpxBounds{};
-  };
-
-  switch (kKnownOp == UOp::kCount ? u.op : kKnownOp) {
-    // Pure-compute ops land here only under SGXB_IR_JIT_HELPER_ONLY (the
-    // thunk-vs-template cross-check mode); bodies still match the threaded
-    // engine exactly.
-    case UOp::kConst:
-      SGXB_STEP();
-      v[u.dst] = static_cast<uint64_t>(u.imm);
-      break;
-    case UOp::kArg:
-      SGXB_STEP();
-      v[u.dst] = u.imm >= 0 && u.imm < static_cast<int64_t>(f.nargs)
-                     ? f.args[static_cast<size_t>(u.imm)]
-                     : 0;
-      break;
-    case UOp::kAdd:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] + v[u.b];
-      break;
-    case UOp::kSub:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] - v[u.b];
-      break;
-    case UOp::kMul:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] * v[u.b];
-      break;
-    case UOp::kUDiv:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.b] == 0 ? 0 : v[u.a] / v[u.b];
-      break;
-    case UOp::kURem:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.b] == 0 ? 0 : v[u.a] % v[u.b];
-      break;
-    case UOp::kAnd:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] & v[u.b];
-      break;
-    case UOp::kOr:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] | v[u.b];
-      break;
-    case UOp::kXor:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] ^ v[u.b];
-      break;
-    case UOp::kShl:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] << (v[u.b] & 63);
-      break;
-    case UOp::kLShr:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] >> (v[u.b] & 63);
-      break;
-    case UOp::kAddImm:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] + static_cast<uint64_t>(u.imm);
-      break;
-    case UOp::kSubImm:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] - static_cast<uint64_t>(u.imm);
-      break;
-    case UOp::kMulImm:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] * static_cast<uint64_t>(u.imm);
-      break;
-    case UOp::kAndImm:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] & static_cast<uint64_t>(u.imm);
-      break;
-    case UOp::kOrImm:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] | static_cast<uint64_t>(u.imm);
-      break;
-    case UOp::kXorImm:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] ^ static_cast<uint64_t>(u.imm);
-      break;
-    case UOp::kShlImm:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] << static_cast<uint64_t>(u.imm);  // pre-masked &63
-      break;
-    case UOp::kLShrImm:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] >> static_cast<uint64_t>(u.imm);  // pre-masked &63
-      break;
-    case UOp::kXorShlImm: {
-      SGXB_STEP();
-      ++f.pend_alu;
-      const uint64_t t = v[u.a] << static_cast<uint64_t>(u.imm);
-      v[u.c] = t;
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] ^ t;
-      break;
-    }
-    case UOp::kXorLShrImm: {
-      SGXB_STEP();
-      ++f.pend_alu;
-      const uint64_t t = v[u.a] >> static_cast<uint64_t>(u.imm);
-      v[u.c] = t;
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = v[u.a] ^ t;
-      break;
-    }
-    case UOp::kICmp:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] = EvalCmp(static_cast<IrCmp>(u.aux), v[u.a], v[u.b]) ? 1 : 0;
-      break;
-    case UOp::kICmpImm:
-      SGXB_STEP();
-      ++f.pend_alu;
-      v[u.dst] =
-          EvalCmp(static_cast<IrCmp>(u.aux), v[u.a], static_cast<uint64_t>(u.imm)) ? 1
-                                                                                   : 0;
-      break;
-    case UOp::kCopy:
-      v[u.dst] = v[u.a];
-      break;
-    case UOp::kBoundsCopy:
-      copy_bounds(u.dst, u.a);
-      break;
-    case UOp::kGep:
-      SGXB_STEP();
-      f.pend_alu += 2;
-      v[u.dst] = v[u.a] + v[u.b] * static_cast<uint64_t>(u.imm) +
-                 static_cast<uint64_t>(u.imm2);
-      break;
-    case UOp::kMaskPtr:
-      SGXB_STEP();
-      f.pend_alu += 2;
-      v[u.dst] = (v[u.b] & 0xffffffff00000000ULL) | (v[u.a] & 0xffffffffULL);
-      break;
-    case UOp::kCallAbs64: {
-      SGXB_STEP();
-      ++f.pend_call;
-      // Negate in unsigned arithmetic: -INT64_MIN is signed-overflow UB, but
-      // 0 - ux wraps to the same bit pattern the JIT's branch-free abs yields.
-      const uint64_t ux = v[u.a];
-      v[u.dst] = static_cast<int64_t>(ux) < 0 ? 0 - ux : ux;
-      break;
-    }
-    case UOp::kCallNop:
-      SGXB_STEP();
-      ++f.pend_call;
-      if (u.dst != 0) {
-        v[u.dst] = 0;
-      }
-      break;
-
-    // --- observable ops: the JIT always routes these here ------------------
-
-    case UOp::kAllocaNative:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      v[u.dst] = f.stack->Alloca(cpu, static_cast<uint32_t>(u.imm));
-      break;
-    case UOp::kAllocaNativeMpx: {
-      SGXB_STEP();
-      SGXB_FLUSH();
-      const uint32_t size = static_cast<uint32_t>(u.imm);
-      v[u.dst] = f.stack->Alloca(cpu, size);
-      set_bounds(u.dst, f.mpx->BndMk(cpu, static_cast<uint32_t>(v[u.dst]), size));
-      break;
-    }
-    case UOp::kAllocaSgx: {
-      SGXB_STEP();
-      SGXB_FLUSH();
-      const uint32_t size = static_cast<uint32_t>(u.imm);
-      const uint32_t base = f.stack->Alloca(cpu, size + f.sgx->FooterBytes());
-      v[u.dst] = f.sgx->SpecifyBounds(cpu, base, base + size, ObjKind::kStack);
-      break;
-    }
-    case UOp::kAllocaAsan: {
-      SGXB_STEP();
-      SGXB_FLUSH();
-      const uint32_t size = static_cast<uint32_t>(u.imm);
-      const uint32_t rz = f.asan->RedzoneFor(size);
-      const uint32_t base = f.stack->Alloca(cpu, size + 2 * rz, 16);
-      f.asan->RegisterObject(cpu, base + rz, size, AsanRuntime::kShadowStackRedzone);
-      v[u.dst] = base + rz;
-      break;
-    }
-    case UOp::kMallocNative:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      v[u.dst] = f.heap->Alloc(cpu, static_cast<uint32_t>(v[u.a]));
-      break;
-    case UOp::kMallocNativeMpx: {
-      SGXB_STEP();
-      SGXB_FLUSH();
-      const uint32_t size = static_cast<uint32_t>(v[u.a]);
-      v[u.dst] = f.heap->Alloc(cpu, size);
-      set_bounds(u.dst, f.mpx->BndMk(cpu, static_cast<uint32_t>(v[u.dst]), size));
-      break;
-    }
-    case UOp::kMallocSgx:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      v[u.dst] = f.sgx->Malloc(cpu, static_cast<uint32_t>(v[u.a]));
-      break;
-    case UOp::kMallocAsan:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      v[u.dst] = f.asan->Malloc(cpu, static_cast<uint32_t>(v[u.a]));
-      break;
-    case UOp::kFreeNative:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      f.heap->Free(cpu, static_cast<uint32_t>(v[u.a]));
-      break;
-    case UOp::kFreeSgx:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      f.sgx->Free(cpu, v[u.a]);
-      break;
-    case UOp::kFreeAsan:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      f.asan->Free(cpu, static_cast<uint32_t>(v[u.a]));
-      break;
-
-    case UOp::kGepMpx:
-      SGXB_STEP();
-      f.pend_alu += 2;
-      v[u.dst] = v[u.a] + v[u.b] * static_cast<uint64_t>(u.imm) +
-                 static_cast<uint64_t>(u.imm2);
-      copy_bounds(u.dst, u.a);
-      break;
-
-    case UOp::kLoad: {
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.loads;
-      uint64_t raw = 0;
-      f.enclave->LoadBytes(cpu, static_cast<uint32_t>(v[u.a]), &raw, u.aux);
-      v[u.dst] = TruncateToType(u.type, raw);
-      break;
-    }
-    case UOp::kStore: {
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.stores;
-      const uint64_t raw = TruncateToType(u.type, v[u.a]);
-      f.enclave->StoreBytes(cpu, static_cast<uint32_t>(v[u.b]), &raw, u.aux);
-      break;
-    }
-
-    case UOp::kSgxCheck:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.sgx->CheckAccess(cpu, v[u.a], static_cast<uint32_t>(u.imm),
-                         u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      break;
-    case UOp::kSgxCheckUpper:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.sgx->CheckAccessUpperOnly(cpu, v[u.a], static_cast<uint32_t>(u.imm),
-                                  u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      break;
-    case UOp::kSgxCheckRange:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.sgx->CheckRange(cpu, v[u.a], v[u.b]);
-      break;
-    case UOp::kAsanCheck:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.asan->CheckAccess(cpu, static_cast<uint32_t>(v[u.a]),
-                          static_cast<uint32_t>(u.imm), u.flag != 0);
-      break;
-    case UOp::kMpxCheck:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.mpx->BndCheck(cpu, bounds_or_init(u.a), static_cast<uint32_t>(v[u.a]),
-                      static_cast<uint32_t>(u.imm));
-      break;
-    case UOp::kMpxLdx:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      set_bounds(u.a, f.mpx->BndLdx(cpu, static_cast<uint32_t>(v[u.b]),
-                                    static_cast<uint32_t>(v[u.a])));
-      break;
-    case UOp::kMpxStx:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      f.mpx->BndStx(cpu, static_cast<uint32_t>(v[u.b]), static_cast<uint32_t>(v[u.a]),
-                    bounds_or_init(u.a));
-      break;
-
-    case UOp::kGepSgxCheckLoad: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t g = v[u.a] + v[u.b] * static_cast<uint64_t>(u.imm) +
-                         static_cast<uint64_t>(u.imm2);
-      v[u.c] = g;
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.sgx->CheckAccess(cpu, g, u.aux,
-                         u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.loads;
-      uint64_t raw = 0;
-      f.enclave->LoadBytes(cpu, static_cast<uint32_t>(g), &raw, u.aux);
-      v[u.dst] = TruncateToType(u.type, raw);
-      break;
-    }
-    case UOp::kGepSgxCheckUpperLoad: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t g = v[u.a] + v[u.b] * static_cast<uint64_t>(u.imm) +
-                         static_cast<uint64_t>(u.imm2);
-      v[u.c] = g;
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.sgx->CheckAccessUpperOnly(cpu, g, u.aux,
-                                  u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.loads;
-      uint64_t raw = 0;
-      f.enclave->LoadBytes(cpu, static_cast<uint32_t>(g), &raw, u.aux);
-      v[u.dst] = TruncateToType(u.type, raw);
-      break;
-    }
-    case UOp::kGepSgxCheckStore: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t g = v[u.a] + v[u.b] * static_cast<uint64_t>(u.imm) +
-                         static_cast<uint64_t>(u.imm2);
-      v[u.c] = g;
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.sgx->CheckAccess(cpu, g, u.aux,
-                         u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      ++f.stores;
-      // v[dst] read after the gep writeback, as in the reference.
-      const uint64_t raw = TruncateToType(u.type, v[u.dst]);
-      f.enclave->StoreBytes(cpu, static_cast<uint32_t>(g), &raw, u.aux);
-      break;
-    }
-    case UOp::kGepSgxCheckUpperStore: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t g = v[u.a] + v[u.b] * static_cast<uint64_t>(u.imm) +
-                         static_cast<uint64_t>(u.imm2);
-      v[u.c] = g;
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.sgx->CheckAccessUpperOnly(cpu, g, u.aux,
-                                  u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      ++f.stores;
-      const uint64_t raw = TruncateToType(u.type, v[u.dst]);
-      f.enclave->StoreBytes(cpu, static_cast<uint32_t>(g), &raw, u.aux);
-      break;
-    }
-
-    case UOp::kGepMaskLoad: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t packed = static_cast<uint64_t>(u.imm);
-      const uint64_t t = v[u.a] + v[u.b] * (packed >> 32) + (packed & 0xffffffffULL);
-      v[u.c] = t;
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t p = (v[u.a] & 0xffffffff00000000ULL) | (t & 0xffffffffULL);
-      v[static_cast<uint32_t>(u.imm2)] = p;
-      SGXB_STEP();
-      ++f.loads;
-      SGXB_FLUSH();
-      uint64_t raw = 0;
-      f.enclave->LoadBytes(cpu, static_cast<uint32_t>(p), &raw, u.aux);
-      v[u.dst] = TruncateToType(u.type, raw);
-      break;
-    }
-    case UOp::kGepMaskStore: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t packed = static_cast<uint64_t>(u.imm);
-      const uint64_t t = v[u.a] + v[u.b] * (packed >> 32) + (packed & 0xffffffffULL);
-      v[u.c] = t;
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t p = (v[u.a] & 0xffffffff00000000ULL) | (t & 0xffffffffULL);
-      v[static_cast<uint32_t>(u.imm2)] = p;
-      SGXB_STEP();
-      ++f.stores;
-      SGXB_FLUSH();
-      const uint64_t raw = TruncateToType(u.type, v[u.dst]);
-      f.enclave->StoreBytes(cpu, static_cast<uint32_t>(p), &raw, u.aux);
-      break;
-    }
-    case UOp::kGepMaskSgxCheckLoad: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t packed = static_cast<uint64_t>(u.imm);
-      const uint64_t t = v[u.a] + v[u.b] * (packed >> 32) + (packed & 0xffffffffULL);
-      v[u.c] = t;
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t p = (v[u.a] & 0xffffffff00000000ULL) | (t & 0xffffffffULL);
-      v[static_cast<uint32_t>(u.imm2)] = p;
-      SGXB_STEP();
-      ++f.checks;
-      SGXB_FLUSH();
-      f.sgx->CheckAccess(cpu, p, u.aux,
-                         u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      ++f.loads;
-      uint64_t raw = 0;
-      f.enclave->LoadBytes(cpu, static_cast<uint32_t>(p), &raw, u.aux);
-      v[u.dst] = TruncateToType(u.type, raw);
-      break;
-    }
-    case UOp::kGepMaskSgxCheckUpperLoad: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t packed = static_cast<uint64_t>(u.imm);
-      const uint64_t t = v[u.a] + v[u.b] * (packed >> 32) + (packed & 0xffffffffULL);
-      v[u.c] = t;
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t p = (v[u.a] & 0xffffffff00000000ULL) | (t & 0xffffffffULL);
-      v[static_cast<uint32_t>(u.imm2)] = p;
-      SGXB_STEP();
-      ++f.checks;
-      SGXB_FLUSH();
-      f.sgx->CheckAccessUpperOnly(cpu, p, u.aux,
-                                  u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      ++f.loads;
-      uint64_t raw = 0;
-      f.enclave->LoadBytes(cpu, static_cast<uint32_t>(p), &raw, u.aux);
-      v[u.dst] = TruncateToType(u.type, raw);
-      break;
-    }
-    case UOp::kGepMaskSgxCheckStore: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t packed = static_cast<uint64_t>(u.imm);
-      const uint64_t t = v[u.a] + v[u.b] * (packed >> 32) + (packed & 0xffffffffULL);
-      v[u.c] = t;
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t p = (v[u.a] & 0xffffffff00000000ULL) | (t & 0xffffffffULL);
-      v[static_cast<uint32_t>(u.imm2)] = p;
-      SGXB_STEP();
-      ++f.checks;
-      SGXB_FLUSH();
-      f.sgx->CheckAccess(cpu, p, u.aux,
-                         u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      ++f.stores;
-      const uint64_t raw = TruncateToType(u.type, v[u.dst]);
-      f.enclave->StoreBytes(cpu, static_cast<uint32_t>(p), &raw, u.aux);
-      break;
-    }
-    case UOp::kGepMaskSgxCheckUpperStore: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t packed = static_cast<uint64_t>(u.imm);
-      const uint64_t t = v[u.a] + v[u.b] * (packed >> 32) + (packed & 0xffffffffULL);
-      v[u.c] = t;
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t p = (v[u.a] & 0xffffffff00000000ULL) | (t & 0xffffffffULL);
-      v[static_cast<uint32_t>(u.imm2)] = p;
-      SGXB_STEP();
-      ++f.checks;
-      SGXB_FLUSH();
-      f.sgx->CheckAccessUpperOnly(cpu, p, u.aux,
-                                  u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      ++f.stores;
-      const uint64_t raw = TruncateToType(u.type, v[u.dst]);
-      f.enclave->StoreBytes(cpu, static_cast<uint32_t>(p), &raw, u.aux);
-      break;
-    }
-
-    case UOp::kAllocaScheme:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      v[u.dst] = f.scheme->IrAlloca(cpu, *f.stack, static_cast<uint32_t>(u.imm));
-      break;
-    case UOp::kMallocScheme:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      v[u.dst] = f.scheme->IrMalloc(cpu, static_cast<uint32_t>(v[u.a]));
-      break;
-    case UOp::kFreeScheme:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      f.scheme->IrFree(cpu, v[u.a]);
-      break;
-    case UOp::kSchemeCheck:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.scheme->IrCheck(cpu, v[u.a], static_cast<uint32_t>(u.imm),
-                        u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      break;
-    case UOp::kSchemeCheckRange:
-      SGXB_STEP();
-      SGXB_FLUSH();
-      ++f.checks;
-      f.scheme->IrCheckRange(cpu, v[u.a], v[u.b]);
-      break;
-    case UOp::kGepMaskSchemeCheckLoad: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t packed = static_cast<uint64_t>(u.imm);
-      const uint64_t t = v[u.a] + v[u.b] * (packed >> 32) + (packed & 0xffffffffULL);
-      v[u.c] = t;
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t p = (v[u.a] & 0xffffffff00000000ULL) | (t & 0xffffffffULL);
-      v[static_cast<uint32_t>(u.imm2)] = p;
-      SGXB_STEP();
-      ++f.checks;
-      SGXB_FLUSH();
-      f.scheme->IrCheck(cpu, p, u.aux,
-                        u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      ++f.loads;
-      uint64_t raw = 0;
-      f.enclave->LoadBytes(cpu, static_cast<uint32_t>(p), &raw, u.aux);
-      v[u.dst] = TruncateToType(u.type, raw);
-      break;
-    }
-    case UOp::kGepMaskSchemeCheckStore: {
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t packed = static_cast<uint64_t>(u.imm);
-      const uint64_t t = v[u.a] + v[u.b] * (packed >> 32) + (packed & 0xffffffffULL);
-      v[u.c] = t;
-      SGXB_STEP();
-      f.pend_alu += 2;
-      const uint64_t p = (v[u.a] & 0xffffffff00000000ULL) | (t & 0xffffffffULL);
-      v[static_cast<uint32_t>(u.imm2)] = p;
-      SGXB_STEP();
-      ++f.checks;
-      SGXB_FLUSH();
-      f.scheme->IrCheck(cpu, p, u.aux,
-                        u.flag != 0 ? AccessType::kWrite : AccessType::kRead);
-      SGXB_STEP();
-      ++f.stores;
-      const uint64_t raw = TruncateToType(u.type, v[u.dst]);
-      f.enclave->StoreBytes(cpu, static_cast<uint32_t>(p), &raw, u.aux);
-      break;
-    }
-
-    case UOp::kBr:
-    case UOp::kCondBr:
-    case UOp::kCmpBr:
-    case UOp::kRet:
-    case UOp::kJump:
-    case UOp::kCount:
-      // Control flow is always inlined by the compiler; reaching here means
-      // the template emission and the thunk disagree about the op split.
-      FATAL("control-flow micro-op routed to the JIT slow path");
-  }
-}
-
-#undef SGXB_STEP
-#undef SGXB_FLUSH
-
 template <UOp kOp>
 uint64_t SlowOpThunk(JitFrame* frame, uint64_t index) noexcept {
   try {
-    ExecSlowOp<kOp>(*frame, frame->code[index]);
+    ops::ExecOp<kOp>(*frame, frame->code[index]);
     return kJitContinue;
   } catch (...) {
     *static_cast<std::exception_ptr*>(frame->ex_slot) = std::current_exception();
@@ -673,24 +34,24 @@ uint64_t SlowOpThunk(JitFrame* frame, uint64_t index) noexcept {
   }
 }
 
-template <size_t... I>
-constexpr std::array<SgxbJitSlowFn, sizeof...(I)> MakeSlowOpTable(
-    std::index_sequence<I...>) {
-  return {{&SlowOpThunk<static_cast<UOp>(I)>...}};
-}
-
-const std::array<SgxbJitSlowFn, static_cast<size_t>(UOp::kCount)> kSlowOpTable =
-    MakeSlowOpTable(std::make_index_sequence<static_cast<size_t>(UOp::kCount)>{});
+// Indexed by UOp; control flow is always inlined by the compiler, so its
+// entries are null.
+#define SGXB_UOP_THUNK(name, text) &SlowOpThunk<UOp::name>,
+#define SGXB_UOP_NO_THUNK(name, text) nullptr,
+constexpr SgxbJitSlowFn kSlowOpTable[] = {
+    SGXB_UOP_LIST(SGXB_UOP_THUNK, SGXB_UOP_NO_THUNK)};
+#undef SGXB_UOP_THUNK
+#undef SGXB_UOP_NO_THUNK
+static_assert(sizeof(kSlowOpTable) / sizeof(kSlowOpTable[0]) ==
+                  static_cast<size_t>(UOp::kCount),
+              "thunk table out of sync with UOp");
 
 }  // namespace
 
 SgxbJitSlowFn SgxbJitSlowFnFor(uint16_t op) {
   CHECK(op < static_cast<uint16_t>(UOp::kCount));
+  CHECK(kSlowOpTable[op] != nullptr);
   return kSlowOpTable[op];
-}
-
-extern "C" uint64_t SgxbJitSlowOp(JitFrame* frame, uint64_t index) noexcept {
-  return SlowOpThunk<UOp::kCount>(frame, index);
 }
 
 }  // namespace sgxb

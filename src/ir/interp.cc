@@ -274,12 +274,6 @@ uint64_t Interpreter::RunReference(const IrFunction& fn, Cpu& cpu,
                               in.imm2 != 0 ? AccessType::kWrite : AccessType::kRead);
             break;
           }
-          case IrOp::kSgxCheckUpper: {
-            ++stats_.checks;
-            sgx_->CheckAccessUpperOnly(cpu, values[in.args[0]], static_cast<uint32_t>(in.imm),
-                                       in.imm2 != 0 ? AccessType::kWrite : AccessType::kRead);
-            break;
-          }
           case IrOp::kSgxCheckRange: {
             ++stats_.checks;
             sgx_->CheckRange(cpu, values[in.args[0]], values[in.args[1]]);

@@ -86,9 +86,15 @@ class Interpreter {
   // Direct-threaded execution of a decoded program (src/ir/exec/engine.cc).
   uint64_t RunDecoded(const DecodedFunction& df, Cpu& cpu,
                       const std::vector<uint64_t>& args, uint64_t max_steps);
-  // Native execution of a compiled program (src/ir/exec/jit/jit_engine.cc).
+  // Native execution of a compiled program (src/ir/exec/engine.cc).
   uint64_t RunJit(const jit::JitProgram& jp, Cpu& cpu,
                   const std::vector<uint64_t>& args, uint64_t max_steps);
+  // The frame both engines run on: OpenFrame sizes the slot array and MPX
+  // side table and seeds the hot counters from stats_; CloseFrame flushes
+  // pending charges, writes the counters back and pops `stack_frame`.
+  JitFrame OpenFrame(uint32_t num_slots, bool track_mpx, Cpu& cpu,
+                     const std::vector<uint64_t>& args, uint64_t max_steps);
+  void CloseFrame(JitFrame& f, uint32_t stack_frame);
 
   Enclave* enclave_;
   Heap* heap_;

@@ -85,8 +85,6 @@ const char* IrOpName(IrOp op) {
       return "store";
     case IrOp::kSgxCheck:
       return "sgx.check";
-    case IrOp::kSgxCheckUpper:
-      return "sgx.check.ub";
     case IrOp::kSgxCheckRange:
       return "sgx.check.range";
     case IrOp::kMaskPtr:

@@ -62,7 +62,6 @@ enum class IrOp : uint8_t {
   kStore,   // args: value, ptr; type = stored type
   // Instrumentation (inserted by passes; see passes.h).
   kSgxCheck,       // args: ptr; imm = access size  (full LB+UB check)
-  kSgxCheckUpper,  // args: ptr; imm = access size  (UB-only, LB hoisted)
   kSgxCheckRange,  // args: ptr, extent-in-bytes    (hoisted loop check)
   kMaskPtr,        // args: ptr-after-arith, ptr-before; reapplies the tag
   kAsanCheck,      // args: ptr; imm = access size

@@ -3,39 +3,28 @@
 #include <map>
 #include <tuple>
 
+#include "src/common/digest.h"
 #include "src/common/host_parallel.h"
 
 namespace sgxb {
 
-namespace {
-
-uint64_t FnvFold(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
 uint64_t SimConfigHash(const SimConfig& config) {
-  uint64_t h = 14695981039346656037ull;
-  h = FnvFold(h, config.l1_bytes);
-  h = FnvFold(h, config.l1_ways);
-  h = FnvFold(h, config.l2_bytes);
-  h = FnvFold(h, config.l2_ways);
-  h = FnvFold(h, config.l3_bytes);
-  h = FnvFold(h, config.l3_ways);
-  h = FnvFold(h, config.epc_bytes);
-  h = FnvFold(h, config.enclave_mode ? 1 : 0);
+  uint64_t h = kFnvOffset;
+  h = FnvMix(h, config.l1_bytes);
+  h = FnvMix(h, config.l1_ways);
+  h = FnvMix(h, config.l2_bytes);
+  h = FnvMix(h, config.l2_ways);
+  h = FnvMix(h, config.l3_bytes);
+  h = FnvMix(h, config.l3_ways);
+  h = FnvMix(h, config.epc_bytes);
+  h = FnvMix(h, config.enclave_mode ? 1 : 0);
   const CostModel& c = config.costs;
   const uint32_t costs[] = {c.alu,       c.branch,     c.fp,          c.call,
                             c.l1_hit,    c.l2_hit,     c.l3_hit,      c.dram,
                             c.mee_line,  c.epc_fault,  c.minor_fault, c.syscall_exit,
                             c.syscall_native};
   for (uint32_t f : costs) {
-    h = FnvFold(h, f);
+    h = FnvMix(h, f);
   }
   return h;
 }

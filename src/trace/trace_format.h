@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/sim/cost_model.h"
 
 namespace sgxb {
@@ -169,18 +170,6 @@ inline uint64_t GetVarint(const uint8_t** p, const uint8_t* end) {
     shift += 7;
   }
   return v;
-}
-
-// --- stream hashing (FNV-1a 64) ---
-
-inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-inline uint64_t FnvUpdate(uint64_t h, const uint8_t* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h = (h ^ data[i]) * kFnvPrime;
-  }
-  return h;
 }
 
 // Stable id of a cost table (reported in headers and repro banners so two

@@ -80,10 +80,8 @@ inline ReplayResult ReplayTrace(const Trace& trace) {
 //     fall back to full replay.
 class ConfigSweeper {
  public:
-  // Captures from a decoded stream (preferred: the decode is shared).
+  // Captures from a decoded stream (the decode is shared with other replays).
   ConfigSweeper(const DecodedTrace& trace, const SimConfig& base);
-  // Legacy convenience: decodes internally.
-  ConfigSweeper(const Trace& trace, const SimConfig& base);
 
   // True when `cfg` is derivable from a capture under `base`.
   static bool CaptureCovers(const SimConfig& base, const SimConfig& cfg);
@@ -137,9 +135,6 @@ class ConfigSweeper {
   std::vector<SegCounts> segs_;
   std::vector<Op> ops_;
 };
-
-// The EPC-size sweeper predates the generalized capture; same object.
-using EpcSweeper = ConfigSweeper;
 
 }  // namespace sgxb
 

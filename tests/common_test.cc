@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/digest.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -242,6 +243,23 @@ TEST(LatencyHistogramTest, AddWithCountMatchesRepeatedAdd) {
     b.Add(777);
   }
   EXPECT_EQ(a.Digest(), b.Digest());
+}
+
+// Pins the one FNV-1a helper: the published FNV-1a 64 vectors for byte
+// spans, and the word mix as the little-endian bytes of the word. Every
+// stream hash, config id and farm/sweep/histogram digest goes through it.
+TEST(DigestTest, FnvOutputIsPinned) {
+  EXPECT_EQ(FnvUpdate(kFnvOffset, nullptr, 0), 0xcbf29ce484222325ull);
+  const uint8_t a[] = {'a'};
+  EXPECT_EQ(FnvUpdate(kFnvOffset, a, sizeof(a)), 0xaf63dc4c8601ec8cull);
+  const uint8_t foobar[] = {'f', 'o', 'o', 'b', 'a', 'r'};
+  EXPECT_EQ(FnvUpdate(kFnvOffset, foobar, sizeof(foobar)), 0x85944171f73967e8ull);
+
+  const uint64_t word = 0x0123456789abcdefull;
+  const uint8_t le[] = {0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01};
+  EXPECT_EQ(FnvMix(kFnvOffset, word), 0x37eb3f3347761c55ull);
+  EXPECT_EQ(FnvMix(kFnvOffset, word), FnvUpdate(kFnvOffset, le, sizeof(le)));
+  EXPECT_EQ(FnvMix(kLegacyDigestSeed, 42), 0xe13798d64f1352c9ull);
 }
 
 TEST(UnitsTest, AlignAndPageHelpers) {

@@ -240,23 +240,23 @@ TEST(IrExec, DecoderFusesInstrumentationPatterns) {
   RunSgxBoundsPass(fn, SgxPassOptions{/*elide_safe=*/false, /*hoist_loops=*/false});
   {
     const DecodedFunction df = DecodeFunction(fn, DecodeOptions{});
-    const size_t gep_fused = df.CountUOp(UOp::kGepMaskSgxCheckLoad) +
-                             df.CountUOp(UOp::kGepMaskSgxCheckUpperLoad) +
-                             df.CountUOp(UOp::kGepMaskSgxCheckStore) +
-                             df.CountUOp(UOp::kGepMaskSgxCheckUpperStore);
-    EXPECT_GT(gep_fused, 0u);
+    EXPECT_GT(df.CountUOp(UOp::kGepMaskSgxCheckLoad) +
+                  df.CountUOp(UOp::kGepMaskSgxCheckStore),
+              0u);
   }
-  // MPX tracking: gep fusion is disabled (bounds must flow through the gep),
-  // and geps lower to their bounds-propagating form instead.
+  // MPX tracking on the same function: no gep-fused form at all (bounds must
+  // flow through the gep), and geps lower to their bounds-propagating form.
   {
     DecodeOptions opts;
     opts.track_mpx = true;
     const DecodedFunction df = DecodeFunction(fn, opts);
-    EXPECT_EQ(df.CountUOp(UOp::kGepSgxCheckLoad) +
-                  df.CountUOp(UOp::kGepSgxCheckUpperLoad) +
-                  df.CountUOp(UOp::kGepSgxCheckStore) +
-                  df.CountUOp(UOp::kGepSgxCheckUpperStore),
-              0u);
+    size_t gep_fused = 0;
+    for (const UOp op : {UOp::kGepMaskLoad, UOp::kGepMaskStore, UOp::kGepMaskSgxCheckLoad,
+                         UOp::kGepMaskSgxCheckStore, UOp::kGepMaskSchemeCheckLoad,
+                         UOp::kGepMaskSchemeCheckStore}) {
+      gep_fused += df.CountUOp(op);
+    }
+    EXPECT_EQ(gep_fused, 0u);
     EXPECT_GT(df.CountUOp(UOp::kGepMpx), 0u);
   }
 }

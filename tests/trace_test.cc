@@ -194,10 +194,10 @@ TEST(TraceReplay, TransitionsOffLeavesTracesAtV1) {
 
 // The sweeper's shortcut (EPC faults never change cache behaviour) must be
 // invisible: at every EPC size its result equals a full replay at that size.
-TEST(EpcSweeper, MatchesFullReplayAtEverySize) {
+TEST(ConfigSweeper, MatchesFullReplayAtEverySize) {
   const RecordedRun rec = Record("kmeans", PolicyKind::kSgxBounds, SizeClass::kXS);
   const SimConfig base = SimConfigFromHeader(rec.trace.header);
-  const EpcSweeper sweeper(rec.trace, base);
+  const ConfigSweeper sweeper(DecodedTrace(rec.trace), base);
 
   EXPECT_EQ(sweeper.base_result().cycles, rec.live.cycles);
 
@@ -219,7 +219,7 @@ TEST(EpcSweeper, MatchesFullReplayAtEverySize) {
 // The point of the subsystem: a record-once/replay-many EPC sweep beats
 // re-executing the workload per point by >=3x wall-clock, while producing an
 // identical cycle series. 12 points, generous margin (typically 5-8x here).
-TEST(EpcSweeper, SweepBeatsLiveReexecutionThreefold) {
+TEST(ConfigSweeper, SweepBeatsLiveReexecutionThreefold) {
   using Clock = std::chrono::steady_clock;
   const WorkloadInfo* info = WorkloadRegistry::Instance().Find("kmeans");
   ASSERT_NE(info, nullptr);
@@ -242,7 +242,8 @@ TEST(EpcSweeper, SweepBeatsLiveReexecutionThreefold) {
   const auto replay_start = Clock::now();
   const RecordedRun rec =
       RecordWorkloadRun(*info, PolicyKind::kSgxBounds, MachineSpec{}, PolicyOptions{}, cfg);
-  const EpcSweeper sweeper(rec.trace, SimConfigFromHeader(rec.trace.header));
+  const ConfigSweeper sweeper(DecodedTrace(rec.trace),
+                              SimConfigFromHeader(rec.trace.header));
   std::vector<uint64_t> swept_cycles;
   for (uint64_t mib : mibs) {
     swept_cycles.push_back(sweeper.ReplayAt(mib * kMiB).cycles);
