@@ -159,7 +159,7 @@ bool AsanRuntime::CheckAccessSlow(Cpu& cpu, uint32_t addr, uint32_t size, bool f
     return true;
   }
   ++stats_.reports;
-  ++cpu.counters().bounds_violations;
+  cpu.CountBoundsViolation();
   if (fatal) {
     throw SimTrap(TrapKind::kAsanReport, addr, "poisoned shadow (redzone or freed object)");
   }

@@ -79,7 +79,7 @@ class AsanRuntime {
   bool CheckAccess(Cpu& cpu, uint32_t addr, uint32_t size, bool is_write, bool fatal = true) {
     (void)is_write;
     ++stats_.shadow_checks;
-    ++cpu.counters().bounds_checks;
+    cpu.CountBoundsCheck();
     // The instrumentation sequence: shadow = *(base + (addr >> 3)); test the
     // granule byte; branch to the slow path for partial granules; branch on
     // the verdict (ASan emits two conditional branches per check).

@@ -27,7 +27,7 @@ Cpu* Enclave::NewCpu() {
   extra_cpus_.push_back(std::make_unique<Cpu>(&memsys_));
   Cpu* cpu = extra_cpus_.back().get();
   if (TraceRecorder* trace = memsys_.trace()) {
-    cpu->AttachTrace(trace, trace->RegisterCpu(&cpu->counters()));
+    cpu->AttachTrace(trace, trace->RegisterCpu(&cpu->events()));
   }
   return cpu;
 }
@@ -35,9 +35,9 @@ Cpu* Enclave::NewCpu() {
 void Enclave::AttachTrace(TraceRecorder* trace) {
   memsys_.set_trace(trace);
   if (trace != nullptr) {
-    main_cpu_.AttachTrace(trace, trace->RegisterCpu(&main_cpu_.counters()));
+    main_cpu_.AttachTrace(trace, trace->RegisterCpu(&main_cpu_.events()));
     for (auto& cpu : extra_cpus_) {
-      cpu->AttachTrace(trace, trace->RegisterCpu(&cpu->counters()));
+      cpu->AttachTrace(trace, trace->RegisterCpu(&cpu->events()));
     }
   } else {
     main_cpu_.AttachTrace(nullptr, 0);

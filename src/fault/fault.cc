@@ -301,8 +301,11 @@ void FaultInjector::OnAccess(Cpu& cpu, uint32_t addr, uint32_t size) {
   if (access_count_ >= next_access_poll_) {
     FireDue(cpu, FaultTrigger::kAccessCount, access_count_);
   }
-  if (next_cycle_poll_ != kNever && cpu.cycles() >= next_cycle_poll_) {
-    FireDue(cpu, FaultTrigger::kCycleCount, cpu.cycles());
+  if (next_cycle_poll_ != kNever) {
+    const uint64_t cycles = cpu.cycles();
+    if (cycles >= next_cycle_poll_) {
+      FireDue(cpu, FaultTrigger::kCycleCount, cycles);
+    }
   }
 }
 

@@ -42,7 +42,7 @@ namespace ops {
   throw SimTrap(TrapKind::kIllegalInstruction, 0, "interpreter step limit exceeded");
 }
 
-// Pure compute charges (Alu/Branch/Call) are commutative cycle sums that
+// Pure compute events (Alu/Branch/Call) are commutative counts that
 // nothing observes between two observable points (memory access, runtime
 // call, trap, return), so they accumulate in the frame and flush just before
 // each observable. Every cycle stamp the simulation can record is therefore
@@ -50,21 +50,12 @@ namespace ops {
 template <class Frame>
 SGXB_OP_INLINE void FlushPending(Frame& f) {
   Cpu& cpu = *f.cpu;
-  while (f.pend_alu > 0) {
-    const uint32_t n =
-        f.pend_alu > 0x40000000 ? 0x40000000u : static_cast<uint32_t>(f.pend_alu);
-    cpu.Alu(n);
-    f.pend_alu -= n;
-  }
-  while (f.pend_branch > 0) {
-    const uint32_t n = f.pend_branch > 0x40000000 ? 0x40000000u
-                                                  : static_cast<uint32_t>(f.pend_branch);
-    cpu.Branch(n);
-    f.pend_branch -= n;
-  }
-  for (; f.pend_call > 0; --f.pend_call) {
-    cpu.Call();
-  }
+  cpu.Alu(f.pend_alu);
+  cpu.Branch(f.pend_branch);
+  cpu.Call(f.pend_call);
+  f.pend_alu = 0;
+  f.pend_branch = 0;
+  f.pend_call = 0;
 }
 
 // One simulated instruction; the reference checks max_steps at each.

@@ -22,7 +22,7 @@ MpxBounds MpxRuntime::BndMk(Cpu& cpu, uint32_t base, uint32_t size) {
 
 bool MpxRuntime::BndCheckFail(Cpu& cpu, uint32_t addr, bool fatal) {
   ++stats_.violations;
-  ++cpu.counters().bounds_violations;
+  cpu.CountBoundsViolation();
   if (fatal) {
     throw SimTrap(TrapKind::kMpxBoundRange, addr, "#BR bound range exceeded");
   }

@@ -67,7 +67,7 @@ class MpxRuntime {
   bool BndCheck(Cpu& cpu, const MpxBounds& bounds, uint32_t addr, uint32_t size,
                 bool fatal = true) {
     ++stats_.bndcl_bndcu;
-    ++cpu.counters().bounds_checks;
+    cpu.CountBoundsCheck();
     cpu.Alu(3);  // bndcl + bndcu + the duplicated address lea GCC emits
     const bool ok =
         addr >= bounds.lb && static_cast<uint64_t>(addr) + size <= static_cast<uint64_t>(bounds.ub);

@@ -146,7 +146,7 @@ class L4PtrRuntime final : public IrSchemeRuntime {
     }
     cpu.Alu(2);
     ++stats_.checks;
-    ++cpu.counters().bounds_checks;
+    cpu.CountBoundsCheck();
     cpu.Alu(2);
     cpu.Branch();
     const uint32_t ub = L4Ub(tag);
@@ -167,7 +167,7 @@ class L4PtrRuntime final : public IrSchemeRuntime {
     }
     cpu.Alu(2);
     ++stats_.checks;
-    ++cpu.counters().bounds_checks;
+    cpu.CountBoundsCheck();
     cpu.Alu(2);
     cpu.Branch();
     const uint32_t ub = L4Ub(tag);
@@ -206,7 +206,7 @@ class L4PtrRuntime final : public IrSchemeRuntime {
 
   [[noreturn]] void Violation(Cpu& cpu, uint32_t addr, AccessType type) {
     ++stats_.violations;
-    ++cpu.counters().bounds_violations;
+    cpu.CountBoundsViolation();
     throw SimTrap(TrapKind::kPolicyViolation, addr,
                   type == AccessType::kWrite ? "l4ptr: out-of-bounds write"
                                              : "l4ptr: out-of-bounds access");

@@ -288,7 +288,7 @@ class ShadowRuntime final : public IrSchemeRuntime {
                   uint32_t fault_addr, AccessType type) {
     cpu.Alu(3);
     ++stats_.checks;
-    ++cpu.counters().bounds_checks;
+    cpu.CountBoundsCheck();
     const uint32_t eaddr = EntryAddr(cpu, anchor);
     enclave_->pages().Commit(&cpu, eaddr, 4);
     cpu.MemAccess(eaddr, 4, AccessClass::kMetadataLoad);
@@ -297,7 +297,7 @@ class ShadowRuntime final : public IrSchemeRuntime {
     std::memcpy(&entry, enclave_->space().HostPtr(eaddr), 4);
     if (entry == 0) {
       ++stats_.violations;
-      ++cpu.counters().bounds_violations;
+      cpu.CountBoundsViolation();
       throw SimTrap(TrapKind::kPolicyViolation, fault_addr,
                     "shadow: stale or wild pointer");
     }
@@ -311,7 +311,7 @@ class ShadowRuntime final : public IrSchemeRuntime {
       auto it = big_objects_.find(anchor);
       if (it == big_objects_.end()) {
         ++stats_.violations;
-        ++cpu.counters().bounds_violations;
+        cpu.CountBoundsViolation();
         throw SimTrap(TrapKind::kPolicyViolation, fault_addr,
                       type == AccessType::kWrite
                           ? "shadow: out-of-bounds write"
@@ -327,7 +327,7 @@ class ShadowRuntime final : public IrSchemeRuntime {
 
   [[noreturn]] void Violation(Cpu& cpu, uint32_t addr, AccessType type) {
     ++stats_.violations;
-    ++cpu.counters().bounds_violations;
+    cpu.CountBoundsViolation();
     throw SimTrap(TrapKind::kPolicyViolation, addr,
                   type == AccessType::kWrite ? "shadow: out-of-bounds write"
                                              : "shadow: out-of-bounds access");

@@ -31,8 +31,9 @@ ParallelResult RunParallel(Enclave& enclave, Cpu& caller, uint32_t nthreads,
     if (trace != nullptr) {
       trace->OnWorkerEnd(cpu->trace_id());
     }
-    result.makespan_cycles = std::max(result.makespan_cycles, cpu->cycles());
-    result.combined += cpu->counters();
+    const PerfCounters counters = cpu->counters();
+    result.makespan_cycles = std::max(result.makespan_cycles, counters.cycles);
+    result.combined += counters;
   }
   const uint64_t spawn_cycles = static_cast<uint64_t>(nthreads) * kSpawnCycles;
   if (trace != nullptr) {

@@ -48,7 +48,7 @@ void SgxBoundsRuntime::Free(Cpu& cpu, TaggedPtr tagged) {
   // Heap::Free) turns it into a detected trap rather than silent reuse.
   if (base > ub || !heap_->IsBlockStart(base)) {
     ++stats_.violations;
-    ++cpu.counters().bounds_violations;
+    cpu.CountBoundsViolation();
     throw SimTrap(TrapKind::kSgxBoundsViolation, ub, "corrupted LB footer on free");
   }
   registry_->FireDelete(cpu, ub);
@@ -85,7 +85,7 @@ TaggedPtr SgxBoundsRuntime::SpecifyBounds(Cpu& cpu, uint32_t p, uint32_t ub, Obj
 ResolvedAccess SgxBoundsRuntime::HandleViolation(Cpu& cpu, uint32_t p, uint32_t size,
                                                  AccessType type) {
   ++stats_.violations;
-  ++cpu.counters().bounds_violations;
+  cpu.CountBoundsViolation();
   if (policy_ == OobPolicy::kFailFast) {
     throw SimTrap(TrapKind::kSgxBoundsViolation, p, "out-of-bounds access");
   }
@@ -119,7 +119,7 @@ TaggedPtr SgxBoundsRuntime::NarrowBounds(Cpu& cpu, TaggedPtr tagged, uint32_t fi
     cpu.Branch();
     if (BoundsViolated(field_base, lb, ExtractUb(tagged), field_size)) {
       ++stats_.violations;
-      ++cpu.counters().bounds_violations;
+      cpu.CountBoundsViolation();
       throw SimTrap(TrapKind::kSgxBoundsViolation, field_base,
                     "narrowed field escapes its object");
     }
@@ -136,13 +136,13 @@ void SgxBoundsRuntime::CheckRange(Cpu& cpu, TaggedPtr tagged, uint64_t extent_by
   }
   cpu.Alu(2);
   ++stats_.checks;
-  ++cpu.counters().bounds_checks;
+  cpu.CountBoundsCheck();
   const uint32_t lb = LoadLb(cpu, ub);
   cpu.Alu(2);
   cpu.Branch();
   if (p < lb || static_cast<uint64_t>(p) + extent_bytes > ub) {
     ++stats_.violations;
-    ++cpu.counters().bounds_violations;
+    cpu.CountBoundsViolation();
     throw SimTrap(TrapKind::kSgxBoundsViolation, p, "hoisted range check failed");
   }
 }

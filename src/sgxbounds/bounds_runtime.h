@@ -94,7 +94,7 @@ class SgxBoundsRuntime {
     }
     cpu.Alu(2);  // extract p, UB
     ++stats_.checks;
-    ++cpu.counters().bounds_checks;
+    cpu.CountBoundsCheck();
     const uint32_t lb = LoadLb(cpu, ub);
     cpu.Alu(2);
     cpu.Branch();
@@ -118,7 +118,7 @@ class SgxBoundsRuntime {
     }
     cpu.Alu(2);
     ++stats_.checks;
-    ++cpu.counters().bounds_checks;
+    cpu.CountBoundsCheck();
     cpu.Alu(1);
     cpu.Branch();
     if (static_cast<uint64_t>(p) + size > ub) {

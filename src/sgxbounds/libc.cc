@@ -21,10 +21,10 @@ bool FortifiedLibc::CheckArg(Cpu& cpu, TaggedPtr ptr, uint32_t n) {
   const uint32_t lb = rt_->LoadLb(cpu, ub);
   cpu.Alu(2);
   cpu.Branch();
-  ++cpu.counters().bounds_checks;
+  cpu.CountBoundsCheck();
   if (BoundsViolated(p, lb, ub, n)) {
     ++violations_;
-    ++cpu.counters().bounds_violations;
+    cpu.CountBoundsViolation();
     return false;
   }
   return true;
@@ -103,7 +103,7 @@ LibcError FortifiedLibc::Strlen(Cpu& cpu, TaggedPtr s, uint32_t* len) {
   }
   cpu.MemAccess(p, limit - p, AccessClass::kAppLoad);
   ++violations_;
-  ++cpu.counters().bounds_violations;
+  cpu.CountBoundsViolation();
   return LibcError::kEinval;
 }
 

@@ -1,6 +1,31 @@
 #include "src/sim/machine.h"
 
+#include "src/common/check.h"
+
 namespace sgxb {
+
+uint64_t PriceCycles(const PerfCounters& e, const SimConfig& config) {
+  const CostModel& c = config.costs;
+  uint64_t cycles = e.alu_ops * c.alu + e.branches * c.branch + e.fp_ops * c.fp +
+                    e.calls * c.call +
+                    e.syscalls * (config.enclave_mode ? c.syscall_exit : c.syscall_native) +
+                    (e.l1_accesses - e.l1_misses) * c.l1_hit +
+                    (e.l1_misses - e.l2_misses) * c.l2_hit +
+                    (e.llc_accesses - e.llc_misses) * c.l3_hit + e.llc_misses * c.dram +
+                    e.minor_faults * c.minor_fault;
+  if (config.enclave_mode) {
+    cycles += e.llc_misses * c.mee_line + e.epc_faults * c.epc_fault +
+              TransitionCycles(e, config);
+  }
+  return cycles;
+}
+
+uint64_t TransitionCycles(const PerfCounters& e, const SimConfig& config) {
+  if (!config.enclave_mode) {
+    return 0;
+  }
+  return e.ecalls * config.costs.ecall + e.ocalls * config.costs.OcallCost();
+}
 
 MemorySystem::MemorySystem(const SimConfig& config)
     : config_(config),
@@ -11,20 +36,23 @@ void MemorySystem::FlushCaches() { l3_.Flush(); }
 
 Cpu::Cpu(MemorySystem* memory)
     : memory_(memory),
-      costs_(&memory->costs()),
+      config_(&memory->config()),
       l1_(memory->config().l1_bytes, memory->config().l1_ways),
       l2_(memory->config().l2_bytes, memory->config().l2_ways) {}
 
+PerfCounters Cpu::counters() const {
+  PerfCounters priced = events_;
+  priced.cycles += PriceCycles(events_, *config_);
+  priced.transition_cycles = TransitionCycles(events_, *config_);
+  return priced;
+}
+
 void Cpu::MissLine(uint32_t line) {
-  ++counters_.l1_misses;
-  uint64_t cost;
-  if (l2_.Access(line)) {
-    cost = costs_->l2_hit;
-  } else {
-    ++counters_.l2_misses;
-    cost = memory_->ServiceL2Miss(line, counters_);
+  ++events_.l1_misses;
+  if (!l2_.Access(line)) {
+    ++events_.l2_misses;
+    memory_->ServiceL2Miss(line, events_);
   }
-  counters_.cycles += cost;
 }
 
 void Cpu::MemAccessRun(uint32_t addr, uint32_t size, int64_t stride, uint64_t count,
@@ -61,10 +89,9 @@ void Cpu::MemAccessRun(uint32_t addr, uint32_t size, int64_t stride, uint64_t co
     }
     // First access of the group takes the real single-line path...
     BumpClassCounter(klass);
-    ++counters_.l1_accesses;
+    ++events_.l1_accesses;
     if (first_line == last_l1_line_) {
       l1_.CountMruHit();
-      counters_.cycles += costs_->l1_hit;
     } else {
       AccessLine(first_line);
     }
@@ -72,9 +99,8 @@ void Cpu::MemAccessRun(uint32_t addr, uint32_t size, int64_t stride, uint64_t co
     // exactly the MRU-hit fast path of MemAccess, batched.
     if (k > 1) {
       BumpClassCounterN(klass, k - 1);
-      counters_.l1_accesses += k - 1;
+      events_.l1_accesses += k - 1;
       l1_.CountMruHits(k - 1);
-      counters_.cycles += (k - 1) * costs_->l1_hit;
     }
     i += k;
     a += static_cast<int64_t>(k) * stride;
@@ -82,11 +108,15 @@ void Cpu::MemAccessRun(uint32_t addr, uint32_t size, int64_t stride, uint64_t co
 }
 
 void Cpu::MemAccessSpan(uint32_t first_line, uint32_t last_line) {
+  // An access that wraps past 4 GiB would walk every line of the address
+  // space. Live runs trap on the top guard page first and the trace reader
+  // rejects wrapping accesses and loop phases; this is the backstop for the
+  // elements of a corrupt access run.
+  CHECK(first_line <= last_line);
   for (uint32_t line = first_line;; ++line) {
-    ++counters_.l1_accesses;
+    ++events_.l1_accesses;
     if (line == last_l1_line_) {
       l1_.CountMruHit();
-      counters_.cycles += costs_->l1_hit;
     } else {
       AccessLine(line);
     }

@@ -3,7 +3,14 @@
 // A MemorySystem models the shared part of the machine (LLC, EPC, cost
 // table); a Cpu models one hardware thread (private L1/L2, perf counters,
 // cycle account). Workloads run "on" a Cpu: every modeled memory access and
-// every modeled ALU/branch/FP op charges cycles into the Cpu's counters.
+// every modeled ALU/branch/FP op counts an event in the Cpu's account.
+//
+// Cycles are derived, not accumulated: a Cpu's cycle total is
+// PriceCycles(events) + raw charges. The hot paths only count events; the
+// one price list (PriceCycles, below) turns counts into cycles when someone
+// reads them. The only writers of raw cycles are Cpu::Charge and
+// Cpu::ChargeUntraced, for costs that are not a count of a priced event
+// (heap and libc constants, parallel-region makespans).
 //
 // Threads are simulated deterministically: worker bodies execute sequentially
 // on separate Cpus sharing one MemorySystem, and the parallel region's cost is
@@ -51,31 +58,40 @@ inline bool operator==(const SimConfig& a, const SimConfig& b) {
 }
 inline bool operator!=(const SimConfig& a, const SimConfig& b) { return !(a == b); }
 
+// The one price list: cycles of every priced event category in `events`
+// under `config`. Priced categories are ALU/branch/FP ops, calls, syscalls
+// (exit cost inside the enclave, native cost outside), L1/L2/L3 hits and
+// DRAM accesses, minor faults, and in enclave mode only the MEE line
+// surcharge per LLC miss, EPC faults and world switches. `events.cycles`
+// and `events.transition_cycles` are not read. The live Cpu and the trace
+// sweeper (ConfigSweeper, src/trace/trace_replay.h) both price through here.
+uint64_t PriceCycles(const PerfCounters& events, const SimConfig& config);
+
+// The world-switch slice of PriceCycles: ecalls x ecall + ocalls x OCALL
+// cost, in enclave mode only.
+uint64_t TransitionCycles(const PerfCounters& events, const SimConfig& config);
+
 class MemorySystem {
  public:
   explicit MemorySystem(const SimConfig& config);
 
-  // Services an L2 miss for `line`. Returns the cycle cost and updates the
-  // shared structures; per-thread counters are updated through `counters`.
-  uint64_t ServiceL2Miss(uint32_t line, PerfCounters& counters) {
-    ++counters.llc_accesses;
+  // Services an L2 miss for `line`: updates the shared structures and
+  // counts the outcome (LLC hit or miss, EPC fault) in `events`.
+  void ServiceL2Miss(uint32_t line, PerfCounters& events) {
+    ++events.llc_accesses;
     if (l3_.Access(line)) {
-      return config_.costs.l3_hit;
+      return;
     }
-    ++counters.llc_misses;
-    uint64_t cost = config_.costs.dram;
+    ++events.llc_misses;
     if (config_.enclave_mode) {
       const uint32_t page = line >> (kPageShift - kCacheLineShift);
       if (miss_log_ != nullptr) {
         miss_log_->push_back(page);
       }
       if (epc_.Touch(page)) {
-        ++counters.epc_faults;
-        cost += config_.costs.epc_fault;
+        ++events.epc_faults;
       }
-      cost += config_.costs.mee_line;
     }
-    return cost;
   }
 
   void FlushCaches();
@@ -85,7 +101,6 @@ class MemorySystem {
   const Cache& l3() const { return l3_; }
   EpcSim& epc() { return epc_; }
   const EpcSim& epc() const { return epc_; }
-  bool enclave_mode() const { return config_.enclave_mode; }
   const CostModel& costs() const { return config_.costs; }
 
   // Optional trace recorder shared by every Cpu on this machine; null unless
@@ -118,23 +133,15 @@ class Cpu {
  public:
   explicit Cpu(MemorySystem* memory);
 
-  // Compute charging.
-  void Alu(uint32_t n = 1) {
-    counters_.alu_ops += n;
-    counters_.cycles += static_cast<uint64_t>(n) * costs_->alu;
-  }
-  void Branch(uint32_t n = 1) {
-    counters_.branches += n;
-    counters_.cycles += static_cast<uint64_t>(n) * costs_->branch;
-  }
-  void Fp(uint32_t n = 1) {
-    counters_.fp_ops += n;
-    counters_.cycles += static_cast<uint64_t>(n) * costs_->fp;
-  }
-  void Call() {
-    ++counters_.calls;
-    counters_.cycles += costs_->call;
-  }
+  // Compute events.
+  void Alu(uint64_t n = 1) { events_.alu_ops += n; }
+  void Branch(uint64_t n = 1) { events_.branches += n; }
+  void Fp(uint64_t n = 1) { events_.fp_ops += n; }
+  void Call(uint64_t n = 1) { events_.calls += n; }
+
+  // Bounds-check outcomes (counted, never priced).
+  void CountBoundsCheck(uint64_t n = 1) { events_.bounds_checks += n; }
+  void CountBoundsViolation(uint64_t n = 1) { events_.bounds_violations += n; }
 
   // Constant-cost cycle charge (heap, libc wrappers, instrumentation slow
   // paths). Traced as part of the aggregated compute delta: every Charge
@@ -142,7 +149,7 @@ class Cpu {
   // (page-fault repricing, parallel makespans) go through CommitPages /
   // ChargeUntraced instead.
   void Charge(uint64_t cycles) {
-    counters_.cycles += cycles;
+    events_.cycles += cycles;
     if (trace_ != nullptr) {
       trace_->OnRawCharge(trace_id_, cycles);
     }
@@ -150,14 +157,13 @@ class Cpu {
 
   // Cycle charge excluded from the trace's compute aggregate: the replay
   // engine re-derives it structurally (parallel-region makespans).
-  void ChargeUntraced(uint64_t cycles) { counters_.cycles += cycles; }
+  void ChargeUntraced(uint64_t cycles) { events_.cycles += cycles; }
 
   // Commits `count` fresh pages: the minor-fault accounting choke point.
   // Recorded as a structural event so replays under a different cost table
   // reprice the faults instead of replaying stale cycle counts.
   void CommitPages(uint32_t first_page, uint32_t count) {
-    counters_.minor_faults += count;
-    counters_.cycles += static_cast<uint64_t>(count) * costs_->minor_fault;
+    events_.minor_faults += count;
     if (trace_ != nullptr) {
       trace_->OnCommit(trace_id_, first_page, count);
     }
@@ -170,14 +176,15 @@ class Cpu {
     }
   }
 
-  // Charges the memory hierarchy for an access of `size` bytes at enclave
-  // address `addr`. Touches every cache line the access spans.
+  // Counts the memory-hierarchy outcome of an access of `size` bytes at
+  // enclave address `addr`. Touches every cache line the access spans; the
+  // access must not wrap past 4 GiB.
   //
   // Two fast paths keep the common case cheap without changing any modeled
   // outcome: accesses contained in one line skip the span loop, and a repeat
   // of the immediately preceding line is a guaranteed L1 hit (nothing can
   // evict it in between — the L1 is private and only accesses evict), so it
-  // charges the hit without probing the cache.
+  // counts the hit without probing the cache.
   void MemAccess(uint32_t addr, uint32_t size, AccessClass klass) {
     if (trace_ != nullptr) {
       trace_->OnAccess(trace_id_, addr, size, static_cast<uint8_t>(klass));
@@ -189,10 +196,9 @@ class Cpu {
     const uint32_t first_line = LineOf(addr);
     const uint32_t last_line = LineOf(addr + size - 1);
     if (first_line == last_line) {
-      ++counters_.l1_accesses;
+      ++events_.l1_accesses;
       if (first_line == last_l1_line_) {
         l1_.CountMruHit();
-        counters_.cycles += costs_->l1_hit;
         return;
       }
       AccessLine(first_line);
@@ -208,40 +214,41 @@ class Cpu {
   void MemAccessRun(uint32_t addr, uint32_t size, int64_t stride, uint64_t count,
                     AccessClass klass);
 
-  // Syscall boundary crossing (SS2.1: SCONE syscall interface). When the
+  // `n` syscall boundary crossings (SS2.1: SCONE syscall interface). When the
   // transition axis is on (CostModel::TransitionsEnabled()), an enclave-mode
-  // syscall additionally pays an OCALL world switch — synchronous EEXIT/EENTER
-  // or a switchless handoff, per CostModel::OcallCost().
-  void Syscall() {
-    ++counters_.syscalls;
-    counters_.cycles += memory_->enclave_mode() ? costs_->syscall_exit
-                                                : costs_->syscall_native;
-    if (memory_->enclave_mode() && costs_->TransitionsEnabled()) {
-      ++counters_.ocalls;
-      const uint64_t cost = costs_->OcallCost();
-      counters_.transition_cycles += cost;
-      counters_.cycles += cost;
+  // syscall is also an OCALL world switch — synchronous EEXIT/EENTER or a
+  // switchless handoff, priced per CostModel::OcallCost().
+  void Syscall(uint64_t n = 1) {
+    events_.syscalls += n;
+    if (config_->enclave_mode && config_->costs.TransitionsEnabled()) {
+      events_.ocalls += n;
     }
   }
 
-  // ECALL world switch (host -> enclave request dispatch). Always recorded in
-  // the trace as a structural event; counted and charged only when this
-  // machine models an enclave and the transition axis is on, so default
-  // configurations are bit-identical with or without Ecall call sites.
-  void Ecall() {
+  // `n` ECALL world switches (host -> enclave request dispatch). Always
+  // recorded in the trace as a structural event; counted (and so priced)
+  // only when this machine models an enclave and the transition axis is on,
+  // so default configurations are bit-identical with or without Ecall call
+  // sites.
+  void Ecall(uint64_t n = 1) {
     if (trace_ != nullptr) {
-      trace_->OnEcall(trace_id_);
+      trace_->OnEcall(trace_id_, n);
     }
-    if (memory_->enclave_mode() && costs_->TransitionsEnabled()) {
-      ++counters_.ecalls;
-      counters_.transition_cycles += costs_->ecall;
-      counters_.cycles += costs_->ecall;
+    if (config_->enclave_mode && config_->costs.TransitionsEnabled()) {
+      events_.ecalls += n;
     }
   }
 
-  PerfCounters& counters() { return counters_; }
-  const PerfCounters& counters() const { return counters_; }
-  uint64_t cycles() const { return counters_.cycles; }
+  // Priced snapshot: every counter, with `cycles` and `transition_cycles`
+  // derived from the event counts (plus raw charges) by PriceCycles.
+  PerfCounters counters() const;
+  // This thread's cycle total: PriceCycles(events) + raw charges.
+  uint64_t cycles() const { return PriceCycles(events_, *config_) + events_.cycles; }
+  // The live, unpriced account: event counts, with `cycles` holding only the
+  // raw charges and `transition_cycles` unused. For readers that difference
+  // counts themselves (the trace recorder and the sweeper's capture); every
+  // cycle reader goes through counters() or cycles().
+  const PerfCounters& events() const { return events_; }
   MemorySystem* memory() { return memory_; }
 
   // Points this Cpu's taps at `trace` under trace cpu id `id`. Passing null
@@ -253,8 +260,6 @@ class Cpu {
   TraceRecorder* trace() const { return trace_; }
   uint32_t trace_id() const { return trace_id_; }
 
-  void ResetCounters() { counters_ = PerfCounters(); }
-
  private:
   static constexpr uint32_t kNoLine = 0xffffffffu;
 
@@ -263,16 +268,16 @@ class Cpu {
   void BumpClassCounterN(AccessClass klass, uint64_t n) {
     switch (klass) {
       case AccessClass::kAppLoad:
-        counters_.loads += n;
+        events_.loads += n;
         break;
       case AccessClass::kAppStore:
-        counters_.stores += n;
+        events_.stores += n;
         break;
       case AccessClass::kMetadataLoad:
-        counters_.metadata_loads += n;
+        events_.metadata_loads += n;
         break;
       case AccessClass::kMetadataStore:
-        counters_.metadata_stores += n;
+        events_.metadata_stores += n;
         break;
     }
   }
@@ -283,20 +288,19 @@ class Cpu {
   void AccessLine(uint32_t line) {
     last_l1_line_ = line;
     if (l1_.Access(line)) {
-      counters_.cycles += costs_->l1_hit;
       return;
     }
     MissLine(line);
   }
-  // L1 miss: walk L2 -> LLC -> DRAM/EPC and charge the final cost.
+  // L1 miss: walk L2 -> LLC -> DRAM/EPC and count where it was served.
   void MissLine(uint32_t line);
   // Multi-line (cache-line-crossing) accesses.
   void MemAccessSpan(uint32_t first_line, uint32_t last_line);
 
   MemorySystem* memory_;
-  // Cached &memory_->costs(): the cost table is immutable after construction,
-  // and every charge on the hot path reads it.
-  const CostModel* costs_;
+  // Cached &memory_->config(): immutable after construction; the syscall
+  // and ecall paths read its mode and transition gate.
+  const SimConfig* config_;
   Cache l1_;
   Cache l2_;
   // Line of the most recent L1 access; repeats are guaranteed hits.
@@ -304,7 +308,7 @@ class Cpu {
   // Trace tap: null unless this run is being recorded.
   TraceRecorder* trace_ = nullptr;
   uint32_t trace_id_ = 0;
-  PerfCounters counters_;
+  PerfCounters events_;
 };
 
 }  // namespace sgxb

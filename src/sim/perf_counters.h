@@ -1,6 +1,12 @@
 // Hardware-counter analogues collected during simulation. Table 3 of the
 // paper reports LLC misses, page faults and bounds-table counts; these
 // counters are the source for that reproduction and for all cycle totals.
+//
+// Cycles are priced from the event counts, not accumulated alongside them:
+// `cycles` = PriceCycles(events) + raw charges (src/sim/machine.h). A live
+// Cpu keeps only the counts and, in `cycles`, the raw charges; every
+// PerfCounters a reader gets (Cpu::counters(), Enclave::TotalCounters(),
+// replay results) is priced.
 
 #ifndef SGXBOUNDS_SRC_SIM_PERF_COUNTERS_H_
 #define SGXBOUNDS_SRC_SIM_PERF_COUNTERS_H_
@@ -10,7 +16,8 @@
 namespace sgxb {
 
 struct PerfCounters {
-  // Cycle account (the "time" axis of every figure).
+  // Cycle account (the "time" axis of every figure): priced events plus raw
+  // charges.
   uint64_t cycles = 0;
 
   // Instruction mix.
@@ -48,7 +55,8 @@ struct PerfCounters {
   // Enclave transitions (zero unless CostModel::TransitionsEnabled()).
   // `ocalls` mirrors enclave-mode syscalls when the axis is on;
   // `transition_cycles` is the slice of `cycles` attributable to world
-  // switches, so transition overhead is separable in every table.
+  // switches (TransitionCycles), so transition overhead is separable in
+  // every table.
   uint64_t ecalls = 0;
   uint64_t ocalls = 0;
   uint64_t transition_cycles = 0;

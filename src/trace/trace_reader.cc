@@ -5,6 +5,17 @@
 
 namespace sgxb {
 
+namespace {
+
+// True when [addr, addr + size) wraps past the top of the 32-bit address
+// space: no live run can produce one (the top guard page traps first), so
+// such an event marks a corrupt or hand-crafted stream.
+bool WrapsAddressSpace(uint32_t addr, uint32_t size) {
+  return static_cast<uint64_t>(addr) + size > (uint64_t{1} << 32);
+}
+
+}  // namespace
+
 const char* TraceEventKindName(TraceEventKind kind) {
   switch (kind) {
     case TraceEventKind::kAccess: return "access";
@@ -163,6 +174,9 @@ bool TraceReader::Next(TraceEvent* ev) {
         ev->count = 1;
       }
       ev->size = tag == 0 ? static_cast<uint32_t>(GetVarint(&p_, end_)) : SizeOfTag(tag);
+      if (kind == TraceEventKind::kAccess && WrapsAddressSpace(ev->addr, ev->size)) {
+        return false;  // corrupt stream
+      }
       last_addr_ = static_cast<uint32_t>(
           static_cast<int64_t>(ev->addr) +
           ev->stride * static_cast<int64_t>(ev->count - 1));
@@ -277,6 +291,9 @@ bool TraceReader::Next(TraceEvent* ev) {
             }
             ph.size = tag == 0 ? static_cast<uint32_t>(GetVarint(&p_, end_))
                                : SizeOfTag(tag);
+            if (WrapsAddressSpace(ph.addr, ph.size)) {
+              return false;  // corrupt stream
+            }
             prev = ph.addr;
           }
           const LoopPhase& lastp = ev->phases[ev->period - 1];

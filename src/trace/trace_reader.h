@@ -68,7 +68,8 @@ class TraceReader {
 
   // Decodes the next event into *ev. Returns false at end-of-stream (after
   // the kControl/kEnd event or when the buffer is exhausted, e.g. for
-  // truncated prefix traces).
+  // truncated prefix traces) and at a corrupt event, such as an access or
+  // loop phase whose bytes wrap past 4 GiB.
   bool Next(TraceEvent* ev);
 
   // Events decoded so far.

@@ -29,10 +29,10 @@ void TraceRecorder::BeginRun(const TraceHeader& machine_fields) {
   begun_ = true;
 }
 
-uint32_t TraceRecorder::RegisterCpu(const PerfCounters* counters) {
+uint32_t TraceRecorder::RegisterCpu(const PerfCounters* events) {
   const uint32_t id = static_cast<uint32_t>(tracks_.size());
   CpuTrack track;
-  track.counters = counters;
+  track.events = events;
   tracks_.push_back(track);
   return id;
 }
@@ -227,7 +227,7 @@ void TraceRecorder::FlushAccessStream() {
 
 void TraceRecorder::FlushCpuDeltas(uint32_t cpu) {
   CpuTrack& track = tracks_[cpu];
-  const PerfCounters& c = *track.counters;
+  const PerfCounters& c = *track.events;
   CpuDelta d;
   d.alu = c.alu_ops - track.snap.alu;
   d.branches = c.branches - track.snap.branches;
@@ -386,7 +386,7 @@ void TraceRecorder::Finalize(const Outcome& outcome) {
   FlushAccessStream();
   for (uint32_t cpu = 0; cpu < tracks_.size(); ++cpu) {
     CpuTrack& track = tracks_[cpu];
-    const PerfCounters& c = *track.counters;
+    const PerfCounters& c = *track.events;
     const bool dirty = c.alu_ops != track.snap.alu || c.branches != track.snap.branches ||
                        c.fp_ops != track.snap.fp || c.calls != track.snap.calls ||
                        c.syscalls != track.snap.syscalls ||

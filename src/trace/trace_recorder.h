@@ -12,9 +12,9 @@
 // overhead low:
 //   * compute charges (Alu/Branch/Fp/Call/Syscall and constant-cost raw
 //     Charge calls) are order-independent within a thread, so they are not
-//     recorded per call: the recorder snapshots each Cpu's PerfCounters and
-//     emits one kCpuDelta event per flush point (parallel-region boundaries
-//     and finalize);
+//     recorded per call: the recorder snapshots each Cpu's live event
+//     counts (Cpu::events()) and emits one kCpuDelta event per flush point
+//     (parallel-region boundaries and finalize);
 //   * consecutive accesses with equal class/size and constant stride
 //     coalesce into one kAccessRun event;
 //   * periodic sequences of access events (what instrumented loops produce:
@@ -55,9 +55,10 @@ class TraceRecorder {
   // fields of the header (workload/note identification is preserved).
   void BeginRun(const TraceHeader& machine_fields);
 
-  // Registers a hardware thread; returns its trace cpu id. The pointer must
-  // stay valid until Finalize (the recorder reads counters at flush points).
-  uint32_t RegisterCpu(const PerfCounters* counters);
+  // Registers a hardware thread by its live event counts (Cpu::events());
+  // returns its trace cpu id. The pointer must stay valid until Finalize (the
+  // recorder reads the counts at flush points; it never reads cycles).
+  uint32_t RegisterCpu(const PerfCounters* events);
 
   // Retain only the first `n` events in the buffer (hash and count still
   // cover the full stream; the summary marks the trace truncated). Golden
@@ -95,7 +96,7 @@ class TraceRecorder {
   // ECALL tap (Cpu::Ecall). Counts are order-independent within a thread, so
   // they aggregate like compute deltas and flush as one kEcall control event
   // per flush point.
-  void OnEcall(uint32_t cpu) { ++tracks_[cpu].pending_ecalls; }
+  void OnEcall(uint32_t cpu, uint64_t n) { tracks_[cpu].pending_ecalls += n; }
 
   // --- structural events ---
 
@@ -132,7 +133,7 @@ class TraceRecorder {
     uint64_t bounds_checks = 0, bounds_violations = 0;
   };
   struct CpuTrack {
-    const PerfCounters* counters = nullptr;
+    const PerfCounters* events = nullptr;  // the Cpu's live event counts
     CounterSnap snap;
     uint64_t pending_raw = 0;
     uint64_t pending_ecalls = 0;

@@ -24,31 +24,17 @@ SimConfig SimConfigFromHeader(const TraceHeader& h) {
 
 namespace {
 
-// Applies an aggregated compute delta: identical arithmetic to the live
-// charging paths (Cpu::Alu/Branch/Fp/Call/Syscall and raw Charge), priced
-// from the REPLAY cost table so configuration sweeps reprice compute.
-void ApplyDelta(Cpu& cpu, const CpuDelta& d, const SimConfig& cfg) {
-  PerfCounters& c = cpu.counters();
-  const CostModel& costs = cfg.costs;
-  c.alu_ops += d.alu;
-  c.branches += d.branches;
-  c.fp_ops += d.fp;
-  c.calls += d.calls;
-  c.syscalls += d.syscalls;
-  c.bounds_checks += d.bounds_checks;
-  c.bounds_violations += d.bounds_violations;
-  c.cycles += d.alu * costs.alu + d.branches * costs.branch + d.fp * costs.fp +
-              d.calls * costs.call +
-              d.syscalls * (cfg.enclave_mode ? costs.syscall_exit : costs.syscall_native) +
-              d.raw_cycles;
-  // Mirror of Cpu::Syscall's OCALL arm: every enclave-mode syscall is an
-  // OCALL when the replay config's transition axis is on.
-  if (cfg.enclave_mode && costs.TransitionsEnabled()) {
-    c.ocalls += d.syscalls;
-    const uint64_t oc = d.syscalls * costs.OcallCost();
-    c.transition_cycles += oc;
-    c.cycles += oc;
-  }
+// Applies an aggregated compute delta through the live counting paths; the
+// REPLAY config prices the counts, so configuration sweeps reprice compute.
+void ApplyDelta(Cpu& cpu, const CpuDelta& d) {
+  cpu.Alu(d.alu);
+  cpu.Branch(d.branches);
+  cpu.Fp(d.fp);
+  cpu.Call(d.calls);
+  cpu.Syscall(d.syscalls);
+  cpu.CountBoundsCheck(d.bounds_checks);
+  cpu.CountBoundsViolation(d.bounds_violations);
+  cpu.Charge(d.raw_cycles);
 }
 
 struct Region {
@@ -58,36 +44,41 @@ struct Region {
 
 }  // namespace
 
-// Prices every configuration-dependent component of a segment under `cfg`
-// (resid rides along unchanged: it is the configuration-independent
-// remainder). `faults` is the EPC fault count the segment's miss slice
-// produced under cfg's EPC size; ignored outside the enclave.
+// Prices the segment's events with the live Cpu's price list (raw rides
+// along unchanged: it is the configuration-independent remainder). `faults`
+// is the EPC fault count the segment's miss slice produced under cfg's EPC
+// size; ignored outside the enclave. Every enclave-mode syscall is an OCALL,
+// priced at zero unless cfg's transition axis is on.
 uint64_t ConfigSweeper::SegCounts::Price(const SimConfig& cfg, uint64_t faults) const {
-  const CostModel& c = cfg.costs;
-  uint64_t cyc = alu * c.alu + branches * c.branch + fp * c.fp + calls * c.call +
-                 syscalls * (cfg.enclave_mode ? c.syscall_exit : c.syscall_native) +
-                 l1_hits * c.l1_hit + l2_hits * c.l2_hit + l3_hits * c.l3_hit +
-                 dram * c.dram + minor_faults * c.minor_fault + resid;
-  if (cfg.enclave_mode) {
-    cyc += dram * c.mee_line + faults * c.epc_fault;
-    if (c.TransitionsEnabled()) {
-      cyc += ecalls * c.ecall + syscalls * c.OcallCost();
-    }
-  }
-  return cyc;
+  PerfCounters e;
+  e.alu_ops = alu;
+  e.branches = branches;
+  e.fp_ops = fp;
+  e.calls = calls;
+  e.syscalls = syscalls;
+  e.ocalls = syscalls;
+  e.l1_accesses = l1_accesses;
+  e.l1_misses = l1_misses;
+  e.l2_misses = l2_misses;
+  e.llc_accesses = llc_accesses;
+  e.llc_misses = llc_misses;
+  e.minor_faults = minor_faults;
+  e.epc_faults = faults;
+  e.ecalls = ecalls;
+  return PriceCycles(e, cfg) + raw;
 }
 
 // Capture sink for ConfigSweeper: accumulates the cache-geometry-independent
 // replay structure while the structural replay runs. A "segment" is
 // everything the current cpu did between two structural boundaries; it is
-// stored as priced-event COUNTS (plus the config-independent cycle
-// remainder), so any EPC size, cost table or enclave mode can re-price it.
+// stored as priced-event COUNTS (plus the raw charges), so any EPC size,
+// cost table or enclave mode can re-price it.
 struct SweepCapture {
   explicit SweepCapture(ConfigSweeper* sweeper) : sweeper_(sweeper) {}
 
   void CloseSegment(uint32_t cpu_id, const Cpu& cpu) {
     Grow(cpu_id);
-    const PerfCounters& now = cpu.counters();
+    const PerfCounters& now = cpu.events();
     const PerfCounters& was = last_[cpu_id];
     ConfigSweeper::SegCounts s;
     s.alu = now.alu_ops - was.alu_ops;
@@ -95,21 +86,18 @@ struct SweepCapture {
     s.fp = now.fp_ops - was.fp_ops;
     s.calls = now.calls - was.calls;
     s.syscalls = now.syscalls - was.syscalls;
-    s.l1_hits = (now.l1_accesses - was.l1_accesses) - (now.l1_misses - was.l1_misses);
-    s.l2_hits = (now.l1_misses - was.l1_misses) - (now.l2_misses - was.l2_misses);
-    s.l3_hits = (now.llc_accesses - was.llc_accesses) - (now.llc_misses - was.llc_misses);
-    s.dram = now.llc_misses - was.llc_misses;
+    s.l1_accesses = now.l1_accesses - was.l1_accesses;
+    s.l1_misses = now.l1_misses - was.l1_misses;
+    s.l2_misses = now.l2_misses - was.l2_misses;
+    s.llc_accesses = now.llc_accesses - was.llc_accesses;
+    s.llc_misses = now.llc_misses - was.llc_misses;
     s.minor_faults = now.minor_faults - was.minor_faults;
     s.ecalls = TakePendingEcalls(cpu_id);
+    s.raw = now.cycles - was.cycles;  // the live account's cycles are raw only
     s.misses = static_cast<uint32_t>(sweeper_->miss_pages_.size() - miss_mark_);
-    const uint64_t cycles = now.cycles - was.cycles;
-    const uint64_t faults = now.epc_faults - was.epc_faults;
-    // Everything priced is derived from counters; the remainder is the
-    // segment's raw (config-independent) charges. Exact by construction.
-    s.resid = cycles - s.Price(sweeper_->config_, faults);
-    if (cycles != 0 || s.misses != 0 ||
-        (s.alu | s.branches | s.fp | s.calls | s.syscalls | s.l1_hits | s.l2_hits |
-         s.l3_hits | s.dram | s.minor_faults | s.ecalls) != 0) {
+    if (s.raw != 0 || s.misses != 0 ||
+        (s.alu | s.branches | s.fp | s.calls | s.syscalls | s.l1_accesses |
+         s.minor_faults | s.ecalls) != 0) {
       ConfigSweeper::Op op;
       op.type = ConfigSweeper::kSegment;
       op.cpu = cpu_id;
@@ -144,7 +132,7 @@ struct SweepCapture {
   // caller's next segment (Replay re-derives it from worker cycles).
   void Rebaseline(uint32_t cpu_id, const Cpu& cpu) {
     Grow(cpu_id);
-    last_[cpu_id] = cpu.counters();
+    last_[cpu_id] = cpu.events();
   }
 
   void Grow(uint32_t cpu_id) {
@@ -208,7 +196,7 @@ ReplayResult ReplayDecodedImpl(const DecodedTrace& trace, const SimConfig& confi
                           static_cast<AccessClass>(ev.klass));
         break;
       case TraceEventKind::kCpuDelta:
-        ApplyDelta(*cur, trace.delta(ev.aux), config);
+        ApplyDelta(*cur, trace.delta(ev.aux));
         break;
       case TraceEventKind::kCommit:
         cur->CommitPages(ev.page, static_cast<uint32_t>(ev.count));
@@ -286,15 +274,7 @@ ReplayResult ReplayDecodedImpl(const DecodedTrace& trace, const SimConfig& confi
           if (capture != nullptr) {
             capture->AddEcalls(cur_id, ev.count);
           }
-          // Same gate as Cpu::Ecall: free unless the replay config models an
-          // enclave with the transition axis on.
-          if (config.enclave_mode && config.costs.TransitionsEnabled()) {
-            PerfCounters& c = cur->counters();
-            c.ecalls += ev.count;
-            const uint64_t cyc = ev.count * config.costs.ecall;
-            c.transition_cycles += cyc;
-            c.cycles += cyc;
-          }
+          cur->Ecall(ev.count);
         } else if (static_cast<ControlSub>(ev.sub) == ControlSub::kLoopRun) {
           // Re-execute the periodic pattern access by access, in recorded
           // order; each phase goes through the same MemAccess(/Run) paths a
@@ -436,17 +416,10 @@ ReplayResult ConfigSweeper::Replay(const SimConfig& cfg) const {
   result.counters.cycles = total_cycles;
   result.counters.epc_faults = total_faults;
   // Transition counters depend on the target config's gate, not the base's.
-  if (cfg.enclave_mode && cfg.costs.TransitionsEnabled()) {
-    result.counters.ecalls = total_ecalls_;
-    result.counters.ocalls = result.counters.syscalls;
-    result.counters.transition_cycles =
-        total_ecalls_ * cfg.costs.ecall +
-        result.counters.syscalls * cfg.costs.OcallCost();
-  } else {
-    result.counters.ecalls = 0;
-    result.counters.ocalls = 0;
-    result.counters.transition_cycles = 0;
-  }
+  const bool transitions = cfg.enclave_mode && cfg.costs.TransitionsEnabled();
+  result.counters.ecalls = transitions ? total_ecalls_ : 0;
+  result.counters.ocalls = transitions ? result.counters.syscalls : 0;
+  result.counters.transition_cycles = TransitionCycles(result.counters, cfg);
   return result;
 }
 

@@ -111,20 +111,20 @@ class ConfigSweeper {
     uint32_t seg = 0;   // kSegment: index into segs_
     uint64_t value = 0; // kParallelEnd: spawn cycles; kDecommit: page | count<<32
   };
-  // Per-segment priced-event counts. `resid` is the segment's
-  // configuration-independent cycle remainder (raw Cpu::Charge sums),
-  // derived by subtracting every priced component under `base` from the
-  // observed segment cycles.
+  // Per-segment priced-event counts (deltas of the live Cpu account). `raw`
+  // is the segment's configuration-independent cycle remainder: the delta
+  // of the account's raw charges (Cpu::Charge/ChargeUntraced).
   struct SegCounts {
     uint64_t alu = 0, branches = 0, fp = 0, calls = 0, syscalls = 0;
-    uint64_t l1_hits = 0, l2_hits = 0, l3_hits = 0, dram = 0;
+    uint64_t l1_accesses = 0, l1_misses = 0, l2_misses = 0;
+    uint64_t llc_accesses = 0, llc_misses = 0;
     uint64_t minor_faults = 0;
     uint64_t ecalls = 0;
-    uint64_t resid = 0;
+    uint64_t raw = 0;
     uint32_t misses = 0;  // miss-stream entries consumed by this segment
 
     // Total segment cycles under `cfg` when its miss slice produced
-    // `faults` EPC faults.
+    // `faults` EPC faults: PriceCycles (src/sim/machine.h) plus `raw`.
     uint64_t Price(const SimConfig& cfg, uint64_t faults) const;
   };
 

@@ -129,6 +129,74 @@ TEST(TraceReplay, SaveLoadRoundTripPreservesReplay) {
   ExpectCountersEqual(replay.counters, rec.live.counters, "round-trip");
 }
 
+// Builds a complete trace around a hand-written event stream, with the
+// stream hash re-stamped so LoadTrace's integrity check accepts it.
+Trace CraftedTrace(const TraceHeader& header, std::vector<uint8_t> events) {
+  Trace t;
+  t.header = header;
+  t.events = std::move(events);
+  t.summary.cpu_count = 1;
+  t.summary.stream_hash = FnvUpdate(kFnvOffset, t.events.data(), t.events.size());
+  return t;
+}
+
+uint8_t AccessByte(TraceEventKind kind, uint32_t size) {
+  return static_cast<uint8_t>(kind) | static_cast<uint8_t>(SizeTagOf(size) << 5);
+}
+
+// An access whose bytes wrap past 4 GiB cannot come from a live run (the top
+// guard page traps first) but can come from a file. The reader must stop at
+// it rather than hand the replay a span that walks every cache line.
+TEST(TraceReader, RejectsAccessesWrappingTheAddressSpace) {
+  const RecordedRun rec = Record("histogram", PolicyKind::kNative, SizeClass::kXS);
+  const uint8_t end = static_cast<uint8_t>(TraceEventKind::kControl);  // kEnd
+
+  // One good access, then one at 0xFFFFFFE0 spanning 64 bytes.
+  std::vector<uint8_t> access;
+  access.push_back(AccessByte(TraceEventKind::kAccess, 4));
+  PutZigZag(access, 0x1000);
+  access.push_back(AccessByte(TraceEventKind::kAccess, 64));
+  PutZigZag(access, int64_t{0xFFFFFFE0} - 0x1000);
+  access.push_back(end);
+
+  // A one-phase loop whose phase starts at the same wrapping address.
+  std::vector<uint8_t> loop;
+  loop.push_back(static_cast<uint8_t>(TraceEventKind::kControl) |
+                 static_cast<uint8_t>(static_cast<uint8_t>(ControlSub::kLoopRun) << 3));
+  PutVarint(loop, 1);                                      // period
+  PutVarint(loop, 2);                                      // iterations
+  loop.push_back(static_cast<uint8_t>(SizeTagOf(64) << 2));  // app load, no run
+  PutZigZag(loop, int64_t{0xFFFFFFE0});
+  PutZigZag(loop, 64);
+  loop.push_back(end);
+
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> events;
+    uint64_t good_events;
+  };
+  for (const Case& c : {Case{"access", access, 1}, Case{"loop phase", loop, 0}}) {
+    const std::string path = ::testing::TempDir() + "trace_wrap.sgxtrace";
+    std::string error;
+    ASSERT_TRUE(SaveTrace(CraftedTrace(rec.trace.header, c.events), path, &error)) << error;
+    Trace loaded;
+    ASSERT_TRUE(LoadTrace(path, &loaded, &error)) << c.name << ": " << error;
+    std::remove(path.c_str());
+
+    TraceReader reader(loaded);
+    TraceEvent ev;
+    for (uint64_t i = 0; i < c.good_events; ++i) {
+      ASSERT_TRUE(reader.Next(&ev)) << c.name;
+    }
+    EXPECT_FALSE(reader.Next(&ev)) << c.name;
+    EXPECT_FALSE(reader.saw_end()) << c.name;
+
+    const ReplayResult replay = ReplayTrace(loaded);
+    EXPECT_EQ(replay.events_replayed, c.good_events) << c.name;
+    EXPECT_EQ(replay.counters.l1_accesses, c.good_events) << c.name;
+  }
+}
+
 // The ECALL/OCALL transition axis: a live run with transitions enabled
 // writes a v2 trace whose replay reproduces the new counters bit-for-bit,
 // and the extra cost-table fields survive a save/load round trip.
