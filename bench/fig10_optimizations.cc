@@ -85,7 +85,7 @@ void RunIrAblation() {
     StackAllocator stack(&enclave, 1 * kMiB);
     SgxBoundsRuntime rt(&enclave, &heap);
     Interpreter interp(&enclave, &heap, &stack);
-    interp.AttachSgx(&rt);
+    interp.AttachScheme(&rt);
 
     IrFunction fn = BuildCopyKernel(65536);
     SgxPassOptions options;

@@ -23,7 +23,9 @@
 #include <deque>
 #include <unordered_map>
 
+#include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/ir/scheme_rt.h"
 #include "src/runtime/heap.h"
 
 namespace sgxb {
@@ -48,7 +50,7 @@ struct AsanStats {
   uint64_t reports = 0;
 };
 
-class AsanRuntime {
+class AsanRuntime final : public IrSchemeRuntime {
  public:
   static constexpr uint8_t kShadowAddressable = 0x00;
   static constexpr uint8_t kShadowHeapRedzone = 0xfa;
@@ -94,6 +96,29 @@ class AsanRuntime {
       return true;
     }
     return CheckAccessSlow(cpu, addr, size, fatal, shadow_ptr);
+  }
+
+  // --- IrSchemeRuntime (the IR lowering: interposed allocation + checks) ---
+
+  // Stack objects get the same size-scaled redzones as heap objects.
+  uint64_t IrAlloca(Cpu& cpu, StackAllocator& stack, uint32_t bytes) override {
+    const uint32_t rz = RedzoneFor(bytes);
+    const uint32_t base = stack.Alloca(cpu, bytes + 2 * rz, 16);
+    RegisterObject(cpu, base + rz, bytes, kShadowStackRedzone);
+    return base + rz;
+  }
+
+  uint64_t IrMalloc(Cpu& cpu, uint32_t bytes) override { return Malloc(cpu, bytes); }
+
+  void IrFree(Cpu& cpu, uint64_t ptr) override { Free(cpu, static_cast<uint32_t>(ptr)); }
+
+  void IrCheck(Cpu& cpu, uint64_t ptr, uint32_t bytes, AccessType type) override {
+    CheckAccess(cpu, static_cast<uint32_t>(ptr), bytes, type == AccessType::kWrite);
+  }
+
+  // ASan's lowering checks every access in place; it never hoists a range.
+  void IrCheckRange(Cpu&, uint64_t, uint64_t) override {
+    FATAL("asan: the IR lowering emits no range checks");
   }
 
   // --- shadow primitives (used by interceptors and tests) ---------------------

@@ -36,23 +36,28 @@ std::string DefaultToString(FlagParser* unused, const void* target, int kind_ind
 }  // namespace
 
 void FlagParser::AddInt(const std::string& name, int64_t* target, const std::string& help) {
-  flags_.push_back({name, Kind::kInt, target, help, DefaultToString(this, target, 0)});
+  flags_.push_back(
+      {name, Kind::kInt, target, help, DefaultToString(this, target, 0), nullptr, {}});
 }
 
 void FlagParser::AddUint(const std::string& name, uint64_t* target, const std::string& help) {
-  flags_.push_back({name, Kind::kUint, target, help, DefaultToString(this, target, 1)});
+  flags_.push_back(
+      {name, Kind::kUint, target, help, DefaultToString(this, target, 1), nullptr, {}});
 }
 
 void FlagParser::AddDouble(const std::string& name, double* target, const std::string& help) {
-  flags_.push_back({name, Kind::kDouble, target, help, DefaultToString(this, target, 2)});
+  flags_.push_back(
+      {name, Kind::kDouble, target, help, DefaultToString(this, target, 2), nullptr, {}});
 }
 
 void FlagParser::AddBool(const std::string& name, bool* target, const std::string& help) {
-  flags_.push_back({name, Kind::kBool, target, help, DefaultToString(this, target, 3)});
+  flags_.push_back(
+      {name, Kind::kBool, target, help, DefaultToString(this, target, 3), nullptr, {}});
 }
 
 void FlagParser::AddString(const std::string& name, std::string* target, const std::string& help) {
-  flags_.push_back({name, Kind::kString, target, help, DefaultToString(this, target, 4)});
+  flags_.push_back(
+      {name, Kind::kString, target, help, DefaultToString(this, target, 4), nullptr, {}});
 }
 
 void FlagParser::AddChoice(const std::string& name, std::string* target,

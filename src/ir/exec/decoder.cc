@@ -148,8 +148,8 @@ class Decoder {
     return true;
   }
 
-  // True if `in[i..]` starts the instrumented access shape the SGXBounds and
-  // registry-scheme passes emit (they mask every gep):
+  // True if `in[i..]` starts the instrumented access shape the tagged-pointer
+  // lowering emits (it masks every gep):
   //   t = gep base, idx ; p = maskptr t, base ; [check p] ; load/store p
   // Fills the fused opcode and the number of IR instructions consumed (3
   // without a check, 4 with). Scale and offset must both fit 32 bits so one
@@ -171,14 +171,12 @@ class Decoder {
     }
     size_t a = i + 2;
     bool has_check = false;
-    bool scheme = false;
     const IrInstr& chk = instrs[a];
-    if (chk.op == IrOp::kSgxCheck || chk.op == IrOp::kSchemeCheck) {
+    if (chk.op == IrOp::kSchemeCheck) {
       if (a + 1 >= end || chk.args.empty() || chk.args[0] != mask.id) {
         return false;
       }
       has_check = true;
-      scheme = chk.op == IrOp::kSchemeCheck;
       ++a;
     }
     const IrInstr& acc = instrs[a];
@@ -188,14 +186,10 @@ class Decoder {
       return false;
     }
     if (acc.op == IrOp::kLoad && !acc.args.empty() && acc.args[0] == mask.id) {
-      *fused = !has_check ? UOp::kGepMaskLoad
-               : scheme   ? UOp::kGepMaskSchemeCheckLoad
-                          : UOp::kGepMaskSgxCheckLoad;
+      *fused = has_check ? UOp::kGepMaskSchemeCheckLoad : UOp::kGepMaskLoad;
     } else if (acc.op == IrOp::kStore && acc.args.size() >= 2 &&
                acc.args[1] == mask.id) {
-      *fused = !has_check ? UOp::kGepMaskStore
-               : scheme   ? UOp::kGepMaskSchemeCheckStore
-                          : UOp::kGepMaskSgxCheckStore;
+      *fused = has_check ? UOp::kGepMaskSchemeCheckStore : UOp::kGepMaskStore;
     } else {
       return false;
     }
@@ -376,11 +370,7 @@ class Decoder {
       }
       case IrOp::kAlloca: {
         UOp op = UOp::kAllocaNative;
-        if (in.symbol == "sgx") {
-          op = UOp::kAllocaSgx;
-        } else if (in.symbol == "asan") {
-          op = UOp::kAllocaAsan;
-        } else if (in.symbol == "scheme") {
+        if (in.symbol == kSchemeAllocSymbol) {
           op = UOp::kAllocaScheme;
         } else if (options_.track_mpx) {
           op = UOp::kAllocaNativeMpx;
@@ -392,11 +382,7 @@ class Decoder {
       }
       case IrOp::kMalloc: {
         UOp op = UOp::kMallocNative;
-        if (in.symbol == "sgx") {
-          op = UOp::kMallocSgx;
-        } else if (in.symbol == "asan") {
-          op = UOp::kMallocAsan;
-        } else if (in.symbol == "scheme") {
+        if (in.symbol == kSchemeAllocSymbol) {
           op = UOp::kMallocScheme;
         } else if (options_.track_mpx) {
           op = UOp::kMallocNativeMpx;
@@ -407,15 +393,7 @@ class Decoder {
         break;
       }
       case IrOp::kFree: {
-        UOp op = UOp::kFreeNative;
-        if (in.symbol == "sgx") {
-          op = UOp::kFreeSgx;
-        } else if (in.symbol == "asan") {
-          op = UOp::kFreeAsan;
-        } else if (in.symbol == "scheme") {
-          op = UOp::kFreeScheme;
-        }
-        MicroOp& u = Emit(op);
+        MicroOp& u = Emit(in.symbol == kSchemeAllocSymbol ? UOp::kFreeScheme : UOp::kFreeNative);
         u.a = in.args[0];
         break;
       }
@@ -451,19 +429,6 @@ class Decoder {
         u.aux = static_cast<uint8_t>(IrTypeSize(in.type));
         break;
       }
-      case IrOp::kSgxCheck: {
-        MicroOp& u = Emit(UOp::kSgxCheck);
-        u.a = in.args[0];
-        u.imm = in.imm;
-        u.flag = in.imm2 != 0 ? 1 : 0;
-        break;
-      }
-      case IrOp::kSgxCheckRange: {
-        MicroOp& u = Emit(UOp::kSgxCheckRange);
-        u.a = in.args[0];
-        u.b = in.args[1];
-        break;
-      }
       case IrOp::kSchemeCheck: {
         MicroOp& u = Emit(UOp::kSchemeCheck);
         u.a = in.args[0];
@@ -475,13 +440,6 @@ class Decoder {
         MicroOp& u = Emit(UOp::kSchemeCheckRange);
         u.a = in.args[0];
         u.b = in.args[1];
-        break;
-      }
-      case IrOp::kAsanCheck: {
-        MicroOp& u = Emit(UOp::kAsanCheck);
-        u.a = in.args[0];
-        u.imm = in.imm;
-        u.flag = in.imm2 != 0 ? 1 : 0;
         break;
       }
       case IrOp::kMpxCheck: {

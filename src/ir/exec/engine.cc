@@ -51,10 +51,9 @@ SGXB_OP_INLINE JitFrame Interpreter::OpenFrame(uint32_t num_slots, bool track_mp
   f.enclave = enclave_;
   f.heap = heap_;
   f.stack = stack_;
-  f.sgx = sgx_;
-  f.asan = asan_;
   f.mpx = mpx_;
   f.scheme = scheme_;
+  f.scheme_kind = scheme_kind_;
   f.mpx_bounds = track_mpx ? mpx_bounds_.data() : nullptr;
   f.mpx_valid = track_mpx ? mpx_valid_.data() : nullptr;
   return f;

@@ -46,10 +46,9 @@ class Cpu;
 class Enclave;
 class Heap;
 class StackAllocator;
-class SgxBoundsRuntime;
-class AsanRuntime;
 class MpxRuntime;
 class IrSchemeRuntime;
+enum class IrSchemeKind : uint8_t;
 struct MpxBounds;
 struct MicroOp;
 
@@ -88,13 +87,12 @@ struct JitFrame {
   Enclave* enclave = nullptr;
   Heap* heap = nullptr;
   StackAllocator* stack = nullptr;
-  SgxBoundsRuntime* sgx = nullptr;
-  AsanRuntime* asan = nullptr;
   MpxRuntime* mpx = nullptr;
   IrSchemeRuntime* scheme = nullptr;
   MpxBounds* mpx_bounds = nullptr;  // SSA-id-indexed side table (may be null)
   uint8_t* mpx_valid = nullptr;
   void* ex_slot = nullptr;  // std::exception_ptr* owned by the RunJit wrapper
+  IrSchemeKind scheme_kind{};  // which runtime `scheme` is (ops::WithScheme)
 };
 
 // The slow-path thunk for micro-op `op` (its numeric UOp value; control-flow

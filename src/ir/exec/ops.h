@@ -9,7 +9,9 @@
 // is how each engine moves its pc.
 //
 // Frame is the engines' shared execution state (JitFrame, jit/jit_frame.h):
-// the slot array, the hot counters, and the attached host objects.
+// the slot array, the hot counters, and the attached host objects. Every
+// scheme (SGXBounds, ASan, l4ptr, shadow) runs through the same *Scheme ops
+// and WithScheme; only MPX keeps dedicated ops, for its side table.
 
 #ifndef SGXBOUNDS_SRC_IR_EXEC_OPS_H_
 #define SGXBOUNDS_SRC_IR_EXEC_OPS_H_
@@ -31,8 +33,10 @@
 // frame's address out of line, so every helper here is forced inline.
 #if defined(__GNUC__)
 #define SGXB_OP_INLINE inline __attribute__((always_inline))
+#define SGXB_OP_LAMBDA __attribute__((always_inline))
 #else
 #define SGXB_OP_INLINE inline
+#define SGXB_OP_LAMBDA
 #endif
 
 namespace sgxb {
@@ -118,13 +122,27 @@ SGXB_OP_INLINE MpxBounds BoundsOrInit(const Frame& f, uint32_t id) {
   return f.mpx_valid[id] ? f.mpx_bounds[id] : MpxBounds{};
 }
 
-enum class QuadCheck { kNone, kSgx, kScheme };
+// Calls fn(rt) on the attached scheme runtime. The two built-in runtimes
+// are `final`, so the cast makes every hook a direct, inlinable call; any
+// other scheme (l4ptr, shadow) is called through the vtable.
+template <class Frame, class Fn>
+SGXB_OP_INLINE void WithScheme(Frame& f, Fn&& fn) {
+  switch (f.scheme_kind) {
+    case IrSchemeKind::kSgxBounds:
+      return fn(*static_cast<SgxBoundsRuntime*>(f.scheme));
+    case IrSchemeKind::kAsan:
+      return fn(*static_cast<AsanRuntime*>(f.scheme));
+    case IrSchemeKind::kOther:
+      break;
+  }
+  return fn(*f.scheme);
+}
 
 // gep + maskptr [+ check] + access quads: components step and charge in
 // reference order; the gep result t and the re-tagged pointer p are both
 // written back before the access, so a store of either value (or a mid-quad
 // trap) observes exactly the reference's state.
-template <QuadCheck kCheck, bool kStore, class Frame>
+template <bool kCheck, bool kStore, class Frame>
 SGXB_OP_INLINE void GepMaskAccess(Frame& f, const MicroOp& u) {
   uint64_t* const v = f.v;
   const uint64_t packed = static_cast<uint64_t>(u.imm);
@@ -133,14 +151,10 @@ SGXB_OP_INLINE void GepMaskAccess(Frame& f, const MicroOp& u) {
   const uint64_t p = (v[u.a] & 0xffffffff00000000ULL) | (t & 0xffffffffULL);
   Compute(f, static_cast<uint32_t>(u.imm2), p, 2);
   Step(f);
-  if constexpr (kCheck != QuadCheck::kNone) {
+  if constexpr (kCheck) {
     ++f.checks;
     FlushPending(f);
-    if constexpr (kCheck == QuadCheck::kSgx) {
-      f.sgx->CheckAccess(*f.cpu, p, u.aux, AccessOf(u));
-    } else {
-      f.scheme->IrCheck(*f.cpu, p, u.aux, AccessOf(u));
-    }
+    WithScheme(f, [&](auto& rt) SGXB_OP_LAMBDA { rt.IrCheck(*f.cpu, p, u.aux, AccessOf(u)); });
     Step(f);
   }
   if constexpr (kStore) {
@@ -148,7 +162,7 @@ SGXB_OP_INLINE void GepMaskAccess(Frame& f, const MicroOp& u) {
   } else {
     ++f.loads;
   }
-  if constexpr (kCheck == QuadCheck::kNone) {
+  if constexpr (!kCheck) {
     FlushPending(f);  // a check already flushed; nothing is pending after it
   }
   if constexpr (kStore) {
@@ -246,26 +260,11 @@ SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
       v[u.dst] = f.stack->Alloca(cpu, size);
       return SetBounds(f, u.dst, f.mpx->BndMk(cpu, static_cast<uint32_t>(v[u.dst]), size));
     }
-    case UOp::kAllocaSgx: {
-      StepFlush(f);
-      const uint32_t size = static_cast<uint32_t>(u.imm);
-      const uint32_t base = f.stack->Alloca(cpu, size + f.sgx->FooterBytes());
-      v[u.dst] = f.sgx->SpecifyBounds(cpu, base, base + size, ObjKind::kStack);
-      return;
-    }
-    case UOp::kAllocaAsan: {
-      StepFlush(f);
-      const uint32_t size = static_cast<uint32_t>(u.imm);
-      const uint32_t rz = f.asan->RedzoneFor(size);
-      const uint32_t base = f.stack->Alloca(cpu, size + 2 * rz, 16);
-      f.asan->RegisterObject(cpu, base + rz, size, AsanRuntime::kShadowStackRedzone);
-      v[u.dst] = base + rz;
-      return;
-    }
     case UOp::kAllocaScheme:
       StepFlush(f);
-      v[u.dst] = f.scheme->IrAlloca(cpu, *f.stack, static_cast<uint32_t>(u.imm));
-      return;
+      return WithScheme(f, [&](auto& rt) SGXB_OP_LAMBDA {
+        v[u.dst] = rt.IrAlloca(cpu, *f.stack, static_cast<uint32_t>(u.imm));
+      });
     case UOp::kMallocNative:
       StepFlush(f);
       v[u.dst] = f.heap->Alloc(cpu, static_cast<uint32_t>(v[u.a]));
@@ -276,34 +275,18 @@ SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
       v[u.dst] = f.heap->Alloc(cpu, size);
       return SetBounds(f, u.dst, f.mpx->BndMk(cpu, static_cast<uint32_t>(v[u.dst]), size));
     }
-    case UOp::kMallocSgx:
-      StepFlush(f);
-      v[u.dst] = f.sgx->Malloc(cpu, static_cast<uint32_t>(v[u.a]));
-      return;
-    case UOp::kMallocAsan:
-      StepFlush(f);
-      v[u.dst] = f.asan->Malloc(cpu, static_cast<uint32_t>(v[u.a]));
-      return;
     case UOp::kMallocScheme:
       StepFlush(f);
-      v[u.dst] = f.scheme->IrMalloc(cpu, static_cast<uint32_t>(v[u.a]));
-      return;
+      return WithScheme(f, [&](auto& rt) SGXB_OP_LAMBDA {
+        v[u.dst] = rt.IrMalloc(cpu, static_cast<uint32_t>(v[u.a]));
+      });
     case UOp::kFreeNative:
       StepFlush(f);
       f.heap->Free(cpu, static_cast<uint32_t>(v[u.a]));
       return;
-    case UOp::kFreeSgx:
-      StepFlush(f);
-      f.sgx->Free(cpu, v[u.a]);
-      return;
-    case UOp::kFreeAsan:
-      StepFlush(f);
-      f.asan->Free(cpu, static_cast<uint32_t>(v[u.a]));
-      return;
     case UOp::kFreeScheme:
       StepFlush(f);
-      f.scheme->IrFree(cpu, v[u.a]);
-      return;
+      return WithScheme(f, [&](auto& rt) SGXB_OP_LAMBDA { rt.IrFree(cpu, v[u.a]); });
 
     case UOp::kGep:
     case UOp::kGepMpx:
@@ -327,22 +310,6 @@ SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
       ++f.stores;
       return StoreTo(f, u, v[u.a], v[u.b]);
 
-    case UOp::kSgxCheck:
-      StepFlush(f);
-      ++f.checks;
-      f.sgx->CheckAccess(cpu, v[u.a], static_cast<uint32_t>(u.imm), AccessOf(u));
-      return;
-    case UOp::kSgxCheckRange:
-      StepFlush(f);
-      ++f.checks;
-      f.sgx->CheckRange(cpu, v[u.a], v[u.b]);
-      return;
-    case UOp::kAsanCheck:
-      StepFlush(f);
-      ++f.checks;
-      f.asan->CheckAccess(cpu, static_cast<uint32_t>(v[u.a]),
-                          static_cast<uint32_t>(u.imm), u.flag != 0);
-      return;
     case UOp::kMpxCheck:
       StepFlush(f);
       ++f.checks;
@@ -362,26 +329,24 @@ SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
     case UOp::kSchemeCheck:
       StepFlush(f);
       ++f.checks;
-      f.scheme->IrCheck(cpu, v[u.a], static_cast<uint32_t>(u.imm), AccessOf(u));
-      return;
+      return WithScheme(f, [&](auto& rt) SGXB_OP_LAMBDA {
+        rt.IrCheck(cpu, v[u.a], static_cast<uint32_t>(u.imm), AccessOf(u));
+      });
     case UOp::kSchemeCheckRange:
       StepFlush(f);
       ++f.checks;
-      f.scheme->IrCheckRange(cpu, v[u.a], v[u.b]);
-      return;
+      return WithScheme(f, [&](auto& rt) SGXB_OP_LAMBDA {
+        rt.IrCheckRange(cpu, v[u.a], v[u.b]);
+      });
 
     case UOp::kGepMaskLoad:
-      return GepMaskAccess<QuadCheck::kNone, false>(f, u);
+      return GepMaskAccess<false, false>(f, u);
     case UOp::kGepMaskStore:
-      return GepMaskAccess<QuadCheck::kNone, true>(f, u);
-    case UOp::kGepMaskSgxCheckLoad:
-      return GepMaskAccess<QuadCheck::kSgx, false>(f, u);
-    case UOp::kGepMaskSgxCheckStore:
-      return GepMaskAccess<QuadCheck::kSgx, true>(f, u);
+      return GepMaskAccess<false, true>(f, u);
     case UOp::kGepMaskSchemeCheckLoad:
-      return GepMaskAccess<QuadCheck::kScheme, false>(f, u);
+      return GepMaskAccess<true, false>(f, u);
     case UOp::kGepMaskSchemeCheckStore:
-      return GepMaskAccess<QuadCheck::kScheme, true>(f, u);
+      return GepMaskAccess<true, true>(f, u);
 
     case UOp::kCallAbs64: {
       Step(f);

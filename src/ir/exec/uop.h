@@ -8,8 +8,8 @@
 //   * branch targets are micro-op offsets - no block lookup, no phi scan;
 //   * phi nodes are compiled away into parallel-copy stubs materialized on
 //     each control-flow edge (kCopy/kBoundsCopy sequences);
-//   * runtime symbol dispatch ("sgx"/"asan"/builtin call names) is resolved
-//     at decode time into distinct opcodes;
+//   * symbol dispatch (the "scheme" allocation symbol, builtin call names)
+//     is resolved at decode time into distinct opcodes;
 //   * the patterns the instrumentation passes emit are fused into
 //     superinstructions (gep+maskptr[+check]+load/store, icmp+condbr,
 //     xorshift pairs, const-operand ALU forms).
@@ -69,9 +69,13 @@ namespace sgxb {
 //                   store: a = value, b = ptr
 //   checks          a = ptr, imm = access size, flag = is-write; range
 //                   forms: a = ptr, b = extent slot; mpxldx/mpxstx: a =
-//                   loaded/stored-ptr slot, b = slot-ptr slot
+//                   loaded/stored-ptr slot, b = slot-ptr slot. The *Scheme
+//                   ops (allocation, checks, quads) call the attached
+//                   IrSchemeRuntime through ops::WithScheme, so one
+//                   decoded program runs under any scheme runtime.
 //   calls           call.abs64: dst, a; call.nop: dst (0 = no result)
-//   gep+mask quads  the shape the SGXBounds and registry-scheme passes emit:
+//   gep+mask quads  the shape the tagged-pointer lowering (SGXBounds,
+//                   l4ptr, shadow) emits:
 //                   the gep result is re-tagged through a maskptr, so the
 //                   lowered access is
 //                     t = gep base, idx ; p = maskptr t, base ; [check p] ;
@@ -115,30 +119,19 @@ namespace sgxb {
   CTRL(kJump, "jump")                                             \
   BODY(kAllocaNative, "alloca")                                   \
   BODY(kAllocaNativeMpx, "alloca.mpx")                            \
-  BODY(kAllocaSgx, "alloca.sgx")                                  \
-  BODY(kAllocaAsan, "alloca.asan")                                \
   BODY(kMallocNative, "malloc")                                   \
   BODY(kMallocNativeMpx, "malloc.mpx")                            \
-  BODY(kMallocSgx, "malloc.sgx")                                  \
-  BODY(kMallocAsan, "malloc.asan")                                \
   BODY(kFreeNative, "free")                                       \
-  BODY(kFreeSgx, "free.sgx")                                      \
-  BODY(kFreeAsan, "free.asan")                                    \
   BODY(kGep, "gep")                                               \
   BODY(kGepMpx, "gep.mpx")                                        \
   BODY(kMaskPtr, "maskptr")                                       \
   BODY(kLoad, "load")                                             \
   BODY(kStore, "store")                                           \
-  BODY(kSgxCheck, "sgxcheck")                                     \
-  BODY(kSgxCheckRange, "sgxcheck.range")                          \
-  BODY(kAsanCheck, "asancheck")                                   \
   BODY(kMpxCheck, "mpxcheck")                                     \
   BODY(kMpxLdx, "mpxldx")                                         \
   BODY(kMpxStx, "mpxstx")                                         \
   BODY(kGepMaskLoad, "gep+mask+load")                             \
   BODY(kGepMaskStore, "gep+mask+store")                           \
-  BODY(kGepMaskSgxCheckLoad, "gep+mask+check+load")               \
-  BODY(kGepMaskSgxCheckStore, "gep+mask+check+store")             \
   BODY(kCallAbs64, "call.abs64")                                  \
   BODY(kCallNop, "call.nop")                                      \
   BODY(kAllocaScheme, "alloca.scheme")                            \

@@ -8,11 +8,42 @@
 
 namespace sgxb {
 
+namespace {
+
+// True if `fn` holds an op only an attached IrSchemeRuntime can execute.
+bool NeedsSchemeRuntime(const IrFunction& fn) {
+  for (const IrBlock& bb : fn.blocks) {
+    for (const IrInstr& in : bb.instrs) {
+      const bool alloc =
+          in.op == IrOp::kAlloca || in.op == IrOp::kMalloc || in.op == IrOp::kFree;
+      if (in.op == IrOp::kSchemeCheck || in.op == IrOp::kSchemeCheckRange ||
+          (alloc && in.symbol == kSchemeAllocSymbol)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 Interpreter::Interpreter(Enclave* enclave, Heap* heap, StackAllocator* stack)
     : enclave_(enclave), heap_(heap), stack_(stack) {}
 
+void Interpreter::Attach(IrSchemeRuntime* rt, IrSchemeKind kind) {
+  if (scheme_ != nullptr && scheme_ != rt) {
+    FATAL("Interpreter::AttachScheme: a different scheme runtime is already attached");
+  }
+  scheme_ = rt;
+  scheme_kind_ = kind;
+}
+
 uint64_t Interpreter::Run(const IrFunction& fn, Cpu& cpu, const std::vector<uint64_t>& args,
                           uint64_t max_steps) {
+  if (scheme_ == nullptr && NeedsSchemeRuntime(fn)) {
+    FATAL("Interpreter::Run: the function holds scheme ops but no scheme runtime is "
+          "attached");
+  }
   const IrEngine engine = ResolveIrEngine(engine_);
   if (engine == IrEngine::kReference) {
     return RunReference(fn, cpu, args, max_steps);
@@ -189,15 +220,7 @@ uint64_t Interpreter::RunReference(const IrFunction& fn, Cpu& cpu,
             return ret;
           case IrOp::kAlloca: {
             const uint32_t size = static_cast<uint32_t>(in.imm);
-            if (in.symbol == "sgx") {
-              const uint32_t base = stack_->Alloca(cpu, size + sgx_->FooterBytes());
-              values[in.id] = sgx_->SpecifyBounds(cpu, base, base + size, ObjKind::kStack);
-            } else if (in.symbol == "asan") {
-              const uint32_t rz = asan_->RedzoneFor(size);
-              const uint32_t base = stack_->Alloca(cpu, size + 2 * rz, 16);
-              asan_->RegisterObject(cpu, base + rz, size, AsanRuntime::kShadowStackRedzone);
-              values[in.id] = base + rz;
-            } else if (in.symbol == "scheme") {
+            if (in.symbol == kSchemeAllocSymbol) {
               values[in.id] = scheme_->IrAlloca(cpu, *stack_, size);
             } else {
               values[in.id] = stack_->Alloca(cpu, size);
@@ -209,11 +232,7 @@ uint64_t Interpreter::RunReference(const IrFunction& fn, Cpu& cpu,
           }
           case IrOp::kMalloc: {
             const uint32_t size = static_cast<uint32_t>(values[in.args[0]]);
-            if (in.symbol == "sgx") {
-              values[in.id] = sgx_->Malloc(cpu, size);
-            } else if (in.symbol == "asan") {
-              values[in.id] = asan_->Malloc(cpu, size);
-            } else if (in.symbol == "scheme") {
+            if (in.symbol == kSchemeAllocSymbol) {
               values[in.id] = scheme_->IrMalloc(cpu, size);
             } else {
               values[in.id] = heap_->Alloc(cpu, size);
@@ -224,11 +243,7 @@ uint64_t Interpreter::RunReference(const IrFunction& fn, Cpu& cpu,
             break;
           }
           case IrOp::kFree:
-            if (in.symbol == "sgx") {
-              sgx_->Free(cpu, values[in.args[0]]);
-            } else if (in.symbol == "asan") {
-              asan_->Free(cpu, addr_of(values[in.args[0]]));
-            } else if (in.symbol == "scheme") {
+            if (in.symbol == kSchemeAllocSymbol) {
               scheme_->IrFree(cpu, values[in.args[0]]);
             } else {
               heap_->Free(cpu, addr_of(values[in.args[0]]));
@@ -266,23 +281,6 @@ uint64_t Interpreter::RunReference(const IrFunction& fn, Cpu& cpu,
             const uint32_t size = IrTypeSize(in.type);
             const uint64_t raw = TruncateToType(in.type, values[in.args[0]]);
             enclave_->StoreBytes(cpu, addr, &raw, size);
-            break;
-          }
-          case IrOp::kSgxCheck: {
-            ++stats_.checks;
-            sgx_->CheckAccess(cpu, values[in.args[0]], static_cast<uint32_t>(in.imm),
-                              in.imm2 != 0 ? AccessType::kWrite : AccessType::kRead);
-            break;
-          }
-          case IrOp::kSgxCheckRange: {
-            ++stats_.checks;
-            sgx_->CheckRange(cpu, values[in.args[0]], values[in.args[1]]);
-            break;
-          }
-          case IrOp::kAsanCheck: {
-            ++stats_.checks;
-            asan_->CheckAccess(cpu, addr_of(values[in.args[0]]),
-                               static_cast<uint32_t>(in.imm), in.imm2 != 0);
             break;
           }
           case IrOp::kMpxCheck: {

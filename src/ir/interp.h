@@ -2,8 +2,9 @@
 //
 // Every instruction charges its cost on the Cpu; loads/stores move real bytes
 // through Enclave::Load/Store (cache + EPC + MEE charged); instrumentation
-// opcodes call into the attached hardening runtimes. Violations surface as
-// SimTrap, exactly like the policy layer.
+// opcodes call into the attached hardening runtime - one IrSchemeRuntime
+// (SGXBounds, ASan, l4ptr or shadow) or MPX. Violations surface as SimTrap,
+// exactly like the policy layer.
 //
 // Pointer values follow the instrumentation mode: an uninstrumented program
 // holds raw 32-bit addresses in 64-bit SSA values; an SGXBounds-instrumented
@@ -53,14 +54,17 @@ class Interpreter {
  public:
   Interpreter(Enclave* enclave, Heap* heap, StackAllocator* stack);
 
-  // Attach hardening runtimes (required iff the program contains the
-  // corresponding instrumentation opcodes).
-  void AttachSgx(SgxBoundsRuntime* rt) { sgx_ = rt; }
-  void AttachAsan(AsanRuntime* rt) { asan_ = rt; }
+  // Attaches the runtime that executes the program's scheme instrumentation
+  // (kSchemeCheck*, "scheme" allocations). One interpreter serves one
+  // scheme: attaching a different runtime than the one already attached is
+  // a fatal error, and so is running scheme ops with none attached. The
+  // typed overloads let the engines call the two built-in runtimes
+  // directly; any other runtime goes through the vtable.
+  void AttachScheme(SgxBoundsRuntime* rt) { Attach(rt, IrSchemeKind::kSgxBounds); }
+  void AttachScheme(AsanRuntime* rt) { Attach(rt, IrSchemeKind::kAsan); }
+  void AttachScheme(IrSchemeRuntime* rt) { Attach(rt, IrSchemeKind::kOther); }
+  // MPX keeps dedicated opcodes (its bounds live in a per-SSA side table).
   void AttachMpx(MpxRuntime* rt) { mpx_ = rt; }
-  // Generic hook for registry-plugged schemes (kSchemeCheck/"scheme" opcodes
-  // emitted by RunSchemePass).
-  void AttachScheme(IrSchemeRuntime* rt) { scheme_ = rt; }
 
   // Selects the execution engine for subsequent Run() calls. kDefault
   // resolves to the process default (see src/common/ir_engine.h).
@@ -95,14 +99,14 @@ class Interpreter {
   JitFrame OpenFrame(uint32_t num_slots, bool track_mpx, Cpu& cpu,
                      const std::vector<uint64_t>& args, uint64_t max_steps);
   void CloseFrame(JitFrame& f, uint32_t stack_frame);
+  void Attach(IrSchemeRuntime* rt, IrSchemeKind kind);
 
   Enclave* enclave_;
   Heap* heap_;
   StackAllocator* stack_;
-  SgxBoundsRuntime* sgx_ = nullptr;
-  AsanRuntime* asan_ = nullptr;
   MpxRuntime* mpx_ = nullptr;
   IrSchemeRuntime* scheme_ = nullptr;
+  IrSchemeKind scheme_kind_ = IrSchemeKind::kOther;
   InterpStats stats_;
   IrEngine engine_ = IrEngine::kDefault;
   DecodeCache cache_;

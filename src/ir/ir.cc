@@ -83,14 +83,8 @@ const char* IrOpName(IrOp op) {
       return "load";
     case IrOp::kStore:
       return "store";
-    case IrOp::kSgxCheck:
-      return "sgx.check";
-    case IrOp::kSgxCheckRange:
-      return "sgx.check.range";
     case IrOp::kMaskPtr:
       return "sgx.maskptr";
-    case IrOp::kAsanCheck:
-      return "asan.check";
     case IrOp::kMpxCheck:
       return "mpx.check";
     case IrOp::kMpxLdx:

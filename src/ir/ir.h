@@ -60,18 +60,15 @@ enum class IrOp : uint8_t {
   kGep,     // args: base, index; imm = scale, imm2 = byte offset
   kLoad,    // args: ptr; type = loaded type
   kStore,   // args: value, ptr; type = stored type
-  // Instrumentation (inserted by passes; see passes.h).
-  kSgxCheck,       // args: ptr; imm = access size  (full LB+UB check)
-  kSgxCheckRange,  // args: ptr, extent-in-bytes    (hoisted loop check)
-  kMaskPtr,        // args: ptr-after-arith, ptr-before; reapplies the tag
-  kAsanCheck,      // args: ptr; imm = access size
-  kMpxCheck,       // args: ptr; imm = access size (bounds from side table)
-  kMpxLdx,         // args: loaded-ptr, slot-ptr   (attach bounds to value)
-  kMpxStx,         // args: stored-ptr, slot-ptr   (write bounds table entry)
-  // Generic registry-scheme instrumentation: dispatched to the attached
-  // IrSchemeRuntime (Interpreter::AttachScheme). Emitted by RunSchemePass
-  // for schemes plugged in via src/policy/<scheme>/ (e.g. l4ptr); the four
-  // paper schemes keep their dedicated opcodes above.
+  // Instrumentation (inserted by the check pipeline; see opt/pipeline.h).
+  kMaskPtr,   // args: ptr-after-arith, ptr-before; reapplies the tag
+  kMpxCheck,  // args: ptr; imm = access size (bounds from side table)
+  kMpxLdx,    // args: loaded-ptr, slot-ptr   (attach bounds to value)
+  kMpxStx,    // args: stored-ptr, slot-ptr   (write bounds table entry)
+  // Scheme instrumentation, dispatched to the attached IrSchemeRuntime
+  // (Interpreter::AttachScheme): SGXBounds, ASan, l4ptr and shadow all
+  // lower to these. Only MPX keeps its own opcodes above, because its
+  // checks read bounds from a per-SSA side table.
   kSchemeCheck,       // args: ptr; imm = access size, imm2 = is-write
   kSchemeCheckRange,  // args: ptr, extent-in-bytes  (hoisted loop check)
   // Misc.
@@ -79,6 +76,10 @@ enum class IrOp : uint8_t {
 };
 
 const char* IrOpName(IrOp op);
+
+// The symbol the check pipeline stamps on kAlloca/kMalloc/kFree to route the
+// allocation to the attached IrSchemeRuntime.
+inline constexpr char kSchemeAllocSymbol[] = "scheme";
 
 enum class IrCmp : uint8_t { kEq, kNe, kULt, kULe, kUGt, kUGe, kSLt, kSLe, kSGt, kSGe };
 

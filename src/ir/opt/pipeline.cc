@@ -7,27 +7,9 @@
 
 namespace sgxb {
 
-CheckSchemeLowering SgxBoundsCheckLowering() {
-  CheckSchemeLowering s;
-  s.check_op = IrOp::kSgxCheck;
-  s.range_check_op = IrOp::kSgxCheckRange;
-  s.alloc_symbol = "sgx";
-  s.mask_geps = true;
-  s.set_store_imm2 = true;
-  s.supports_elide_safe = true;
-  s.supports_hoist = true;
-  s.supports_elide_redundant = true;
-  s.supports_pattern = true;
-  // LBs/UBs are exact (no padding floor): in-field elision stays illegal.
-  s.min_object_bytes = 0;
-  return s;
-}
-
 CheckSchemeLowering TaggedSchemeCheckLowering(uint32_t min_object_bytes) {
   CheckSchemeLowering s;
-  s.check_op = IrOp::kSchemeCheck;
-  s.range_check_op = IrOp::kSchemeCheckRange;
-  s.alloc_symbol = "scheme";
+  s.interpose_alloc = true;
   s.mask_geps = true;
   s.set_store_imm2 = true;
   s.supports_elide_safe = true;
@@ -40,9 +22,8 @@ CheckSchemeLowering TaggedSchemeCheckLowering(uint32_t min_object_bytes) {
 
 CheckSchemeLowering AsanCheckLowering() {
   CheckSchemeLowering s;
-  s.check_op = IrOp::kAsanCheck;
   s.has_range_check = false;
-  s.alloc_symbol = "asan";
+  s.interpose_alloc = true;
   s.set_store_imm2 = true;
   // The historical ASan lowering checks every access unconditionally; only
   // the (default-off) redundant-check elimination is legal on top of it -
@@ -58,7 +39,7 @@ CheckSchemeLowering MpxCheckLowering() {
   s.has_range_check = false;
   // MPX instruments accesses only: allocations are not interposed, and the
   // is-store bit is not part of bndcl/bndcu.
-  s.alloc_symbol = nullptr;
+  s.interpose_alloc = false;
   s.set_store_imm2 = false;
   s.instrument_ptr_mem = true;
   s.supports_elide_redundant = true;
@@ -229,8 +210,8 @@ CheckPassStats RunCheckPipeline(IrFunction& fn, const CheckSchemeLowering& schem
         case IrOp::kMalloc:
         case IrOp::kAlloca:
         case IrOp::kFree:
-          if (scheme.alloc_symbol != nullptr) {
-            instr.symbol = scheme.alloc_symbol;
+          if (scheme.interpose_alloc) {
+            instr.symbol = kSchemeAllocSymbol;
           }
           out.push_back(instr);
           break;
@@ -333,7 +314,7 @@ CheckPassStats RunCheckPipeline(IrFunction& fn, const CheckSchemeLowering& schem
     add.args = {mul.id, c2.id};
     seq.push_back(add);
     IrInstr check;
-    check.op = scheme.range_check_op;
+    check.op = IrOp::kSchemeCheckRange;
     check.args = {rc.base, add.id};
     seq.push_back(check);
     instrs.insert(instrs.end() - 1, seq.begin(), seq.end());

@@ -5,9 +5,10 @@
 // inputs:
 //
 //   CheckSchemeLowering - WHAT the scheme's instrumentation looks like
-//     (check opcodes, allocation symbol, gep masking, MPX's pointer-bounds
-//     table traffic) and WHICH passes are legal for its bounds encoding
-//     (the supports_* mask plus the in-field footprint floor).
+//     (check opcode, allocation interposition, gep masking, MPX's
+//     pointer-bounds table traffic) and WHICH passes are legal for its
+//     bounds encoding (the supports_* mask plus the in-field footprint
+//     floor).
 //   CheckPassConfig - WHICH passes this run asked for (from PolicyOptions).
 //
 // A pass runs only when both the run asked for it and the scheme supports
@@ -48,13 +49,14 @@ struct CheckPassConfig {
 
 // Per-scheme lowering description + pass legality mask.
 struct CheckSchemeLowering {
+  // kSchemeCheck for every IrSchemeRuntime scheme; MPX alone uses kMpxCheck.
   IrOp check_op = IrOp::kSchemeCheck;
-  IrOp range_check_op = IrOp::kSchemeCheckRange;
+  // Hoisted checks lower to kSchemeCheckRange.
   bool has_range_check = true;
-  // Symbol stamped on kMalloc/kAlloca/kFree so the interpreter routes the
-  // allocation to this scheme's runtime; nullptr leaves allocations alone
-  // (MPX instruments accesses only).
-  const char* alloc_symbol = nullptr;
+  // Stamps kSchemeAllocSymbol on kMalloc/kAlloca/kFree so the interpreter
+  // routes the allocation to the attached IrSchemeRuntime (MPX instruments
+  // accesses only and leaves allocations alone).
+  bool interpose_alloc = false;
   // Tagged-pointer schemes re-tag after every gep (kMaskPtr).
   bool mask_geps = false;
   // Whether check.imm2 carries the is-store bit.
@@ -72,8 +74,9 @@ struct CheckSchemeLowering {
   uint32_t min_object_bytes = 0;
 };
 
-// Canned lowerings for the built-in schemes.
-CheckSchemeLowering SgxBoundsCheckLowering();
+// Canned lowerings for the built-in schemes. Every tagged-pointer scheme
+// (SGXBounds, l4ptr, shadow) shares one lowering and differs only in its
+// in-field floor: SGXBounds' LB/UB are exact, so it passes 0.
 CheckSchemeLowering TaggedSchemeCheckLowering(uint32_t min_object_bytes);
 CheckSchemeLowering AsanCheckLowering();
 CheckSchemeLowering MpxCheckLowering();

@@ -29,10 +29,6 @@ bool IsProvablySafeAccess(const IrFunction& fn, uint32_t block, size_t instr_ind
 }
 
 SgxPassStats RunSgxBoundsPass(IrFunction& fn, const SgxPassOptions& options) {
-  return Narrow(RunCheckPipeline(fn, SgxBoundsCheckLowering(), ConfigFrom(options)));
-}
-
-SgxPassStats RunSchemePass(IrFunction& fn, const SgxPassOptions& options) {
   return Narrow(RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), ConfigFrom(options)));
 }
 

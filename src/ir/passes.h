@@ -3,10 +3,12 @@
 // paper's LLVM pass (SS5.1) and of the baselines' compiler support — are
 // kept as thin wrappers:
 //
-//   RunSgxBoundsPass: rewrites malloc/alloca/free to the tagged wrappers,
-//     masks pointer arithmetic (kMaskPtr after every gep), inserts kSgxCheck
-//     before every load/store. Options control the two SS4.4 optimizations
-//     (safe-access elision, SCEV loop hoisting).
+//   RunSgxBoundsPass: routes malloc/alloca/free to the attached scheme
+//     runtime, masks pointer arithmetic (kMaskPtr after every gep), inserts
+//     kSchemeCheck before every load/store. Options control the two SS4.4
+//     optimizations (safe-access elision, SCEV loop hoisting). The output
+//     runs under any tagged-pointer IrSchemeRuntime (SGXBounds, l4ptr,
+//     shadow).
 //   RunAsanPass: allocator interception + shadow check before every access.
 //   RunMpxPass: bndcl/bndcu before every access, bndldx after pointer loads,
 //     bndstx after pointer stores.
@@ -43,11 +45,6 @@ struct SgxPassStats {
 };
 
 SgxPassStats RunSgxBoundsPass(IrFunction& fn, const SgxPassOptions& options = {});
-
-// Same lowering for a registry-plugged tagged-pointer scheme: emits the
-// generic kSchemeCheck/kSchemeCheckRange opcodes and the "scheme" allocation
-// symbol, dispatched at run time to the attached IrSchemeRuntime.
-SgxPassStats RunSchemePass(IrFunction& fn, const SgxPassOptions& options = {});
 
 struct BaselinePassStats {
   uint32_t checks_inserted = 0;

@@ -1,12 +1,12 @@
-// Runtime hooks a registry-plugged scheme exposes to the IR pipeline.
+// The one runtime ABI every allocation-interposing scheme exposes to the IR.
 //
-// The four paper schemes have dedicated opcodes and runtime pointers in the
-// interpreter (kSgxCheck/kAsanCheck/kMpxCheck); a plugged-in scheme instead
-// lowers through the generic kSchemeCheck/kSchemeCheckRange opcodes and the
-// "scheme" allocation symbol (RunSchemePass, passes.h), which the reference
-// interpreter and the threaded engine both dispatch to this interface
-// (Interpreter::AttachScheme). Implementations charge their own simulated
-// costs and throw SimTrap on violations, exactly like the built-in runtimes.
+// SGXBounds, ASan, l4ptr and shadow all lower through the same generic
+// kSchemeCheck/kSchemeCheckRange opcodes and the "scheme" allocation symbol
+// (RunCheckPipeline, opt/pipeline.h), which the reference interpreter and the
+// decoded engines dispatch to this interface (Interpreter::AttachScheme).
+// Implementations charge their own simulated costs and throw SimTrap on
+// violations. Only MPX keeps dedicated opcodes: its checks read bounds from a
+// per-SSA side table that IrCheck(ptr, bytes, type) cannot carry.
 
 #ifndef SGXBOUNDS_SRC_IR_SCHEME_RT_H_
 #define SGXBOUNDS_SRC_IR_SCHEME_RT_H_
@@ -37,6 +37,12 @@ class IrSchemeRuntime {
   // kSchemeCheckRange: hoisted loop check over [ptr, ptr + extent).
   virtual void IrCheckRange(Cpu& cpu, uint64_t ptr, uint64_t extent) = 0;
 };
+
+// Which runtime is attached. The decoded engines' op bodies cast the two
+// built-in runtimes (both `final`) to their own types so every hook is a
+// direct, inlinable call; any other scheme is called through the vtable
+// (ops::WithScheme, exec/ops.h).
+enum class IrSchemeKind : uint8_t { kOther, kSgxBounds, kAsan };
 
 }  // namespace sgxb
 

@@ -1,5 +1,6 @@
-// ASan IR lowering: shadow-check instrumentation (kAsanCheck opcodes)
-// through the scheme-generic check pipeline. ASan's lowering checks every
+// ASan IR lowering: shadow-check instrumentation (kSchemeCheck opcodes,
+// AsanRuntime attached as the IrSchemeRuntime) through the scheme-generic
+// check pipeline. ASan's lowering checks every
 // access unconditionally (matching the paper's baseline tooling); only
 // redundant-check elimination is legal on top, and it defaults off.
 
@@ -18,7 +19,7 @@ struct SchemeIrLowering<AsanPolicy> {
                               IrFunction& fn, const PolicyOptions& options) {
     const CheckPassStats stats =
         RunCheckPipeline(fn, AsanCheckLowering(), CheckConfigFrom(options));
-    interp.AttachAsan(&policy.runtime());
+    interp.AttachScheme(&policy.runtime());
     return stats;
   }
 };

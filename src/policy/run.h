@@ -174,7 +174,8 @@ RunResult RunWithPolicy(const MachineSpec& spec, const PolicyOptions& options, F
       policy.AttachFaults(&*injector);
     }
     Env<P> env{enclave, heap, policy, enclave.main_cpu(), spec.threads, Rng(spec.seed),
-               options, &recovery, injector.has_value() ? &*injector : nullptr};
+               options, &recovery, injector.has_value() ? &*injector : nullptr,
+               CheckPassStats{}};
     fn(env);
     result.pass_stats = env.pass_stats;
     // Scheme-specific RunResult metrics (e.g. MPX's bounds-table count) are

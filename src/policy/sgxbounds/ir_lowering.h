@@ -1,9 +1,9 @@
-// SGXBounds IR lowering: the tagged-pointer lowering (kSgxCheck opcodes,
-// "sgx" allocation symbol) run through the scheme-generic check pipeline,
-// runtime attached via the interpreter's dedicated SGXBounds hook.
+// SGXBounds IR lowering: the shared tagged-pointer lowering (kSchemeCheck
+// opcodes, "scheme" allocation symbol) run through the scheme-generic check
+// pipeline, with SgxBoundsRuntime attached as the IrSchemeRuntime.
 //
 // SGXBounds' LB/UB are exact (no allocation padding floor), so in-field
-// elision is not legal here; every other pass is.
+// elision is not legal here (floor 0); every other pass is.
 
 #ifndef SGXBOUNDS_SRC_POLICY_SGXBOUNDS_IR_LOWERING_H_
 #define SGXBOUNDS_SRC_POLICY_SGXBOUNDS_IR_LOWERING_H_
@@ -19,8 +19,8 @@ struct SchemeIrLowering<SgxBoundsPolicy> {
   static CheckPassStats Apply(SgxBoundsPolicy& policy, Interpreter& interp,
                               IrFunction& fn, const PolicyOptions& options) {
     const CheckPassStats stats =
-        RunCheckPipeline(fn, SgxBoundsCheckLowering(), CheckConfigFrom(options));
-    interp.AttachSgx(&policy.runtime());
+        RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), CheckConfigFrom(options));
+    interp.AttachScheme(&policy.runtime());
     return stats;
   }
 };

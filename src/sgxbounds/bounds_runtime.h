@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/ir/scheme_rt.h"
 #include "src/runtime/heap.h"
 #include "src/sgxbounds/boundless.h"
 #include "src/sgxbounds/metadata.h"
@@ -48,7 +49,7 @@ struct BoundsRuntimeStats {
   uint64_t violations = 0;
 };
 
-class SgxBoundsRuntime {
+class SgxBoundsRuntime final : public IrSchemeRuntime {
  public:
   // `registry` may be shared by several runtimes; nullptr means "LB only, no
   // hooks" (the common case).
@@ -177,6 +178,25 @@ class SgxBoundsRuntime {
   void Store(Cpu& cpu, TaggedPtr tagged, T value) {
     const ResolvedAccess r = CheckAccess(cpu, tagged, sizeof(T), AccessType::kWrite);
     enclave_->Store<T>(cpu, r.addr, value);
+  }
+
+  // --- IrSchemeRuntime (the IR lowering of the paper's pass, SS5.1) ---------
+
+  uint64_t IrAlloca(Cpu& cpu, StackAllocator& stack, uint32_t bytes) override {
+    const uint32_t base = stack.Alloca(cpu, bytes + FooterBytes());
+    return SpecifyBounds(cpu, base, base + bytes, ObjKind::kStack);
+  }
+
+  uint64_t IrMalloc(Cpu& cpu, uint32_t bytes) override { return Malloc(cpu, bytes); }
+
+  void IrFree(Cpu& cpu, uint64_t ptr) override { Free(cpu, ptr); }
+
+  void IrCheck(Cpu& cpu, uint64_t ptr, uint32_t bytes, AccessType type) override {
+    CheckAccess(cpu, ptr, bytes, type);
+  }
+
+  void IrCheckRange(Cpu& cpu, uint64_t ptr, uint64_t extent) override {
+    CheckRange(cpu, ptr, extent);
   }
 
   // --- Accessors --------------------------------------------------------------

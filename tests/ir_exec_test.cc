@@ -26,7 +26,7 @@ struct Rig {
     stack = std::make_unique<StackAllocator>(enclave.get(), 1 * kMiB);
     sgx = std::make_unique<SgxBoundsRuntime>(enclave.get(), heap.get());
     interp = std::make_unique<Interpreter>(enclave.get(), heap.get(), stack.get());
-    interp->AttachSgx(sgx.get());
+    interp->AttachScheme(sgx.get());
   }
   std::unique_ptr<Enclave> enclave;
   std::unique_ptr<Heap> heap;
@@ -240,8 +240,8 @@ TEST(IrExec, DecoderFusesInstrumentationPatterns) {
   RunSgxBoundsPass(fn, SgxPassOptions{/*elide_safe=*/false, /*hoist_loops=*/false});
   {
     const DecodedFunction df = DecodeFunction(fn, DecodeOptions{});
-    EXPECT_GT(df.CountUOp(UOp::kGepMaskSgxCheckLoad) +
-                  df.CountUOp(UOp::kGepMaskSgxCheckStore),
+    EXPECT_GT(df.CountUOp(UOp::kGepMaskSchemeCheckLoad) +
+                  df.CountUOp(UOp::kGepMaskSchemeCheckStore),
               0u);
   }
   // MPX tracking on the same function: no gep-fused form at all (bounds must
@@ -251,9 +251,8 @@ TEST(IrExec, DecoderFusesInstrumentationPatterns) {
     opts.track_mpx = true;
     const DecodedFunction df = DecodeFunction(fn, opts);
     size_t gep_fused = 0;
-    for (const UOp op : {UOp::kGepMaskLoad, UOp::kGepMaskStore, UOp::kGepMaskSgxCheckLoad,
-                         UOp::kGepMaskSgxCheckStore, UOp::kGepMaskSchemeCheckLoad,
-                         UOp::kGepMaskSchemeCheckStore}) {
+    for (const UOp op : {UOp::kGepMaskLoad, UOp::kGepMaskStore,
+                         UOp::kGepMaskSchemeCheckLoad, UOp::kGepMaskSchemeCheckStore}) {
       gep_fused += df.CountUOp(op);
     }
     EXPECT_EQ(gep_fused, 0u);

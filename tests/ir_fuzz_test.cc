@@ -1,6 +1,6 @@
 // Differential fuzzing of the instrumentation passes: generate random (but
 // memory-safe) canonical IR programs, run them uninstrumented and under each
-// of the three passes, and require
+// scheme's lowering, and require
 //   (1) identical results (passes preserve semantics),
 //   (2) zero violations (no false positives on safe programs),
 // and for deliberately-broken variants,
@@ -14,24 +14,52 @@
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
 #include "src/ir/passes.h"
+#include "src/policy/l4ptr/l4ptr_runtime.h"
+#include "src/policy/shadow/shadow_runtime.h"
 
 namespace sgxb {
 namespace {
 
+// The instrumentation a program runs under. l4ptr and shadow are the
+// schemes whose runtimes the engines call through the vtable
+// (ops::WithScheme's fallback); SGXBounds and ASan take the direct path.
+enum class Hardening { kNone, kSgx, kSgxOpt, kAsan, kMpx, kL4Ptr, kShadow };
+
+// One enclave whose interpreter has exactly the runtime `hardening` needs
+// attached (an interpreter serves one scheme).
 struct FuzzRig {
-  FuzzRig() {
+  explicit FuzzRig(Hardening hardening = Hardening::kNone) {
     EnclaveConfig cfg;
     cfg.space_bytes = 256 * kMiB;
     enclave = std::make_unique<Enclave>(cfg);
     heap = std::make_unique<Heap>(enclave.get(), 64 * kMiB);
     stack = std::make_unique<StackAllocator>(enclave.get(), 4 * kMiB);
-    sgx = std::make_unique<SgxBoundsRuntime>(enclave.get(), heap.get());
-    asan = std::make_unique<AsanRuntime>(enclave.get(), heap.get());
-    mpx = std::make_unique<MpxRuntime>(enclave.get());
     interp = std::make_unique<Interpreter>(enclave.get(), heap.get(), stack.get());
-    interp->AttachSgx(sgx.get());
-    interp->AttachAsan(asan.get());
-    interp->AttachMpx(mpx.get());
+    switch (hardening) {
+      case Hardening::kNone:
+        break;
+      case Hardening::kSgx:
+      case Hardening::kSgxOpt:
+        sgx = std::make_unique<SgxBoundsRuntime>(enclave.get(), heap.get());
+        interp->AttachScheme(sgx.get());
+        break;
+      case Hardening::kAsan:
+        asan = std::make_unique<AsanRuntime>(enclave.get(), heap.get());
+        interp->AttachScheme(asan.get());
+        break;
+      case Hardening::kMpx:
+        mpx = std::make_unique<MpxRuntime>(enclave.get());
+        interp->AttachMpx(mpx.get());
+        break;
+      case Hardening::kL4Ptr:
+        l4ptr = std::make_unique<L4PtrRuntime>(enclave.get(), heap.get());
+        interp->AttachScheme(l4ptr.get());
+        break;
+      case Hardening::kShadow:
+        shadow = std::make_unique<ShadowRuntime>(enclave.get(), heap.get());
+        interp->AttachScheme(shadow.get());
+        break;
+    }
   }
   std::unique_ptr<Enclave> enclave;
   std::unique_ptr<Heap> heap;
@@ -39,8 +67,40 @@ struct FuzzRig {
   std::unique_ptr<SgxBoundsRuntime> sgx;
   std::unique_ptr<AsanRuntime> asan;
   std::unique_ptr<MpxRuntime> mpx;
+  std::unique_ptr<L4PtrRuntime> l4ptr;
+  std::unique_ptr<ShadowRuntime> shadow;
   std::unique_ptr<Interpreter> interp;
 };
+
+// Instruments `fn` for `hardening` (each scheme's default lowering).
+void Instrument(IrFunction& fn, Hardening hardening) {
+  switch (hardening) {
+    case Hardening::kNone:
+      break;
+    case Hardening::kSgx:
+      RunSgxBoundsPass(fn, SgxPassOptions{});
+      break;
+    case Hardening::kSgxOpt: {
+      SgxPassOptions options;
+      options.elide_safe = true;
+      options.hoist_loops = true;
+      RunSgxBoundsPass(fn, options);
+      break;
+    }
+    case Hardening::kAsan:
+      RunAsanPass(fn);
+      break;
+    case Hardening::kMpx:
+      RunMpxPass(fn);
+      break;
+    case Hardening::kL4Ptr:
+      RunCheckPipeline(fn, TaggedSchemeCheckLowering(kL4Granule), CheckPassConfig{});
+      break;
+    case Hardening::kShadow:
+      RunCheckPipeline(fn, TaggedSchemeCheckLowering(kShadowGranule), CheckPassConfig{});
+      break;
+  }
+}
 
 // Generates a random program of `n_arrays` arrays, a few counted loops doing
 // stores/loads/arithmetic at safe indices, returning a checksum. With
@@ -100,11 +160,9 @@ TEST_P(IrFuzz, PassesPreserveSemanticsOnSafePrograms) {
     reference = rig.interp->Run(fn, rig.enclave->main_cpu());
   }
   {
-    FuzzRig rig;
-    IrFunction fn = GenerateProgram(seed, false);
     for (const bool elide : {false, true}) {
       for (const bool hoist : {false, true}) {
-        FuzzRig inner;
+        FuzzRig inner(Hardening::kSgx);
         IrFunction hardened = GenerateProgram(seed, false);
         SgxPassOptions options;
         options.elide_safe = elide;
@@ -117,18 +175,27 @@ TEST_P(IrFuzz, PassesPreserveSemanticsOnSafePrograms) {
     }
   }
   {
-    FuzzRig rig;
+    FuzzRig rig(Hardening::kAsan);
     IrFunction hardened = GenerateProgram(seed, false);
     RunAsanPass(hardened);
     EXPECT_EQ(rig.interp->Run(hardened, rig.enclave->main_cpu()), reference);
     EXPECT_EQ(rig.asan->stats().reports, 0u);
   }
   {
-    FuzzRig rig;
+    FuzzRig rig(Hardening::kMpx);
     IrFunction hardened = GenerateProgram(seed, false);
     RunMpxPass(hardened);
     EXPECT_EQ(rig.interp->Run(hardened, rig.enclave->main_cpu()), reference);
     EXPECT_EQ(rig.mpx->stats().violations, 0u);
+  }
+  // The vtable-dispatched schemes trap on any violation, so an equal result
+  // also proves there was none.
+  for (const Hardening hardening : {Hardening::kL4Ptr, Hardening::kShadow}) {
+    FuzzRig rig(hardening);
+    IrFunction hardened = GenerateProgram(seed, false);
+    Instrument(hardened, hardening);
+    EXPECT_EQ(rig.interp->Run(hardened, rig.enclave->main_cpu()), reference)
+        << "seed " << seed << " hardening " << static_cast<int>(hardening);
   }
 }
 
@@ -142,7 +209,7 @@ TEST_P(IrFuzz, SgxPassTrapsOnOverflowingVariant) {
   }
   // Hardened: must trap, with or without the optimizations.
   for (const bool opts : {false, true}) {
-    FuzzRig rig;
+    FuzzRig rig(Hardening::kSgx);
     IrFunction fn = GenerateProgram(seed, true);
     SgxPassOptions options;
     options.elide_safe = opts;
@@ -155,12 +222,10 @@ TEST_P(IrFuzz, SgxPassTrapsOnOverflowingVariant) {
 
 // --- engine differential coverage ----------------------------------------------
 //
-// Every random program - safe and overflowing, under every instrumentation
-// pass - must behave identically on the reference, threaded, and jit
-// engines: same return value or same trap, same interpreter stats, and
+// Every random program - safe and overflowing, under every scheme's
+// instrumentation - must behave identically on the reference, threaded, and
+// jit engines: same return value or same trap, same interpreter stats, and
 // bit-identical PerfCounters (the engines' definition of "same simulation").
-
-enum class Hardening { kNone, kSgx, kSgxOpt, kAsan, kMpx };
 
 struct EngineOutcome {
   bool trapped = false;
@@ -172,29 +237,10 @@ struct EngineOutcome {
 
 EngineOutcome RunUnderEngine(IrEngine engine, uint64_t seed, bool overflow,
                              Hardening hardening) {
-  FuzzRig rig;
+  FuzzRig rig(hardening);
   rig.interp->set_engine(engine);
   IrFunction fn = GenerateProgram(seed, overflow);
-  switch (hardening) {
-    case Hardening::kNone:
-      break;
-    case Hardening::kSgx:
-      RunSgxBoundsPass(fn, SgxPassOptions{});
-      break;
-    case Hardening::kSgxOpt: {
-      SgxPassOptions options;
-      options.elide_safe = true;
-      options.hoist_loops = true;
-      RunSgxBoundsPass(fn, options);
-      break;
-    }
-    case Hardening::kAsan:
-      RunAsanPass(fn);
-      break;
-    case Hardening::kMpx:
-      RunMpxPass(fn);
-      break;
-  }
+  Instrument(fn, hardening);
   EngineOutcome out;
   try {
     out.result = rig.interp->Run(fn, rig.enclave->main_cpu());
@@ -210,9 +256,9 @@ EngineOutcome RunUnderEngine(IrEngine engine, uint64_t seed, bool overflow,
 TEST_P(IrFuzz, EnginesAgreeOnEveryProgram) {
   const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 3;
   for (const bool overflow : {false, true}) {
-    for (const Hardening hardening : {Hardening::kNone, Hardening::kSgx,
-                                      Hardening::kSgxOpt, Hardening::kAsan,
-                                      Hardening::kMpx}) {
+    for (const Hardening hardening :
+         {Hardening::kNone, Hardening::kSgx, Hardening::kSgxOpt, Hardening::kAsan,
+          Hardening::kMpx, Hardening::kL4Ptr, Hardening::kShadow}) {
       const EngineOutcome ref =
           RunUnderEngine(IrEngine::kReference, seed, overflow, hardening);
       for (const IrEngine other : {IrEngine::kThreaded, IrEngine::kJit}) {

@@ -57,7 +57,7 @@ struct Rig {
     stack = std::make_unique<StackAllocator>(enclave.get(), 1 * kMiB);
     sgx = std::make_unique<SgxBoundsRuntime>(enclave.get(), heap.get());
     interp = std::make_unique<Interpreter>(enclave.get(), heap.get(), stack.get());
-    interp->AttachSgx(sgx.get());
+    interp->AttachScheme(sgx.get());
   }
   std::unique_ptr<Enclave> enclave;
   std::unique_ptr<Heap> heap;

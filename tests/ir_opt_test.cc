@@ -200,7 +200,7 @@ TEST(PatternLoops, OverStrideLoopPatternHoistedNotScevHoisted) {
   // 256 elements * 8-byte scale = 2048-byte stride: beyond the SS4.4 window,
   // so SCEV hoisting must refuse and the per-iteration check stays.
   IrFunction fn = BuildLoopKernel(65536, 256);
-  CheckPassStats stats = RunCheckPipeline(fn, SgxBoundsCheckLowering(), hoist_only);
+  CheckPassStats stats = RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), hoist_only);
   EXPECT_EQ(stats.checks_hoisted, 0u);
   EXPECT_EQ(stats.checks_pattern_hoisted, 0u);
   EXPECT_EQ(stats.checks_inserted, 1u);
@@ -210,7 +210,7 @@ TEST(PatternLoops, OverStrideLoopPatternHoistedNotScevHoisted) {
   CheckPassConfig pattern = hoist_only;
   pattern.pattern_loops = true;
   IrFunction fn2 = BuildLoopKernel(65536, 256);
-  stats = RunCheckPipeline(fn2, SgxBoundsCheckLowering(), pattern);
+  stats = RunCheckPipeline(fn2, TaggedSchemeCheckLowering(0), pattern);
   EXPECT_EQ(stats.checks_hoisted, 0u);
   EXPECT_EQ(stats.checks_pattern_hoisted, 1u);
   EXPECT_EQ(stats.checks_inserted, 0u);
@@ -219,7 +219,7 @@ TEST(PatternLoops, OverStrideLoopPatternHoistedNotScevHoisted) {
   // caught by the pattern pass via FindMonotonicNeLoops.
   IrFunction fn3 = BuildLoopKernel(4096, 1);
   FlipLastCmpToNe(fn3);
-  stats = RunCheckPipeline(fn3, SgxBoundsCheckLowering(), pattern);
+  stats = RunCheckPipeline(fn3, TaggedSchemeCheckLowering(0), pattern);
   EXPECT_EQ(stats.checks_hoisted, 0u);
   EXPECT_EQ(stats.checks_pattern_hoisted, 1u);
   EXPECT_EQ(stats.checks_inserted, 0u);
@@ -312,7 +312,7 @@ TEST(InFieldElision, FieldBeyondFloorStaysCheckedAndTraps) {
 TEST(InFieldElision, ExactBoundsSchemeIgnoresInFieldFlag) {
   IrFunction fn = BuildFieldsKernel(/*record_size=*/8, /*oob_field=*/false);
   const CheckPassStats stats =
-      RunCheckPipeline(fn, SgxBoundsCheckLowering(), InFieldOnly());
+      RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), InFieldOnly());
   EXPECT_EQ(stats.checks_elided_infield, 0u);
   EXPECT_EQ(stats.checks_inserted, 6u);
 }
@@ -328,7 +328,7 @@ struct SgxRig {
     stack = std::make_unique<StackAllocator>(enclave.get(), 1 * kMiB);
     sgx = std::make_unique<SgxBoundsRuntime>(enclave.get(), heap.get());
     interp = std::make_unique<Interpreter>(enclave.get(), heap.get(), stack.get());
-    interp->AttachSgx(sgx.get());
+    interp->AttachScheme(sgx.get());
   }
   std::unique_ptr<Enclave> enclave;
   std::unique_ptr<Heap> heap;
@@ -380,7 +380,7 @@ TEST(EngineInvariance, OptimizedFunctionsBitIdenticalAcrossEngines) {
     all.elide_redundant = true;
     all.pattern_loops = true;
     all.elide_infield = true;
-    const CheckPassStats stats = RunCheckPipeline(fn, SgxBoundsCheckLowering(), all);
+    const CheckPassStats stats = RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), all);
     EXPECT_GT(stats.checks_hoisted + stats.checks_pattern_hoisted, 0u)
         << "flip=" << flip;
     if (flip) {

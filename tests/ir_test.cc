@@ -13,6 +13,8 @@
 namespace sgxb {
 namespace {
 
+// Holds one runtime per scheme; each test attaches only the runtime its
+// instrumentation needs (an interpreter serves one scheme).
 struct IrFixture : public ::testing::Test {
   IrFixture() {
     EnclaveConfig cfg;
@@ -24,9 +26,6 @@ struct IrFixture : public ::testing::Test {
     asan = std::make_unique<AsanRuntime>(enclave.get(), heap.get());
     mpx = std::make_unique<MpxRuntime>(enclave.get());
     interp = std::make_unique<Interpreter>(enclave.get(), heap.get(), stack.get());
-    interp->AttachSgx(sgx.get());
-    interp->AttachAsan(asan.get());
-    interp->AttachMpx(mpx.get());
   }
 
   uint64_t Run(const IrFunction& fn, const std::vector<uint64_t>& args = {}) {
@@ -129,18 +128,21 @@ TEST_F(IrFixture, SgxPassPreservesSemantics) {
   const uint64_t plain = Run(fn);
   IrFunction hardened = BuildSumKernel(64);
   RunSgxBoundsPass(hardened);
+  interp->AttachScheme(sgx.get());
   EXPECT_EQ(Run(hardened), plain);
 }
 
 TEST_F(IrFixture, AsanPassPreservesSemantics) {
   IrFunction hardened = BuildSumKernel(64);
   RunAsanPass(hardened);
+  interp->AttachScheme(asan.get());
   EXPECT_EQ(Run(hardened), 63u);
 }
 
 TEST_F(IrFixture, MpxPassPreservesSemantics) {
   IrFunction hardened = BuildSumKernel(64);
   RunMpxPass(hardened);
+  interp->AttachMpx(mpx.get());
   EXPECT_EQ(Run(hardened), 63u);
 }
 
@@ -163,6 +165,7 @@ TEST_F(IrFixture, UninstrumentedOverflowSilentlyCorrupts) {
 TEST_F(IrFixture, SgxPassCatchesOverflow) {
   // With hoisting on, the preheader range check fires before the loop runs;
   // with hoisting off, the per-access check fires at i == 8. Both trap.
+  interp->AttachScheme(sgx.get());
   for (bool hoist : {true, false}) {
     IrFunction fn = BuildOverflowKernel(8, 9);
     SgxPassOptions options;
@@ -180,6 +183,7 @@ TEST_F(IrFixture, SgxPassCatchesOverflow) {
 TEST_F(IrFixture, AsanPassCatchesOverflow) {
   IrFunction fn = BuildOverflowKernel(8, 9);
   RunAsanPass(fn);
+  interp->AttachScheme(asan.get());
   try {
     Run(fn);
     FAIL();
@@ -191,6 +195,7 @@ TEST_F(IrFixture, AsanPassCatchesOverflow) {
 TEST_F(IrFixture, MpxPassCatchesOverflow) {
   IrFunction fn = BuildOverflowKernel(8, 9);
   RunMpxPass(fn);
+  interp->AttachMpx(mpx.get());
   try {
     Run(fn);
     FAIL();
@@ -236,6 +241,7 @@ TEST_F(IrFixture, UnsafeConstantAccessStillChecked) {
   SgxPassStats stats = RunSgxBoundsPass(fn);
   EXPECT_EQ(stats.checks_elided_safe, 0u);
   EXPECT_EQ(stats.checks_inserted, 1u);
+  interp->AttachScheme(sgx.get());
   EXPECT_THROW(Run(fn), SimTrap);
 }
 
@@ -246,7 +252,8 @@ TEST_F(IrFixture, HoistingMovesChecksOutOfLoop) {
   SgxPassStats stats = RunSgxBoundsPass(fn, options);
   // The two loop-body accesses hoist; range checks appear in preheaders.
   EXPECT_GE(stats.checks_hoisted, 2u);
-  EXPECT_GE(fn.CountOp(IrOp::kSgxCheckRange), 2u);
+  EXPECT_GE(fn.CountOp(IrOp::kSchemeCheckRange), 2u);
+  interp->AttachScheme(sgx.get());
   EXPECT_EQ(Run(fn), 127u);
 }
 
@@ -274,6 +281,7 @@ TEST_F(IrFixture, HoistingReducesCycles) {
   all_opt.elide_safe = false;
   RunSgxBoundsPass(slow_fn, no_opt);
   RunSgxBoundsPass(fast_fn, all_opt);
+  interp->AttachScheme(sgx.get());
   Cpu* cpu_slow = enclave->NewCpu();
   Cpu* cpu_fast = enclave->NewCpu();
   interp->Run(slow_fn, *cpu_slow);
@@ -295,6 +303,7 @@ TEST_F(IrFixture, MaskedGepCannotCorruptTag) {
   IrFunction fn = b.Finish();
   RunSgxBoundsPass(fn);
   EXPECT_GE(fn.CountOp(IrOp::kMaskPtr), 1u);
+  interp->AttachScheme(sgx.get());
   EXPECT_THROW(Run(fn), SimTrap);
 }
 
@@ -311,6 +320,7 @@ TEST_F(IrFixture, MpxPassInstrumentsPointerTraffic) {
   BaselinePassStats stats = RunMpxPass(fn);
   EXPECT_EQ(stats.ptr_stores_instrumented, 1u);
   EXPECT_EQ(stats.ptr_loads_instrumented, 1u);
+  interp->AttachMpx(mpx.get());
   EXPECT_NO_THROW(Run(fn));
   EXPECT_GT(mpx->stats().bndstx, 0u);
   EXPECT_GT(mpx->stats().bndldx, 0u);
@@ -329,6 +339,7 @@ TEST_F(IrFixture, MpxBoundsSurviveTableRoundTrip) {
   b.Ret();
   IrFunction fn = b.Finish();
   RunMpxPass(fn);
+  interp->AttachMpx(mpx.get());
   EXPECT_THROW(Run(fn), SimTrap);
 }
 
@@ -359,6 +370,7 @@ IrFunction BuildPhiPointerKernel(uint32_t idx) {
 }
 
 TEST_F(IrFixture, MpxBoundsPropagateThroughPhiAndGep) {
+  interp->AttachMpx(mpx.get());
   for (uint64_t take_a : {0u, 1u}) {
     IrFunction ok = BuildPhiPointerKernel(7);  // last valid element
     RunMpxPass(ok);
@@ -428,6 +440,8 @@ TEST_F(IrFixture, InstrumentationBlowupOrdering) {
   no_opt.hoist_loops = false;
   RunSgxBoundsPass(sgx_fn, no_opt);
   RunMpxPass(mpx_fn);
+  interp->AttachScheme(sgx.get());
+  interp->AttachMpx(mpx.get());
   Cpu* cpu_sgx = enclave->NewCpu();
   Cpu* cpu_mpx = enclave->NewCpu();
   interp->Run(sgx_fn, *cpu_sgx);
@@ -436,6 +450,32 @@ TEST_F(IrFixture, InstrumentationBlowupOrdering) {
   // loads on this pointer-dense kernel.
   EXPECT_GT(cpu_mpx->counters().metadata_loads + cpu_mpx->counters().metadata_stores,
             cpu_sgx->counters().metadata_loads + cpu_sgx->counters().metadata_stores);
+}
+
+// One interpreter serves one scheme: a program instrumented for one scheme
+// must never silently run against another scheme's runtime, or against none.
+using IrDeathTest = IrFixture;
+
+TEST_F(IrDeathTest, AttachingADifferentSchemeRuntimeIsFatal) {
+  interp->AttachScheme(sgx.get());
+  interp->AttachScheme(sgx.get());  // re-attaching the same runtime is fine
+  EXPECT_DEATH(interp->AttachScheme(asan.get()),
+               "a different scheme runtime is already attached");
+}
+
+TEST_F(IrDeathTest, RunningSchemeOpsWithoutARuntimeIsFatal) {
+  IrFunction fn = BuildSumKernel(8);
+  RunSgxBoundsPass(fn);
+  for (const IrEngine engine : {IrEngine::kReference, IrEngine::kThreaded, IrEngine::kJit}) {
+    interp->set_engine(engine);
+    EXPECT_DEATH(Run(fn), "holds scheme ops but no scheme runtime is attached")
+        << IrEngineName(engine);
+  }
+  // MPX instruments accesses only; it needs no scheme runtime.
+  IrFunction mpx_fn = BuildSumKernel(8);
+  RunMpxPass(mpx_fn);
+  interp->AttachMpx(mpx.get());
+  EXPECT_EQ(Run(mpx_fn), 7u);
 }
 
 }  // namespace
