@@ -306,9 +306,9 @@ int Main(int argc, char** argv) {
                    "timing pass");
   parser.AddChoice("recovery", &recovery,
                    {"off", "failstop", "restart", "failover", "failover+hedge"},
-                   "farm recovery policy for the resilient timing pass "
-                   "(off = classic fair-weather phase B; --shard_faults "
-                   "without --recovery runs failstop)");
+                   "farm recovery policy for the phase-B timing pass "
+                   "(off = its fault-free case, no client deadline; "
+                   "--shard_faults without --recovery runs failstop)");
   parser.AddBool("selfcheck", &selfcheck,
                  "run the small-fleet digest check across host thread counts and exit");
   parser.Parse(argc, argv);
@@ -454,15 +454,12 @@ int Main(int argc, char** argv) {
     // BENCH_farm.json. Skipped entirely in fair-weather runs.
     if (proto.machine.recovery.enabled || proto.resilience.enabled) {
       RecoveryStats rec;
-      uint64_t injected = 0;
+      FaultStats faults;
       uint64_t completed = 0;
       uint64_t failed = 0;
       for (const SweepPoint& p : points) {
-        rec.contained += p.result.recovery_totals.contained;
-        rec.retried += p.result.recovery_totals.retried;
-        rec.recovered += p.result.recovery_totals.recovered;
-        rec.requests += p.result.recovery_totals.requests;
-        injected += p.result.fault_totals.total_injected();
+        rec += p.result.recovery_totals;
+        faults += p.result.fault_totals;
         completed += p.result.resilience.completed;
         failed += p.result.resilience.failed_app + p.result.resilience.failed_timeout;
       }
@@ -475,7 +472,8 @@ int Main(int argc, char** argv) {
                     ", \"resilient_failed\": %" PRIu64 "}",
                     proto.resilience.enabled ? RecoveryModeName(proto.resilience.mode)
                                              : "off",
-                    rec.requests, rec.contained, rec.retried, rec.recovered, injected,
+                    rec.requests, rec.contained, rec.retried, rec.recovered,
+                    faults.total_injected(),
                     completed, failed);
       SetBenchJsonSummary(summary);
     }

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -253,6 +254,10 @@ int Main(int argc, char** argv) {
   FarmConfig proto;
   if (!ParseFarmApp(app, &proto.app)) {
     std::fprintf(stderr, "--app: unknown app '%s'\n", app.c_str());
+    return 2;
+  }
+  if (!std::isfinite(rps) || !(rps > 0.0)) {
+    std::fprintf(stderr, "--rps: %g is not a finite rate > 0 requests/second\n", rps);
     return 2;
   }
   proto.policy = ParsePolicyKind(policy);  // exits(2) on unknown id

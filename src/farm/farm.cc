@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
-#include <queue>
 
 #include "src/apps/httpd.h"
 #include "src/apps/kvstore.h"
@@ -22,17 +21,16 @@ constexpr const char* kAppNames[] = {"kvstore", "memcached", "httpd", "nginx",
                                      "netserver"};
 constexpr size_t kAppCount = sizeof kAppNames / sizeof kAppNames[0];
 
-// Per-shard phase-A output, written into a shard-indexed slot.
+// Per-shard phase-A output, written into a shard-indexed slot. Both vectors
+// cover the measured prefix of the shard's subsequence: a trap that escapes
+// containment kills the enclave and leaves the rest unmeasured.
 struct ShardOut {
   RunResult run;
-  std::vector<uint64_t> service_cycles;  // parallel to the shard's subsequence
-  std::vector<uint8_t> served_flags;     // 1 = served, 0 = dropped/trapped
+  std::vector<uint64_t> service_cycles;
   // Per-position drop class: 0 = served, 1 = request-only trap (transient),
   // 2 = suspect-shard trap (ShardImpact::kSuspectShard — feeds the farm
   // supervisor's conviction counter).
   std::vector<uint8_t> fail_class;
-  uint64_t served = 0;
-  uint64_t dropped = 0;
 };
 
 // Shard-scoped phase-A injection: fire this fault through the enclave's
@@ -88,9 +86,8 @@ void ServeShard(Env<P>& env, const FarmConfig& cfg, const std::vector<FarmReques
       break;
   }
 
-  out->service_cycles.resize(mine.size());
-  out->served_flags.resize(mine.size());
-  out->fail_class.resize(mine.size());
+  out->service_cycles.reserve(mine.size());
+  out->fail_class.reserve(mine.size());
   char wire[64];
   std::vector<uint8_t> payload(64, 0x5a);
   size_t next_inject = 0;
@@ -153,18 +150,16 @@ void ServeShard(Env<P>& env, const FarmConfig& cfg, const std::vector<FarmReques
         });
         break;
     }
-    out->service_cycles[i] = env.cpu.cycles() - before;
-    out->served_flags[i] = served ? 1 : 0;
+    out->service_cycles.push_back(env.cpu.cycles() - before);
     if (served) {
-      out->fail_class[i] = 0;
+      out->fail_class.push_back(0);
     } else if (env.recovery->has_trap() &&
                ClassifyShardImpact(env.recovery->last_trap()) ==
                    ShardImpact::kSuspectShard) {
-      out->fail_class[i] = 2;
+      out->fail_class.push_back(2);
     } else {
-      out->fail_class[i] = 1;
+      out->fail_class.push_back(1);
     }
-    served ? ++out->served : ++out->dropped;
   }
 }
 
@@ -203,31 +198,42 @@ FarmResult RunFarm(const FarmConfig& cfg) {
     routed[s].push_back(static_cast<uint32_t>(i));
   }
 
+  // Phase-B configuration. With resilience off the pass runs fault-free:
+  // failstop, no shard faults and no client deadline, so every request
+  // resolves at its completion — plain FCFS queueing per shard.
+  ResilienceConfig rc;
+  if (cfg.resilience.enabled) {
+    rc = cfg.resilience;
+    if (rc.restart_warmup_cycles == 0) {
+      rc.restart_warmup_cycles = RestartWarmupCycles(cfg.machine.costs);
+    }
+  } else {
+    rc.request_timeout_cycles = kNoDeadline;
+  }
+
   // Map shard-scoped phase-A injections (epc_storm, poison) to local request
   // positions in each victim's subsequence: an event at global dispatch N
   // fires just before the shard serves its first request at or after N.
   // Crash/hang are phase-B process-level events, handled by ResilientTiming.
   std::vector<std::vector<ShardInjection>> injections(cfg.shards);
-  if (cfg.resilience.enabled) {
-    for (const ShardFaultEvent& ev : cfg.resilience.shard_faults.events) {
-      if ((ev.kind != ShardFaultKind::kEpcStorm && ev.kind != ShardFaultKind::kPoison) ||
-          ev.shard >= cfg.shards) {
-        continue;
-      }
-      const std::vector<uint32_t>& mine = routed[ev.shard];
-      const uint32_t g = ev.at_request > 0 ? static_cast<uint32_t>(ev.at_request - 1) : 0;
-      const auto it = std::lower_bound(mine.begin(), mine.end(), g);
-      if (it == mine.end()) {
-        continue;  // fires past the end of the shard's stream
-      }
-      injections[ev.shard].push_back(
-          {static_cast<uint32_t>(it - mine.begin()),
-           ev.kind == ShardFaultKind::kEpcStorm ? FaultKind::kEpcStorm
-                                                : FaultKind::kMetadataFlip});
+  for (const ShardFaultEvent& ev : rc.shard_faults.events) {
+    if ((ev.kind != ShardFaultKind::kEpcStorm && ev.kind != ShardFaultKind::kPoison) ||
+        ev.shard >= cfg.shards) {
+      continue;
     }
-    for (std::vector<ShardInjection>& v : injections) {
-      std::sort(v.begin(), v.end());
+    const std::vector<uint32_t>& mine = routed[ev.shard];
+    const uint32_t g = ev.at_request > 0 ? static_cast<uint32_t>(ev.at_request - 1) : 0;
+    const auto it = std::lower_bound(mine.begin(), mine.end(), g);
+    if (it == mine.end()) {
+      continue;  // fires past the end of the shard's stream
     }
+    injections[ev.shard].push_back(
+        {static_cast<uint32_t>(it - mine.begin()),
+         ev.kind == ShardFaultKind::kEpcStorm ? FaultKind::kEpcStorm
+                                              : FaultKind::kMetadataFlip});
+  }
+  for (std::vector<ShardInjection>& v : injections) {
+    std::sort(v.begin(), v.end());
   }
 
   // Phase A: measure service demands, one independent simulation per shard.
@@ -253,7 +259,6 @@ FarmResult RunFarm(const FarmConfig& cfg) {
 
   // Flatten phase-A outputs back to global request order.
   std::vector<uint64_t> svc(reqs.size(), 0);
-  std::vector<uint8_t> ok(reqs.size(), 0);
   std::vector<uint8_t> outcome(reqs.size(), 2);
   {
     std::vector<size_t> next(cfg.shards, 0);
@@ -265,114 +270,46 @@ FarmResult RunFarm(const FarmConfig& cfg) {
       // enclave died, which indicts the shard).
       if (j < outs[s].service_cycles.size()) {
         svc[i] = outs[s].service_cycles[j];
-        ok[i] = outs[s].served_flags[j];
         outcome[i] = outs[s].fail_class[j];
       }
     }
   }
 
   // Phase B: deterministic discrete-event queueing over measured demands.
+  // The report is kept only when resilience is on; off, it stays inert.
   FarmResult result;
-  std::vector<uint64_t> free_at(cfg.shards, 0);
-  uint64_t makespan = 0;
+  ResilientTimingInput tin;
+  tin.reqs = &reqs;
+  tin.service_cycles = &svc;
+  tin.outcome = &outcome;
+  tin.primary_shard = &shard_of;
+  tin.open_loop = cfg.open_loop;
+  tin.offered_rps = cfg.offered_rps;
+  tin.ghz = cfg.ghz;
+  tin.think_cycles = cfg.think_cycles;
+  tin.clients = std::max(1u, cfg.load.clients);
+  tin.seed = cfg.load.seed;
+  ResilienceReport report;
+  const uint64_t makespan = ResilientTiming(tin, rc, ring, &report, &result.latency,
+                                            &result.served, &result.dropped);
   if (cfg.resilience.enabled) {
-    ResilienceConfig rc = cfg.resilience;
-    if (rc.restart_warmup_cycles == 0) {
-      rc.restart_warmup_cycles = RestartWarmupCycles(cfg.machine.costs);
-    }
-    ResilientTimingInput tin;
-    tin.reqs = &reqs;
-    tin.service_cycles = &svc;
-    tin.outcome = &outcome;
-    tin.primary_shard = &shard_of;
-    tin.open_loop = cfg.open_loop;
-    tin.offered_rps = cfg.offered_rps;
-    tin.ghz = cfg.ghz;
-    tin.think_cycles = cfg.think_cycles;
-    tin.clients = std::max(1u, cfg.load.clients);
-    tin.seed = cfg.load.seed;
-    makespan = ResilientTiming(tin, rc, ring, &result.resilience, &result.latency,
-                               &result.served, &result.dropped);
-  } else if (cfg.open_loop) {
-    const std::vector<uint64_t> arrivals =
-        PoissonArrivals(reqs.size(), cfg.offered_rps, cfg.ghz, cfg.load.seed);
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      const uint32_t s = shard_of[i];
-      const uint64_t start = std::max(arrivals[i], free_at[s]);
-      const uint64_t done = start + svc[i];
-      free_at[s] = done;
-      makespan = std::max(makespan, done);
-      if (ok[i] != 0) {
-        result.latency.Add(done - arrivals[i]);
-      }
-    }
-  } else {
-    // Closed loop: each client has one outstanding request; its next request
-    // is issued `think_cycles` after the previous completion. Ties break on
-    // client id, so the schedule is a pure function of the inputs.
-    const uint32_t clients = std::max(1u, cfg.load.clients);
-    std::vector<std::vector<uint32_t>> per_client(clients);
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      per_client[reqs[i].client % clients].push_back(static_cast<uint32_t>(i));
-    }
-    using Ready = std::pair<uint64_t, uint32_t>;  // (time, client)
-    std::priority_queue<Ready, std::vector<Ready>, std::greater<Ready>> pq;
-    std::vector<size_t> cursor(clients, 0);
-    for (uint32_t c = 0; c < clients; ++c) {
-      if (!per_client[c].empty()) {
-        pq.push({0, c});
-      }
-    }
-    while (!pq.empty()) {
-      const auto [ready, c] = pq.top();
-      pq.pop();
-      const uint32_t i = per_client[c][cursor[c]++];
-      const uint32_t s = shard_of[i];
-      const uint64_t start = std::max(ready, free_at[s]);
-      const uint64_t done = start + svc[i];
-      free_at[s] = done;
-      makespan = std::max(makespan, done);
-      if (ok[i] != 0) {
-        result.latency.Add(done - ready);
-      }
-      if (cursor[c] < per_client[c].size()) {
-        pq.push({done + cfg.think_cycles, c});
-      }
-    }
+    result.resilience = std::move(report);
   }
-
   result.makespan_cycles = makespan;
   result.shards.resize(cfg.shards);
   uint64_t digest = kLegacyDigestSeed;
   for (uint32_t s = 0; s < cfg.shards; ++s) {
     FarmShardStats& st = result.shards[s];
     st.requests = routed[s].size();
-    st.served = outs[s].served;
-    st.dropped = outs[s].dropped + (routed[s].size() - outs[s].service_cycles.size());
+    const std::vector<uint8_t>& fail_class = outs[s].fail_class;
+    st.served = std::count(fail_class.begin(), fail_class.end(), 0);
+    st.dropped = st.requests - st.served;  // incl. an unmeasured tail
     st.cycles = outs[s].run.cycles;
     st.counters = outs[s].run.counters;
     st.crashed = outs[s].run.crashed;
-    if (!cfg.resilience.enabled) {
-      // With resilience on, ResilientTiming already set the authoritative
-      // request outcomes; shard stats stay the phase-A measurement view.
-      result.served += st.served;
-      result.dropped += st.dropped;
-    }
     result.totals += st.counters;
-    const FaultStats& fs = outs[s].run.fault_stats;
-    for (uint32_t k = 0; k < kFaultKindCount; ++k) {
-      result.fault_totals.injected[k] += fs.injected[k];
-    }
-    result.fault_totals.skipped += fs.skipped;
-    const RecoveryStats& rs = outs[s].run.recovery_stats;
-    result.recovery_totals.requests += rs.requests;
-    result.recovery_totals.contained += rs.contained;
-    result.recovery_totals.retried += rs.retried;
-    result.recovery_totals.recovered += rs.recovered;
-    result.recovery_totals.watchdog_kills += rs.watchdog_kills;
-    for (uint32_t k = 0; k < kTrapKindCount; ++k) {
-      result.recovery_totals.trap_by_kind[k] += rs.trap_by_kind[k];
-    }
+    result.fault_totals += outs[s].run.fault_stats;
+    result.recovery_totals += outs[s].run.recovery_stats;
     digest = FnvMix(digest, st.served);
     digest = FnvMix(digest, st.dropped);
     digest = FnvMix(digest, st.cycles);

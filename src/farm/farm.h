@@ -16,12 +16,14 @@
 //   ParallelForWorkStealing with results in shard-indexed slots:
 //   bit-identical for any host thread count.
 //
-//   Phase B (timing, sequential host-side): a discrete-event queueing pass
-//   replays the measured service demands against the arrival process —
-//   open-loop Poisson arrivals at an offered rate, or closed-loop clients
-//   with think time — producing per-request latencies (into the mergeable
-//   log-bucket histogram), fleet throughput, and a result digest the smoke
-//   tests pin across thread counts.
+//   Phase B (timing, sequential host-side): one discrete-event queueing
+//   pass, ResilientTiming (src/farm/resilience.h), replays the measured
+//   service demands against the arrival process — open-loop Poisson arrivals
+//   at an offered rate, or closed-loop clients with think time — producing
+//   per-request latencies (into the mergeable log-bucket histogram), fleet
+//   throughput, and a result digest the smoke tests pin across thread
+//   counts. With resilience off the pass runs its fault-free case: FCFS per
+//   shard, no deadline, same-instant closed-loop clients in client-id order.
 
 #ifndef SGXBOUNDS_SRC_FARM_FARM_H_
 #define SGXBOUNDS_SRC_FARM_FARM_H_
@@ -84,17 +86,16 @@ struct FarmConfig {
 
   // Fault-tolerance layer (src/farm/resilience.h): shard-scoped fault plan,
   // supervisor recovery mode, client timeout/retry/hedging. Disabled by
-  // default; when disabled the classic phase-B pass runs and every result
-  // byte matches the pre-resilience farm.
+  // default; when disabled phase B runs fault-free and every result byte
+  // matches the pre-resilience farm.
   ResilienceConfig resilience;
 };
 
 struct FarmShardStats {
   uint64_t requests = 0;
   // Phase-A measurement outcomes (requests the shard's enclave served vs
-  // dropped while demands were measured). With resilience enabled the
-  // authoritative request outcomes live in FarmResult::resilience; these
-  // stay as the measurement-phase view.
+  // dropped while demands were measured). The authoritative request outcomes
+  // are phase B's FarmResult::served/dropped; fault-free, the two agree.
   uint64_t served = 0;
   uint64_t dropped = 0;
   uint64_t cycles = 0;  // shard main-cpu cycle total (its busy time)
@@ -116,8 +117,8 @@ struct FarmResult {
   // config armed faults / enabled recovery).
   FaultStats fault_totals;
   RecoveryStats recovery_totals;
-  // Availability report from the resilient timing pass (enabled flag false
-  // when the config left resilience off).
+  // Availability report from the timing pass; inert (enabled flag false,
+  // counters zero) when the config left resilience off.
   ResilienceReport resilience;
   // FNV digest over shard outcomes + latency histogram + makespan: pinned by
   // the farm smoke test at 1/4/16 host threads. Recovery, fault, and

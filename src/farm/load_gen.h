@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/rng.h"
 
 namespace sgxb {
@@ -56,17 +57,26 @@ inline std::vector<FarmRequest> GenerateRequests(const LoadGenConfig& cfg) {
 
 // Open-loop Poisson arrival times (in simulated cycles) for `n` requests at
 // `rate_rps` offered requests/second on a `ghz` GHz machine. Monotone
-// nondecreasing; pure function of the seed.
+// nondecreasing; pure function of the seed. Fails loudly on a non-positive
+// rate and on a stream that runs past the 64-bit cycle range (a rate so low
+// the cast to uint64_t would overflow).
 inline std::vector<uint64_t> PoissonArrivals(uint64_t n, double rate_rps, double ghz,
                                              uint64_t seed) {
+  if (!(rate_rps > 0.0)) {
+    FATAL("PoissonArrivals: offered rate must be > 0 requests/second");
+  }
   std::vector<uint64_t> arrivals(n);
-  const double mean_gap = rate_rps > 0.0 ? ghz * 1e9 / rate_rps : 0.0;
+  const double mean_gap = ghz * 1e9 / rate_rps;
   Rng rng(seed ^ 0x9031903190319031ull);
   double t = 0.0;
   for (uint64_t i = 0; i < n; ++i) {
     // Inverse-CDF exponential gap; 1 - u in (0, 1] avoids log(0).
     const double u = rng.NextDouble();
     t += -std::log(1.0 - u) * mean_gap;
+    if (!(t < 0x1p64)) {
+      FATAL("PoissonArrivals: arrival time past the 64-bit cycle range "
+            "(offered rate too low)");
+    }
     arrivals[i] = static_cast<uint64_t>(t);
   }
   return arrivals;

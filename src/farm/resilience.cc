@@ -13,10 +13,12 @@ namespace {
 constexpr const char* kModeNames[] = {"failstop", "restart", "failover",
                                       "failover+hedge"};
 
-// One discrete event. Ordering is (time, seq) with seq assigned at push, so
-// simultaneous events resolve in a fixed, input-determined order; in
-// particular an attempt's kDone is always pushed before its kTimeout, so a
-// completion exactly at the deadline counts as served.
+// One discrete event. At equal time, every non-arrival event pops before any
+// arrival, in push order (`key` = push sequence): an attempt's kDone is
+// pushed before its kTimeout, so a completion exactly at the deadline counts
+// as served. Arrivals then pop by `key` = issuing client (closed loop) or
+// request index (open loop), so same-instant clients dispatch in client-id
+// order and the schedule is a pure function of the inputs.
 struct Event {
   enum Kind : uint8_t {
     kArrival,      // id = request
@@ -28,7 +30,7 @@ struct Event {
     kRestartDone,  // id = shard
   };
   uint64_t time = 0;
-  uint64_t seq = 0;
+  uint64_t key = 0;
   Kind kind = kArrival;
   uint32_t id = 0;
 };
@@ -38,7 +40,12 @@ struct EventAfter {
     if (a.time != b.time) {
       return a.time > b.time;
     }
-    return a.seq > b.seq;
+    const bool a_arrival = a.kind == Event::kArrival;
+    const bool b_arrival = b.kind == Event::kArrival;
+    if (a_arrival != b_arrival) {
+      return a_arrival;
+    }
+    return a.key > b.key;
   }
 };
 
@@ -127,6 +134,11 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
   auto push = [&](uint64_t time, Event::Kind kind, uint32_t id) {
     pq.push(Event{time, seq++, kind, id});
   };
+  // Arrivals order among themselves by client (closed) or request (open).
+  const uint32_t clients = std::max(1u, in.clients);
+  auto push_arrival = [&](uint64_t time, uint32_t r) {
+    pq.push(Event{time, in.open_loop ? r : reqs[r].client % clients, Event::kArrival, r});
+  };
 
   // Makespan: last client-visible resolution or executed shard completion.
   uint64_t end_time = 0;
@@ -200,33 +212,30 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     at.epoch = sh.epoch;
     ++rep.attempts;
     ++rstate[r].live;
+    const uint32_t id = static_cast<uint32_t>(attempts.size());
     if (sh.st == SState::kAlive || sh.st == SState::kHung) {
       at.demand = sh.st == SState::kHung ? svc[r] * rc.hang_slowdown : svc[r];
       const uint64_t start = std::max(t, sh.free_at);
       sh.free_at = start + at.demand;
-      const uint32_t id = static_cast<uint32_t>(attempts.size());
-      attempts.push_back(at);
       // kDone before kTimeout: a completion exactly at the deadline wins.
       push(sh.free_at, Event::kDone, id);
-      push(t + rc.request_timeout_cycles, Event::kTimeout, id);
-    } else {
-      // Dead or restarting: the attempt falls on the floor; only the
-      // client's deadline notices.
-      const uint32_t id = static_cast<uint32_t>(attempts.size());
-      attempts.push_back(at);
+    }
+    // On a dead or restarting shard no kDone is scheduled: the attempt falls
+    // on the floor and only the client's deadline notices.
+    attempts.push_back(at);
+    if (rc.request_timeout_cycles != kNoDeadline) {
       push(t + rc.request_timeout_cycles, Event::kTimeout, id);
     }
   };
 
   // Closed-loop bookkeeping (ignored when open_loop).
-  const uint32_t clients = std::max(1u, in.clients);
   std::vector<std::vector<uint32_t>> per_client;
   std::vector<size_t> cursor;
   std::vector<uint64_t> arrivals;
   if (in.open_loop) {
     arrivals = PoissonArrivals(reqs.size(), in.offered_rps, in.ghz, in.seed);
     if (!reqs.empty()) {
-      push(arrivals[0], Event::kArrival, 0);
+      push_arrival(arrivals[0], 0);
     }
   } else {
     per_client.resize(clients);
@@ -236,7 +245,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     }
     for (uint32_t c = 0; c < clients; ++c) {
       if (!per_client[c].empty()) {
-        push(0, Event::kArrival, per_client[c][0]);
+        push_arrival(0, per_client[c][0]);
       }
     }
   }
@@ -250,7 +259,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     }
     const uint32_t c = reqs[r].client % clients;
     if (++cursor[c] < per_client[c].size()) {
-      push(t + in.think_cycles, Event::kArrival, per_client[c][cursor[c]]);
+      push_arrival(t + in.think_cycles, per_client[c][cursor[c]]);
     }
   };
 
@@ -259,7 +268,6 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     rq.resolved = true;
     ++rep.failed_timeout;
     const uint64_t residence = t - rq.issue;
-    latency->AddTimeout(residence);
     (rq.degraded ? rep.degraded : rep.healthy).AddTimeout(residence);
     resolve_client(r, t);
   };
@@ -337,7 +345,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
           push(t + rc.hedge_delay_cycles, Event::kHedge, r);
         }
         if (in.open_loop && static_cast<size_t>(r) + 1 < reqs.size()) {
-          push(arrivals[r + 1], Event::kArrival, r + 1);
+          push_arrival(arrivals[r + 1], r + 1);
         }
         break;
       }
@@ -377,7 +385,6 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
         if (oc == 0) {
           ++rep.completed;
           const uint64_t lat = t - rq.issue;
-          latency->Add(lat);
           (rq.degraded ? rep.degraded : rep.healthy).Add(lat);
           if (at.hedge) {
             ++rep.hedge_wins;
@@ -477,6 +484,10 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
   }
   *served = rep.completed;
   *dropped = rep.failed_app + rep.failed_timeout;
+  // The overall histogram is the exact union of the two windows (integer
+  // samples, so even the running sum is order-independent).
+  latency->Merge(rep.healthy);
+  latency->Merge(rep.degraded);
 
   uint64_t digest = kLegacyDigestSeed;
   digest = FnvMix(digest, rep.completed);

@@ -3,10 +3,10 @@
 // per-enclave tolerance story).
 //
 // The farm's phase A measures per-request service demands in each shard's
-// enclave; this layer replaces the fair-weather phase-B timing pass with a
-// discrete-event simulation in which shards fail. Inputs are the measured
-// demands, a ShardFaultPlan (src/fault/shard_fault.h) of crash/hang events
-// pinned to request-dispatch counts, and a RecoveryMode:
+// enclave; ResilientTiming is the farm's one phase-B timing pass, a
+// discrete-event simulation in which shards may fail. Inputs are the
+// measured demands, a ShardFaultPlan (src/fault/shard_fault.h) of crash/hang
+// events pinned to request-dispatch counts, and a RecoveryMode:
 //
 //   failstop        - no supervisor action: a dead shard stays dead, its ring
 //                     points stay, its keyspace times out for the rest of the
@@ -30,6 +30,11 @@
 // survivors). Every decision — fault points, detection instants, backoff
 // draws, hedge targets — is a pure function of (plan, config, load seed):
 // the whole pass is sequential and bit-identical at any --bench_threads.
+// Same-instant events resolve by one rule: non-arrivals first in push order
+// (so a completion beats its own deadline), then arrivals by client id
+// (closed loop) or request index (open loop). Fair weather is the pass's
+// fault-free case: failstop, an empty plan and kNoDeadline leave plain FCFS
+// queueing per shard, which RunFarm runs when resilience is off.
 //
 // The supervisor has a second, request-count conviction path: contained
 // traps whose ShardImpact (src/policy/recovery.h) is kSuspectShard bump a
@@ -64,15 +69,23 @@ const char* RecoveryModeName(RecoveryMode mode);
 bool ParseRecoveryMode(const std::string& text, RecoveryMode* out);
 std::vector<std::string> RecoveryModeChoices();
 
+// request_timeout_cycles value for "the client never gives up": no kTimeout
+// is scheduled, so every attempt resolves at its completion. Meant for the
+// fault-free pass: an attempt sent to a dead shard would never resolve.
+inline constexpr uint64_t kNoDeadline = UINT64_MAX;
+
 struct ResilienceConfig {
-  // Off by default: RunFarm takes the historical fair-weather timing pass
-  // and every pre-existing result byte is unchanged.
+  // Off by default: RunFarm still runs ResilientTiming, but fault-free
+  // (failstop, no shard faults, kNoDeadline), and keeps neither the report
+  // nor the resilience digest mixes, so fair-weather result bytes match the
+  // pre-resilience farm.
   bool enabled = false;
   RecoveryMode mode = RecoveryMode::kFailStop;
   ShardFaultPlan shard_faults;
 
   // Client-side robustness (all modes).
-  uint64_t request_timeout_cycles = 400000;  // per-attempt deadline (~111 us)
+  uint64_t request_timeout_cycles = 400000;  // per-attempt deadline (~111 us);
+                                             // kNoDeadline = none
   uint32_t max_retries = 3;                  // re-dispatches after the first attempt
   uint64_t backoff_cycles = 20000;           // first retry backoff; doubles per retry
   uint64_t backoff_cap_cycles = 320000;      // exponential growth cap

@@ -103,6 +103,14 @@ struct FaultStats {
   // draws as injecting would not, so it is part of the plan's identity.
   uint64_t skipped = 0;
 
+  FaultStats& operator+=(const FaultStats& other) {
+    for (uint32_t i = 0; i < kFaultKindCount; ++i) {
+      injected[i] += other.injected[i];
+    }
+    skipped += other.skipped;
+    return *this;
+  }
+
   uint64_t total_injected() const {
     uint64_t total = 0;
     for (uint32_t i = 0; i < kFaultKindCount; ++i) {

@@ -79,6 +79,18 @@ struct RecoveryStats {
   uint64_t watchdog_kills = 0;  // requests whose trap was rethrown on budget
   uint64_t trap_by_kind[kTrapKindCount] = {};
 
+  RecoveryStats& operator+=(const RecoveryStats& other) {
+    requests += other.requests;
+    contained += other.contained;
+    retried += other.retried;
+    recovered += other.recovered;
+    watchdog_kills += other.watchdog_kills;
+    for (uint32_t i = 0; i < kTrapKindCount; ++i) {
+      trap_by_kind[i] += other.trap_by_kind[i];
+    }
+    return *this;
+  }
+
   uint64_t total_traps() const {
     uint64_t total = 0;
     for (uint32_t i = 0; i < kTrapKindCount; ++i) {

@@ -2,7 +2,9 @@
 // bit-identity contract (host thread count never changes a resilient result
 // byte, every recovery mode produces a distinct pinned digest for the same
 // fault campaign), ring failover's bounded key movement, phase-A fault
-// containment/classification, and the seeded retry-backoff schedule.
+// containment/classification, the seeded retry-backoff schedule, the
+// same-instant event tie rule, and fair weather as the pass's fault-free
+// case.
 
 #include <gtest/gtest.h>
 
@@ -200,6 +202,141 @@ TEST(FarmResilienceTest, FairWeatherReportStaysZero) {
   EXPECT_EQ(r.resilience.digest, 0u);
   EXPECT_EQ(r.fault_totals.total_injected(), 0u);
   EXPECT_EQ(r.served, 1000u);
+}
+
+TEST(FarmResilienceTest, EnclaveDeathDropsTheUnmeasuredTail) {
+  // Recovery off: the injected allocation failure kills every shard's
+  // enclave mid-stream. The killed request and every request after it on that shard
+  // are dropped — in the shard view and in phase B alike.
+  FarmConfig cfg;
+  cfg.app = FarmApp::kKvStore;
+  cfg.policy = PolicyKind::kSgxBounds;
+  cfg.shards = 4;
+  cfg.load.requests = 2000;
+  std::string error;
+  ASSERT_TRUE(FaultPlan::Parse("alloc_fail@alloc:50", &cfg.faults, &error)) << error;
+  const FarmResult r = RunFarm(cfg);
+  uint64_t served = 0;
+  uint64_t dropped = 0;
+  bool any_crashed = false;
+  for (const FarmShardStats& s : r.shards) {
+    EXPECT_EQ(s.served + s.dropped, s.requests);
+    served += s.served;
+    dropped += s.dropped;
+    any_crashed = any_crashed || s.crashed;
+  }
+  ASSERT_TRUE(any_crashed) << "no shard died; the campaign no longer traps";
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(r.served, served);
+  EXPECT_EQ(r.dropped, dropped);
+  EXPECT_EQ(r.latency.count(), served);
+}
+
+// Runs the fault-free pass (failstop, no shard faults, no deadline) over a
+// scripted closed-loop stream with zero think time: request order within a
+// client is its index order, every request served.
+LatencyHistogram ScriptedClosedLoop(const ConsistentHashRing& ring,
+                                    const std::vector<FarmRequest>& reqs,
+                                    const std::vector<uint64_t>& svc, uint32_t clients,
+                                    uint64_t* makespan) {
+  const std::vector<uint8_t> outcome(reqs.size(), 0);
+  std::vector<uint32_t> primary;
+  for (const FarmRequest& r : reqs) {
+    primary.push_back(ring.Route(r.key));
+  }
+  ResilientTimingInput in;
+  in.reqs = &reqs;
+  in.service_cycles = &svc;
+  in.outcome = &outcome;
+  in.primary_shard = &primary;
+  in.clients = clients;
+  ResilienceConfig rc;
+  rc.request_timeout_cycles = kNoDeadline;
+  ResilienceReport report;
+  LatencyHistogram latency;
+  uint64_t served = 0;
+  uint64_t dropped = 0;
+  *makespan = ResilientTiming(in, rc, ring, &report, &latency, &served, &dropped);
+  EXPECT_EQ(served, reqs.size());
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(report.attempts, reqs.size());
+  return latency;
+}
+
+uint64_t KeyOnShard(const ConsistentHashRing& ring, uint32_t shard) {
+  uint64_t key = 0;
+  while (ring.Route(key) != shard) {
+    ++key;
+  }
+  return key;
+}
+
+TEST(FarmResilienceTest, CompletionPopsBeforeSameInstantArrival) {
+  // One shard. Client 0's first request costs nothing, so it completes at
+  // t=0 while client 1's first arrival (pushed earlier) waits at t=0. The
+  // completion pops first and issues client 0's next request at t=0, which
+  // then wins the same-instant arrival tie on client id.
+  const ConsistentHashRing ring(1, 64);
+  const std::vector<FarmRequest> reqs = {{7, 0}, {7, 1}, {7, 0}};
+  const std::vector<uint64_t> svc = {0, 10, 100};
+  uint64_t makespan = 0;
+  const LatencyHistogram latency = ScriptedClosedLoop(ring, reqs, svc, 2, &makespan);
+  LatencyHistogram expected;
+  expected.Add(0);    // client 0, first request
+  expected.Add(100);  // client 0, second request: dispatched before client 1
+  expected.Add(110);  // client 1 queues behind it
+  EXPECT_EQ(latency.Digest(), expected.Digest());
+  EXPECT_EQ(makespan, 110u);
+}
+
+TEST(FarmResilienceTest, SameInstantArrivalsDispatchInClientIdOrder) {
+  // Two shards. Client 1's first request (shard 1) and client 0's second
+  // (shard 0) both complete at t=50, client 1's completion pushed first. Both
+  // clients' next requests go to shard 0 at t=50: client 0 must dispatch
+  // first despite the later push.
+  const ConsistentHashRing ring(2, 64);
+  const uint64_t on0 = KeyOnShard(ring, 0);
+  const uint64_t on1 = KeyOnShard(ring, 1);
+  const std::vector<FarmRequest> reqs = {
+      {on0, 0}, {on1, 1}, {on0, 0}, {on0, 0}, {on0, 1}};
+  const std::vector<uint64_t> svc = {20, 50, 30, 100, 10};
+  uint64_t makespan = 0;
+  const LatencyHistogram latency = ScriptedClosedLoop(ring, reqs, svc, 2, &makespan);
+  LatencyHistogram expected;
+  for (const uint64_t lat : {20u, 50u, 30u, 100u, 110u}) {
+    expected.Add(lat);
+  }
+  EXPECT_EQ(latency.Digest(), expected.Digest());
+  EXPECT_EQ(latency.min(), 20u) << "client 1 dispatched ahead of client 0";
+  EXPECT_EQ(makespan, 160u);
+}
+
+TEST(FarmResilienceTest, FaultFreeResilientMatchesResilienceOff) {
+  // Resilience off runs the fault-free case of the same pass; turning it on
+  // with failstop, no faults and no deadline must time the fleet the same.
+  for (const bool open_loop : {false, true}) {
+    FarmConfig off;
+    off.shards = 4;
+    off.policy = PolicyKind::kSgxBounds;
+    off.app = FarmApp::kKvStore;
+    off.load.requests = 2000;
+    off.load.clients = 8;
+    off.open_loop = open_loop;
+    off.offered_rps = 600000;
+    FarmConfig on = off;
+    on.resilience.enabled = true;
+    on.resilience.mode = RecoveryMode::kFailStop;
+    on.resilience.request_timeout_cycles = kNoDeadline;
+    const FarmResult a = RunFarm(off);
+    const FarmResult b = RunFarm(on);
+    EXPECT_TRUE(b.resilience.enabled);
+    EXPECT_EQ(b.resilience.failed_timeout, 0u);
+    EXPECT_EQ(a.latency.Digest(), b.latency.Digest()) << "open_loop=" << open_loop;
+    EXPECT_EQ(a.makespan_cycles, b.makespan_cycles) << "open_loop=" << open_loop;
+    EXPECT_EQ(a.served, b.served);
+    EXPECT_EQ(a.dropped, b.dropped);
+    EXPECT_EQ(a.served + a.dropped, 2000u);
+  }
 }
 
 }  // namespace

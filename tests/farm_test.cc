@@ -105,6 +105,13 @@ TEST(LoadGenTest, PoissonArrivalsMonotoneAndSeeded) {
   EXPECT_LT(mean, 3600 * 1.2);
 }
 
+TEST(LoadGenDeathTest, PoissonArrivalsRejectsUnusableRates) {
+  EXPECT_DEATH(PoissonArrivals(10, 0.0, 3.6, 42), "offered rate must be > 0");
+  EXPECT_DEATH(PoissonArrivals(10, -5.0, 3.6, 42), "offered rate must be > 0");
+  // ~3.6e15 cycles per gap: 20000 arrivals run past 2^64 cycles.
+  EXPECT_DEATH(PoissonArrivals(20000, 1e-6, 3.6, 42), "past the 64-bit cycle range");
+}
+
 FarmConfig SmallFarm() {
   FarmConfig cfg;
   cfg.shards = 4;
