@@ -188,6 +188,10 @@ int Replay(const std::string& path, FlagParser& parser, int argc, char** argv) {
   if (enclave >= 0) {
     config.enclave_mode = enclave != 0;
   }
+  if (!ValidateSimConfig(config, &error)) {
+    std::fprintf(stderr, "--epc_mib: %s\n", error.c_str());
+    return 2;
+  }
   const ReplayResult r = ReplayTrace(trace, config);
   PrintHeader(trace.header);
   std::printf("replay config: enclave=%s epc=%" PRIu64 " MiB\n",

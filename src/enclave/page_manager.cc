@@ -8,15 +8,24 @@
 
 namespace sgxb {
 
-PageManager::PageManager(uint64_t space_bytes, MemorySystem* memory)
-    : space_bytes_(space_bytes), memory_(memory) {
+namespace {
+
+size_t CheckedPageCount(uint64_t space_bytes) {
   CHECK_GT(space_bytes, 2 * kPageSize);
   CHECK_LE(space_bytes, 4 * kGiB);
-  const uint64_t pages = space_bytes / kPageSize;
-  committed_.assign(pages, 0);
-  guard_.assign(pages, 0);
-  addressable_.assign(pages, 0);
-  accounting_.assign(pages, static_cast<uint8_t>(VmAccounting::kOnCommit));
+  return static_cast<size_t>(space_bytes / kPageSize);
+}
+
+}  // namespace
+
+PageManager::PageManager(uint64_t space_bytes, MemorySystem* memory)
+    : space_bytes_(space_bytes),
+      memory_(memory),
+      committed_(CheckedPageCount(space_bytes)),
+      guard_(committed_.size()),
+      addressable_(committed_.size()),
+      accounting_(committed_.size()) {
+  const uint64_t pages = committed_.size();
   // Page 0 (NULL) and the top page (SS4.4 loop-hoisting precaution) are
   // permanent guards.
   guard_[0] = 1;
@@ -45,9 +54,8 @@ uint32_t PageManager::Carve(uint64_t bytes, const std::string& tag, VmAccounting
   }
   regions_.push_back({base, rounded, tag, accounting});
   const uint32_t first_page = PageOf(base);
-  std::fill(accounting_.begin() + first_page,
-            accounting_.begin() + first_page + rounded / kPageSize,
-            static_cast<uint8_t>(accounting));
+  std::fill_n(accounting_.data() + first_page, rounded / kPageSize,
+              static_cast<uint8_t>(accounting));
   if (accounting == VmAccounting::kFull) {
     BumpVm(rounded);
   }

@@ -15,6 +15,13 @@
 //     count in full the moment they are mapped; demand-grown regions (heap,
 //     stacks) count as they are committed, like a brk/mmap heap whose VIRT
 //     grows with use.
+//
+// The four per-page tables (committed, guard, addressable, accounting) span
+// the whole space, 2^20 entries for 4 GiB, but live in ZeroedTables: building
+// a PageManager writes only its two permanent guard entries, and host memory
+// follows the pages a run actually reserves or commits. Every table therefore
+// reads 0 for a page never touched, which is why VmAccounting's kOnCommit is
+// the zero value.
 
 #ifndef SGXBOUNDS_SRC_ENCLAVE_PAGE_MANAGER_H_
 #define SGXBOUNDS_SRC_ENCLAVE_PAGE_MANAGER_H_
@@ -24,14 +31,16 @@
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/common/zeroed_table.h"
 #include "src/sim/machine.h"
 
 namespace sgxb {
 
 // How a region contributes to the virtual-memory metric.
+// kOnCommit must stay 0: it is what an untouched per-page entry reads as.
 enum class VmAccounting : uint8_t {
-  kFull,      // counts fully at reservation time (mmap'd metadata regions)
-  kOnCommit,  // counts per committed page (demand-grown heap/stack)
+  kOnCommit = 0,  // counts per committed page (demand-grown heap/stack)
+  kFull = 1,      // counts fully at reservation time (mmap'd metadata regions)
 };
 
 class PageManager {
@@ -123,12 +132,12 @@ class PageManager {
   uint64_t committed_bytes_ = 0;
   uint64_t peak_committed_bytes_ = 0;
   std::vector<Region> regions_;
-  std::vector<uint8_t> committed_;
-  std::vector<uint8_t> guard_;
+  ZeroedTable<uint8_t> committed_;
+  ZeroedTable<uint8_t> guard_;
   // committed_[p] && !guard_[p], merged so Addressable() is a single load.
-  std::vector<uint8_t> addressable_;
+  ZeroedTable<uint8_t> addressable_;
   // Per-page VmAccounting, filled at Carve so commit-time lookup is O(1).
-  std::vector<uint8_t> accounting_;
+  ZeroedTable<uint8_t> accounting_;
 };
 
 }  // namespace sgxb

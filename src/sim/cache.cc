@@ -6,6 +6,11 @@
 #include "src/common/check.h"
 #include "src/common/units.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#define SGXB_CACHE_SSE2 1
+#endif
+
 namespace sgxb {
 
 namespace {
@@ -31,7 +36,60 @@ Cache::Cache(uint64_t size_bytes, uint32_t ways) : size_bytes_(size_bytes), ways
   Flush();
 }
 
+uint32_t Cache::Find(uint32_t line, const uint32_t* base) const {
+#if SGXB_CACHE_SSE2
+  // With ways a multiple of 4, every set starts a multiple of 16 bytes into
+  // the 64-byte-aligned slots, so each 4-way group is one aligned load.
+  if (ways_ % 4 == 0) {
+    // Line ids in a set are unique, so at most one lane matches.
+    const __m128i key = _mm_set1_epi32(static_cast<int>(line));
+    for (uint32_t g = 0; g < ways_; g += 4) {
+      const __m128i v = _mm_load_si128(reinterpret_cast<const __m128i*>(base + g));
+      const int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, key)));
+      if (mask != 0) {
+        return g + static_cast<uint32_t>(__builtin_ctz(static_cast<unsigned>(mask)));
+      }
+    }
+    return ways_;
+  }
+#endif
+  for (uint32_t w = 0; w < ways_; ++w) {
+    if (base[w] == line) {
+      return w;
+    }
+  }
+  return ways_;
+}
+
 bool Cache::AccessSlow(uint32_t line, uint32_t* base) {
+#if SGXB_CACHE_SSE2
+  if (ways_ % 4 == 0) {
+    // Group 0 re-probes ways 0-1, which Access() saw miss; harmless.
+    const uint32_t found = Find(line, base);
+    const bool hit = found < ways_;
+    // A miss inserts over the LRU way, i.e. "promotes" way ways-1.
+    const uint32_t last = hit ? found : ways_ - 1;
+    // Ways 0..last slide up one; `line` enters at way 0 and each group's top
+    // way carries into the next group's lane 0. Lanes past `last` keep their
+    // value, and groups past its group are untouched.
+    const __m128i last_v = _mm_set1_epi32(static_cast<int>(last));
+    const __m128i four = _mm_set1_epi32(4);
+    __m128i lane = _mm_setr_epi32(0, 1, 2, 3);
+    __m128i carry = _mm_cvtsi32_si128(static_cast<int>(line));
+    for (uint32_t g = 0; g <= last; g += 4) {
+      __m128i* group = reinterpret_cast<__m128i*>(base + g);
+      const __m128i v = _mm_load_si128(group);
+      const __m128i shifted = _mm_or_si128(_mm_slli_si128(v, 4), carry);
+      const __m128i keep = _mm_cmpgt_epi32(lane, last_v);
+      _mm_store_si128(group, _mm_or_si128(_mm_and_si128(keep, v), _mm_andnot_si128(keep, shifted)));
+      carry = _mm_srli_si128(v, 12);
+      lane = _mm_add_epi32(lane, four);
+    }
+    hits_ += hit;
+    misses_ += !hit;
+    return hit;
+  }
+#endif
   // Ways 0 and 1 were probed inline by Access().
   for (uint32_t w = 2; w < ways_; ++w) {
     if (base[w] == line) {
@@ -50,13 +108,16 @@ bool Cache::AccessSlow(uint32_t line, uint32_t* base) {
 }
 
 bool Cache::Contains(uint32_t line) const {
+  return Find(line, &slots_[static_cast<size_t>(line & set_mask_) * ways_]) < ways_;
+}
+
+std::vector<uint32_t> Cache::SetOrder(uint32_t line) const {
   const uint32_t* base = &slots_[static_cast<size_t>(line & set_mask_) * ways_];
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (base[w] == line) {
-      return true;
-    }
+  std::vector<uint32_t> order;
+  for (uint32_t w = 0; w < ways_ && base[w] != kInvalidLine; ++w) {
+    order.push_back(base[w]);
   }
-  return false;
+  return order;
 }
 
 void Cache::Flush() {

@@ -9,6 +9,14 @@
 // LRU), so the hot-line common case resolves on the first probe and eviction
 // needs no stamp scan. This is behaviourally identical to stamp-based
 // true-LRU: hit/miss outcomes and victim choices match access-for-access.
+//
+// Host-side layout of a lookup: ways 0 and 1 are probed inline (Access). The
+// rest of the set goes to AccessSlow, which, when ways is a multiple of 4 and
+// the host has SSE2, compares 4 ways per instruction (cmpeq + movemask, ctz
+// names the way) and then promotes the hit (or inserts the miss over the LRU
+// way) with one branch-free shift-and-blend per 4-way group up to the hit. Any
+// other associativity takes a plain scalar scan. Both orders are the same
+// recency list, so the modeled outcome never depends on the path.
 
 #ifndef SGXBOUNDS_SRC_SIM_CACHE_H_
 #define SGXBOUNDS_SRC_SIM_CACHE_H_
@@ -17,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <vector>
 
 namespace sgxb {
 
@@ -53,6 +62,10 @@ class Cache {
   // Lookup without allocation (used by tests and the EPC prefetch logic).
   bool Contains(uint32_t line) const;
 
+  // The lines resident in `line`'s set, most recent first (tests compare
+  // the full recency order against a reference LRU).
+  std::vector<uint32_t> SetOrder(uint32_t line) const;
+
   // Drops all content (e.g. when an experiment resets the machine).
   void Flush();
 
@@ -69,6 +82,8 @@ class Cache {
   // Scan beyond ways 0-1 (probed inline); promote on hit, evict the LRU way
   // on miss.
   bool AccessSlow(uint32_t line, uint32_t* base);
+  // Way holding `line` in the set at `base`, or ways_ when absent.
+  uint32_t Find(uint32_t line, const uint32_t* base) const;
 
   uint64_t size_bytes_;
   uint32_t ways_;

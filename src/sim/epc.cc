@@ -6,7 +6,7 @@
 namespace sgxb {
 
 EpcSim::EpcSim(uint64_t capacity_bytes)
-    : capacity_pages_(capacity_bytes / kPageSize), nodes_(kMaxPages, Node{kNotResident, kNil}) {
+    : capacity_pages_(capacity_bytes / kPageSize), nodes_(kMaxPages) {
   CHECK_GT(capacity_pages_, 0u);
 }
 
@@ -17,7 +17,7 @@ bool EpcSim::Fault(Node& nd, uint32_t page) {
     CHECK_NE(victim, kNil);
     Node& vd = nodes_[victim];
     Unlink(vd);
-    vd.prev = kNotResident;
+    vd.clear();
     --resident_count_;
     ++evictions_;
   }
@@ -28,26 +28,25 @@ bool EpcSim::Fault(Node& nd, uint32_t page) {
 
 bool EpcSim::Resident(uint32_t page) const {
   CHECK_LT(page, kMaxPages);
-  return nodes_[page].prev != kNotResident;
+  return nodes_[page].resident();
 }
 
 void EpcSim::Invalidate(uint32_t page) {
   CHECK_LT(page, kMaxPages);
   Node& nd = nodes_[page];
-  if (nd.prev == kNotResident) {
+  if (!nd.resident()) {
     return;
   }
   Unlink(nd);
-  nd.prev = kNotResident;
+  nd.clear();
   --resident_count_;
 }
 
 void EpcSim::Reset() {
   for (uint32_t page = head_; page != kNil;) {
     Node& nd = nodes_[page];
-    const uint32_t next = nd.next;
-    nd.prev = kNotResident;
-    nd.next = kNil;
+    const uint32_t next = nd.next();
+    nd.clear();
     page = next;
   }
   head_ = kNil;

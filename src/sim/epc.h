@@ -13,12 +13,19 @@
 // per page holds both links, and residency is encoded as a sentinel in the
 // prev link. A touch of a resident page (every L2 miss in enclave mode) thus
 // costs one cache line for the page's own state instead of three.
+//
+// The node array covers all 2^20 pages of the address space but lives in a
+// ZeroedTable, so building an EpcSim writes nothing and host memory follows
+// the pages actually touched. For that, links are stored XOR-ed with their
+// sentinels: an all-zero node reads as {prev = kNotResident, next = kNil},
+// the state of a page that was never touched.
 
 #ifndef SGXBOUNDS_SRC_SIM_EPC_H_
 #define SGXBOUNDS_SRC_SIM_EPC_H_
 
 #include <cstdint>
-#include <vector>
+
+#include "src/common/zeroed_table.h"
 
 namespace sgxb {
 
@@ -32,7 +39,7 @@ class EpcSim {
   // resident and had to be paged in, possibly evicting the LRU page).
   bool Touch(uint32_t page) {
     Node& nd = nodes_[page];
-    if (nd.prev != kNotResident) {
+    if (nd.resident()) {
       if (head_ != page) {
         Unlink(nd);
         PushFront(nd, page);
@@ -60,31 +67,40 @@ class EpcSim {
   static constexpr uint32_t kNotResident = 0xfffffffeu;
   static constexpr uint32_t kMaxPages = 1u << 20;  // 4 GiB / 4 KiB
 
+  // Links as stored: prev ^ kNotResident and next ^ kNil, so zero is the
+  // never-touched state.
   struct Node {
-    uint32_t prev;
-    uint32_t next;
+    uint32_t prev_x;
+    uint32_t next_x;
+
+    bool resident() const { return prev_x != 0; }
+    uint32_t prev() const { return prev_x ^ kNotResident; }
+    uint32_t next() const { return next_x ^ kNil; }
+    void set_prev(uint32_t p) { prev_x = p ^ kNotResident; }
+    void set_next(uint32_t n) { next_x = n ^ kNil; }
+    void clear() { prev_x = next_x = 0; }
   };
 
   void Unlink(Node& nd) {
-    const uint32_t p = nd.prev;
-    const uint32_t n = nd.next;
+    const uint32_t p = nd.prev();
+    const uint32_t n = nd.next();
     if (p != kNil) {
-      nodes_[p].next = n;
+      nodes_[p].set_next(n);
     } else {
       head_ = n;
     }
     if (n != kNil) {
-      nodes_[n].prev = p;
+      nodes_[n].set_prev(p);
     } else {
       tail_ = p;
     }
   }
 
   void PushFront(Node& nd, uint32_t page) {
-    nd.prev = kNil;
-    nd.next = head_;
+    nd.set_prev(kNil);
+    nd.set_next(head_);
     if (head_ != kNil) {
-      nodes_[head_].prev = page;
+      nodes_[head_].set_prev(page);
     }
     head_ = page;
     if (tail_ == kNil) {
@@ -101,7 +117,7 @@ class EpcSim {
   uint64_t evictions_ = 0;
   uint32_t head_ = kNil;  // MRU
   uint32_t tail_ = kNil;  // LRU
-  std::vector<Node> nodes_;
+  ZeroedTable<Node> nodes_;
 };
 
 }  // namespace sgxb

@@ -27,18 +27,69 @@ uint64_t TransitionCycles(const PerfCounters& e, const SimConfig& config) {
   return e.ecalls * config.costs.ecall + e.ocalls * config.costs.OcallCost();
 }
 
+namespace {
+
+bool Invalid(std::string* error, const std::string& message) {
+  if (error != nullptr) {
+    *error = message;
+  }
+  return false;
+}
+
+// The Cache constructor's rules for one level (see src/sim/cache.cc).
+bool ValidateCacheLevel(const char* name, uint64_t bytes, uint32_t ways, std::string* error) {
+  const std::string level(name);
+  if (ways == 0) {
+    return Invalid(error, level + "_ways is 0");
+  }
+  if (bytes > 4 * kGiB) {
+    return Invalid(error, level + "_bytes " + std::to_string(bytes) + " exceeds 4 GiB");
+  }
+  const uint64_t lines = bytes / kCacheLineSize;
+  if (lines % ways != 0) {
+    return Invalid(error, level + "_bytes " + std::to_string(bytes) + " is not a whole number of " +
+                              std::to_string(ways) + "-way sets");
+  }
+  const uint64_t sets = lines / ways;
+  if (sets == 0 || (sets & (sets - 1)) != 0) {
+    return Invalid(error, level + ": " + std::to_string(sets) +
+                              " sets is not a non-zero power of two");
+  }
+  return true;
+}
+
+}  // namespace
+
+bool ValidateSimConfig(const SimConfig& config, std::string* error) {
+  if (!ValidateCacheLevel("l1", config.l1_bytes, config.l1_ways, error) ||
+      !ValidateCacheLevel("l2", config.l2_bytes, config.l2_ways, error) ||
+      !ValidateCacheLevel("l3", config.l3_bytes, config.l3_ways, error)) {
+    return false;
+  }
+  if (config.epc_bytes < kPageSize) {
+    return Invalid(error, "epc_bytes " + std::to_string(config.epc_bytes) +
+                              " holds no 4 KiB page");
+  }
+  if (config.epc_bytes > 4 * kGiB) {
+    return Invalid(error, "epc_bytes " + std::to_string(config.epc_bytes) + " exceeds 4 GiB");
+  }
+  return true;
+}
+
 MemorySystem::MemorySystem(const SimConfig& config)
     : config_(config),
       l3_(config.l3_bytes, config.l3_ways),
       epc_(config.epc_bytes) {}
-
-void MemorySystem::FlushCaches() { l3_.Flush(); }
 
 Cpu::Cpu(MemorySystem* memory)
     : memory_(memory),
       config_(&memory->config()),
       l1_(memory->config().l1_bytes, memory->config().l1_ways),
       l2_(memory->config().l2_bytes, memory->config().l2_ways) {}
+
+void Cpu::TapAccess(uint32_t addr, uint32_t size, AccessClass klass) {
+  trace_->OnAccess(trace_id_, addr, size, static_cast<uint8_t>(klass));
+}
 
 PerfCounters Cpu::counters() const {
   PerfCounters priced = events_;

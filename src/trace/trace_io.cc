@@ -4,6 +4,8 @@
 #include <cstring>
 #include <vector>
 
+#include "src/trace/trace_replay.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define SGXB_TRACE_HAVE_MMAP 1
 #include <fcntl.h>
@@ -178,6 +180,12 @@ bool ParseTraceImage(const uint8_t* data, size_t size, const std::string& path,
   const uint64_t nbytes = in.Get64();
   if (!in.ok() || in.remaining() < nbytes) {
     return Fail(error, "truncated trace file: " + path);
+  }
+  // The header's machine is rebuilt on replay; reject one the cache and EPC
+  // models would abort on (or allocate gigabytes for).
+  std::string config_error;
+  if (!ValidateSimConfig(SimConfigFromHeader(h), &config_error)) {
+    return Fail(error, "bad machine config in trace header (" + config_error + "): " + path);
   }
   *events_off = static_cast<size_t>(in.pos() - data);
   *events_len = static_cast<size_t>(nbytes);

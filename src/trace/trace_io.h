@@ -2,9 +2,10 @@
 //
 // Layout: magic, version, serialized header, event-byte blob, serialized
 // summary, footer magic. All integers little-endian fixed width; strings are
-// u32 length + bytes. Load verifies magic/version/footer and re-hashes the
-// retained event bytes against the summary (full-stream hash for complete
-// traces, prefix consistency left to the caller for truncated ones).
+// u32 length + bytes. Load verifies magic/version/footer, checks the header's
+// machine config with ValidateSimConfig, and re-hashes the retained event
+// bytes against the summary (full-stream hash for complete traces, prefix
+// consistency left to the caller for truncated ones).
 
 #ifndef SGXBOUNDS_SRC_TRACE_TRACE_IO_H_
 #define SGXBOUNDS_SRC_TRACE_TRACE_IO_H_

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/common/units.h"
@@ -124,6 +125,9 @@ class RefLru {
  public:
   RefLru(uint32_t sets, uint32_t ways) : ways_(ways), sets_(sets) {}
 
+  // The set's lines, MRU first.
+  const std::vector<uint32_t>& Set(uint32_t line) const { return sets_[line % sets_.size()]; }
+
   bool Access(uint32_t line) {
     auto& set = sets_[line % sets_.size()];
     for (size_t i = 0; i < set.size(); ++i) {
@@ -146,7 +150,9 @@ class RefLru {
 };
 
 TEST(CacheTest, MatchesReferenceLruOnScrambledTrace) {
-  for (uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
+  // Multiples of 4 take the SSE2 probe with 1 to 8 four-way groups; the rest
+  // (and every size on hosts without SSE2) take the scalar loop.
+  for (uint32_t ways : {1u, 2u, 3u, 4u, 6u, 8u, 12u, 16u, 20u, 32u}) {
     const uint32_t sets = 16;
     Cache c(static_cast<uint64_t>(sets) * ways * kCacheLineSize, ways);
     ASSERT_EQ(c.sets(), sets);
@@ -154,11 +160,20 @@ TEST(CacheTest, MatchesReferenceLruOnScrambledTrace) {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint32_t x = 12345;
+    const uint32_t range = sets * ways * 2;
     for (int i = 0; i < 30000; ++i) {
       x = x * 1664525u + 1013904223u;  // LCG; mix of conflicts and repeats
-      const uint32_t line = (x >> 8) % (sets * ways * 2);
+      const uint32_t line = (x >> 8) % range;
       const bool hit = c.Access(line);
       ASSERT_EQ(hit, ref.Access(line)) << "ways=" << ways << " step=" << i;
+      ASSERT_EQ(c.SetOrder(line), ref.Set(line)) << "ways=" << ways << " step=" << i;
+      if (i % 100 == 0) {
+        for (uint32_t l = 0; l < range; ++l) {
+          const auto& set = ref.Set(l);
+          const bool resident = std::find(set.begin(), set.end(), l) != set.end();
+          ASSERT_EQ(c.Contains(l), resident) << "ways=" << ways << " step=" << i << " line=" << l;
+        }
+      }
       ++(hit ? hits : misses);
     }
     EXPECT_EQ(c.hits(), hits) << "ways=" << ways;

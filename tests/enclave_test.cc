@@ -96,6 +96,59 @@ TEST(EnclaveTest, VmAccountingFullVsOnCommit) {
   EXPECT_GE(e.PeakVirtualBytes(), e.pages().vm_bytes());
 }
 
+// The per-page accounting table reads 0 for pages no region covers, and 0
+// must mean kOnCommit: a raw commit there grows VM page by page.
+TEST(EnclaveTest, PageOutsideEveryRegionCountsOnCommit) {
+  Enclave e(SmallConfig());
+  const uint32_t outside = static_cast<uint32_t>(e.config().space_bytes / 2);
+  ASSERT_FALSE(e.pages().Committed(outside));
+  const uint64_t vm0 = e.pages().vm_bytes();
+  e.pages().Commit(nullptr, outside, 2 * kPageSize);
+  EXPECT_EQ(e.pages().vm_bytes(), vm0 + 2 * kPageSize);
+  EXPECT_TRUE(e.pages().Committed(outside + kPageSize));
+  e.pages().Decommit(outside, 2 * kPageSize);
+  EXPECT_EQ(e.pages().vm_bytes(), vm0);
+}
+
+// The page tables and EPC nodes are mappings that start zero-filled; an
+// enclave built after another one (possibly over recycled host memory) must
+// see none of its commits, guards, accounting or EPC residency.
+TEST(EnclaveTest, SuccessiveEnclavesShareNoPageState) {
+  uint32_t heap = 0;
+  uint32_t shadow = 0;
+  for (int round = 0; round < 2; ++round) {
+    Enclave e;  // full 4 GiB space: the largest tables
+    Cpu& cpu = e.main_cpu();
+    const uint32_t next_heap = e.pages().ReserveLow(16 * kPageSize, "heap");
+    const uint32_t next_shadow = e.pages().ReserveHigh(16 * kPageSize, "shadow");
+    if (round == 1) {
+      // Same carve order, so the same addresses the first enclave used.
+      ASSERT_EQ(next_heap, heap);
+      ASSERT_EQ(next_shadow, shadow);
+      EXPECT_FALSE(e.pages().Committed(heap));
+      EXPECT_FALSE(e.pages().Addressable(heap));
+      EXPECT_FALSE(e.pages().Committed(shadow));
+      EXPECT_FALSE(e.memsys().epc().Resident(PageOf(heap)));
+      EXPECT_EQ(e.memsys().epc().resident_pages(), 0u);
+      EXPECT_EQ(e.pages().vm_bytes(), 16 * kPageSize);  // the kFull shadow only
+      EXPECT_EQ(e.pages().committed_bytes(), 0u);
+      EXPECT_THROW(e.Load<uint32_t>(cpu, heap), SimTrap);
+    }
+    heap = next_heap;
+    shadow = next_shadow;
+    e.pages().Commit(&cpu, heap, 16 * kPageSize);
+    e.pages().Commit(&cpu, shadow, 16 * kPageSize);
+    e.pages().SetGuardPage(PageOf(heap) + 3);
+    for (uint32_t off = 0; off < 16 * kPageSize; off += kPageSize) {
+      if (e.pages().Addressable(heap + off)) {
+        e.Store<uint32_t>(cpu, heap + off, 0xabcdu);
+      }
+      e.Store<uint32_t>(cpu, shadow + off, 0x1234u);
+    }
+    EXPECT_GT(e.memsys().epc().resident_pages(), 0u);
+  }
+}
+
 TEST(EnclaveTest, ReserveExhaustionTrapsOom) {
   Enclave e(SmallConfig());
   EXPECT_THROW(e.pages().ReserveLow(128 * kMiB, "too-big"), SimTrap);

@@ -79,6 +79,43 @@ TEST(EpcTest, ResetClearsEverything) {
   EXPECT_TRUE(epc.Touch(1));  // faults again after reset
 }
 
+// The node table starts zero-filled and unwritten: a fresh EpcSim must read
+// every page, including both ends of the 2^20-page space, as not resident.
+TEST(EpcTest, FreshTableIsEmptyAcrossTheWholeSpace) {
+  const uint32_t last = (1u << 20) - 1;
+  EpcSim epc(2 * kPageSize);
+  EXPECT_FALSE(epc.Resident(0));
+  EXPECT_FALSE(epc.Resident(last));
+  EXPECT_EQ(epc.resident_pages(), 0u);
+
+  EXPECT_TRUE(epc.Touch(last));
+  EXPECT_FALSE(epc.Touch(last));
+  EXPECT_TRUE(epc.Touch(0));
+  EXPECT_FALSE(epc.Touch(0));
+  EXPECT_EQ(epc.faults(), 2u);
+
+  epc.Invalidate(last);
+  EXPECT_FALSE(epc.Resident(last));
+  EXPECT_TRUE(epc.Resident(0));
+  EXPECT_EQ(epc.resident_pages(), 1u);
+
+  epc.Reset();
+  EXPECT_FALSE(epc.Resident(0));
+  EXPECT_FALSE(epc.Resident(last));
+  EXPECT_EQ(epc.resident_pages(), 0u);
+  EXPECT_EQ(epc.faults(), 0u);
+
+  // After the round trip the LRU list works as new: fill, then evict the
+  // least recent.
+  EXPECT_TRUE(epc.Touch(last));
+  EXPECT_TRUE(epc.Touch(0));
+  EXPECT_TRUE(epc.Touch(7));  // evicts `last`
+  EXPECT_FALSE(epc.Resident(last));
+  EXPECT_TRUE(epc.Resident(0));
+  EXPECT_TRUE(epc.Resident(7));
+  EXPECT_EQ(epc.evictions(), 1u);
+}
+
 TEST(EpcTest, CapacityPagesMatchesConfig) {
   EpcSim epc(94 * kMiB);
   EXPECT_EQ(epc.capacity_pages(), 94u * 1024 / 4);

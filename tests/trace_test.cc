@@ -197,6 +197,50 @@ TEST(TraceReader, RejectsAccessesWrappingTheAddressSpace) {
   }
 }
 
+// A trace header's machine config is rebuilt into Cache and EpcSim objects on
+// replay. Loading must reject a config those constructors would abort on (or
+// a cache too big to allocate) with a message, before any replay starts.
+TEST(TraceIo, RejectsHeaderMachineConfigsTheModelsCannotBuild) {
+  const RecordedRun rec = Record("histogram", PolicyKind::kNative, SizeClass::kXS);
+  struct Case {
+    const char* name;
+    void (*craft)(TraceHeader*);
+    const char* field;
+  };
+  const Case cases[] = {
+      {"l1_ways=0", [](TraceHeader* h) { h->l1_ways = 0; }, "l1_ways"},
+      {"l1_ways=3", [](TraceHeader* h) { h->l1_ways = 3; }, "l1_bytes"},
+      {"epc_bytes=0", [](TraceHeader* h) { h->epc_bytes = 0; }, "epc_bytes"},
+      {"l1_bytes=2^36", [](TraceHeader* h) { h->l1_bytes = uint64_t{1} << 36; }, "4 GiB"},
+  };
+  const std::string path = ::testing::TempDir() + "trace_bad_header.sgxtrace";
+  for (const Case& c : cases) {
+    Trace crafted = rec.trace;
+    c.craft(&crafted.header);
+    std::string error;
+    ASSERT_TRUE(SaveTrace(crafted, path, &error)) << error;
+
+    Trace loaded;
+    error.clear();
+    EXPECT_FALSE(LoadTrace(path, &loaded, &error)) << c.name;
+    EXPECT_NE(error.find(c.field), std::string::npos) << c.name << ": " << error;
+
+    MappedTrace mapped;
+    error.clear();
+    EXPECT_FALSE(mapped.Load(path, &error)) << c.name;
+    EXPECT_FALSE(mapped.loaded()) << c.name;
+    EXPECT_NE(error.find("trace header"), std::string::npos) << c.name << ": " << error;
+  }
+  std::remove(path.c_str());
+
+  // The untouched recording still loads.
+  std::string error;
+  ASSERT_TRUE(SaveTrace(rec.trace, path, &error)) << error;
+  Trace loaded;
+  EXPECT_TRUE(LoadTrace(path, &loaded, &error)) << error;
+  std::remove(path.c_str());
+}
+
 // The ECALL/OCALL transition axis: a live run with transitions enabled
 // writes a v2 trace whose replay reproduces the new counters bit-for-bit,
 // and the extra cost-table fields survive a save/load round trip.
