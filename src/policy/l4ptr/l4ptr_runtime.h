@@ -110,7 +110,7 @@ class L4PtrRuntime final : public IrSchemeRuntime {
   }
 
   L4Ptr Calloc(Cpu& cpu, uint32_t count, uint32_t elem_size) {
-    const uint32_t bytes = count * elem_size;
+    const uint32_t bytes = CallocBytes(count, elem_size);
     const L4Ptr p = Malloc(cpu, bytes);
     if (bytes > 0) {
       cpu.MemAccess(L4Addr(p), bytes, AccessClass::kAppStore);

@@ -35,10 +35,10 @@ class NativePolicy {
   }
 
   Ptr Calloc(Cpu& cpu, uint32_t count, uint32_t elem) {
-    const uint64_t total = static_cast<uint64_t>(count) * elem;
-    const Ptr p = Malloc(cpu, static_cast<uint32_t>(total));
+    const uint32_t total = CallocBytes(count, elem);
+    const Ptr p = Malloc(cpu, total);
     std::memset(enclave_->space().HostPtr(p.addr), 0, total);
-    cpu.MemAccess(p.addr, static_cast<uint32_t>(total), AccessClass::kAppStore);
+    cpu.MemAccess(p.addr, total, AccessClass::kAppStore);
     return p;
   }
 

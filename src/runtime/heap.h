@@ -30,6 +30,17 @@ struct HeapStats {
   uint64_t failed_allocs = 0;
 };
 
+// calloc's byte count: count * elem. Throws SimTrap(kOutOfMemory) when the
+// product does not fit in 32 bits, as a real calloc fails rather than
+// allocate the wrapped size.
+inline uint32_t CallocBytes(uint32_t count, uint32_t elem) {
+  const uint64_t total = static_cast<uint64_t>(count) * elem;
+  if (total > UINT32_MAX) {
+    throw SimTrap(TrapKind::kOutOfMemory, 0, "calloc size overflows 32 bits");
+  }
+  return static_cast<uint32_t>(total);
+}
+
 class Heap {
  public:
   // reserve_bytes: maximum heap size; address space is reserved immediately

@@ -28,13 +28,12 @@ TaggedPtr SgxBoundsRuntime::MallocAligned(Cpu& cpu, uint32_t size, uint32_t alig
 }
 
 TaggedPtr SgxBoundsRuntime::Calloc(Cpu& cpu, uint32_t count, uint32_t elem_size) {
-  const uint64_t total = static_cast<uint64_t>(count) * elem_size;
-  CHECK_LE(total, 0xffffffffu);
-  const TaggedPtr tagged = Malloc(cpu, static_cast<uint32_t>(total));
+  const uint32_t total = CallocBytes(count, elem_size);
+  const TaggedPtr tagged = Malloc(cpu, total);
   // Zeroing cost: the heap recycles blocks, so calloc pays a full clear.
   const uint32_t base = ExtractPtr(tagged);
   std::memset(enclave_->space().HostPtr(base), 0, total);
-  cpu.MemAccess(base, static_cast<uint32_t>(total), AccessClass::kAppStore);
+  cpu.MemAccess(base, total, AccessClass::kAppStore);
   return tagged;
 }
 

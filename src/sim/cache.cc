@@ -36,58 +36,38 @@ Cache::Cache(uint64_t size_bytes, uint32_t ways) : size_bytes_(size_bytes), ways
   Flush();
 }
 
-uint32_t Cache::Find(uint32_t line, const uint32_t* base) const {
-#if SGXB_CACHE_SSE2
-  // With ways a multiple of 4, every set starts a multiple of 16 bytes into
-  // the 64-byte-aligned slots, so each 4-way group is one aligned load.
-  if (ways_ % 4 == 0) {
-    // Line ids in a set are unique, so at most one lane matches.
-    const __m128i key = _mm_set1_epi32(static_cast<int>(line));
-    for (uint32_t g = 0; g < ways_; g += 4) {
-      const __m128i v = _mm_load_si128(reinterpret_cast<const __m128i*>(base + g));
-      const int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, key)));
-      if (mask != 0) {
-        return g + static_cast<uint32_t>(__builtin_ctz(static_cast<unsigned>(mask)));
-      }
-    }
-    return ways_;
-  }
-#endif
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (base[w] == line) {
-      return w;
-    }
-  }
-  return ways_;
-}
-
 bool Cache::AccessSlow(uint32_t line, uint32_t* base) {
 #if SGXB_CACHE_SSE2
   if (ways_ % 4 == 0) {
-    // Group 0 re-probes ways 0-1, which Access() saw miss; harmless.
-    const uint32_t found = Find(line, base);
-    const bool hit = found < ways_;
-    // A miss inserts over the LRU way, i.e. "promotes" way ways-1.
-    const uint32_t last = hit ? found : ways_ - 1;
-    // Ways 0..last slide up one; `line` enters at way 0 and each group's top
-    // way carries into the next group's lane 0. Lanes past `last` keep their
-    // value, and groups past its group are untouched.
-    const __m128i last_v = _mm_set1_epi32(static_cast<int>(last));
-    const __m128i four = _mm_set1_epi32(4);
-    __m128i lane = _mm_setr_epi32(0, 1, 2, 3);
+    // kKeepAbove[k]: all-ones in the lanes above k, which a hit at lane k
+    // leaves in place.
+    alignas(16) static constexpr int32_t kKeepAbove[4][4] = {
+        {0, -1, -1, -1}, {0, 0, -1, -1}, {0, 0, 0, -1}, {0, 0, 0, 0}};
+    // One pass: each group slides up one way as it is probed, so when `line`
+    // turns up (or never does) every group before it is already promoted.
+    // Group 0 re-probes ways 0-1, which Access() saw miss; harmless. With
+    // ways a multiple of 4, every set starts a multiple of 16 bytes into the
+    // 64-byte-aligned slots, so each group is one aligned load and store.
+    const __m128i key = _mm_set1_epi32(static_cast<int>(line));
     __m128i carry = _mm_cvtsi32_si128(static_cast<int>(line));
-    for (uint32_t g = 0; g <= last; g += 4) {
+    for (uint32_t g = 0; g < ways_; g += 4) {
       __m128i* group = reinterpret_cast<__m128i*>(base + g);
       const __m128i v = _mm_load_si128(group);
       const __m128i shifted = _mm_or_si128(_mm_slli_si128(v, 4), carry);
-      const __m128i keep = _mm_cmpgt_epi32(lane, last_v);
-      _mm_store_si128(group, _mm_or_si128(_mm_and_si128(keep, v), _mm_andnot_si128(keep, shifted)));
+      // Line ids in a set are unique, so at most one lane matches.
+      const int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, key)));
+      if (mask != 0) {
+        const __m128i keep = _mm_load_si128(reinterpret_cast<const __m128i*>(
+            kKeepAbove[__builtin_ctz(static_cast<unsigned>(mask))]));
+        _mm_store_si128(group,
+                        _mm_or_si128(_mm_and_si128(keep, v), _mm_andnot_si128(keep, shifted)));
+        return true;
+      }
+      _mm_store_si128(group, shifted);
       carry = _mm_srli_si128(v, 12);
-      lane = _mm_add_epi32(lane, four);
     }
-    hits_ += hit;
-    misses_ += !hit;
-    return hit;
+    // Miss: the slide pushed the LRU way out of the last group.
+    return false;
   }
 #endif
   // Ways 0 and 1 were probed inline by Access().
@@ -96,23 +76,22 @@ bool Cache::AccessSlow(uint32_t line, uint32_t* base) {
       // Promote to MRU: slide [0, w) down one way.
       std::memmove(base + 1, base, w * sizeof(uint32_t));
       base[0] = line;
-      ++hits_;
       return true;
     }
   }
   // Miss: the last way is the LRU victim by construction.
   std::memmove(base + 1, base, (ways_ - 1) * sizeof(uint32_t));
   base[0] = line;
-  ++misses_;
   return false;
 }
 
 bool Cache::Contains(uint32_t line) const {
-  return Find(line, &slots_[static_cast<size_t>(line & set_mask_) * ways_]) < ways_;
+  const uint32_t* base = SetBase(line);
+  return std::find(base, base + ways_, line) != base + ways_;
 }
 
 std::vector<uint32_t> Cache::SetOrder(uint32_t line) const {
-  const uint32_t* base = &slots_[static_cast<size_t>(line & set_mask_) * ways_];
+  const uint32_t* base = SetBase(line);
   std::vector<uint32_t> order;
   for (uint32_t w = 0; w < ways_ && base[w] != kInvalidLine; ++w) {
     order.push_back(base[w]);

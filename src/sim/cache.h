@@ -10,13 +10,22 @@
 // needs no stamp scan. This is behaviourally identical to stamp-based
 // true-LRU: hit/miss outcomes and victim choices match access-for-access.
 //
-// Host-side layout of a lookup: ways 0 and 1 are probed inline (Access). The
-// rest of the set goes to AccessSlow, which, when ways is a multiple of 4 and
-// the host has SSE2, compares 4 ways per instruction (cmpeq + movemask, ctz
-// names the way) and then promotes the hit (or inserts the miss over the LRU
-// way) with one branch-free shift-and-blend per 4-way group up to the hit. Any
-// other associativity takes a plain scalar scan. Both orders are the same
-// recency list, so the modeled outcome never depends on the path.
+// Host-side layout of a lookup: callers that can test a line against its
+// set's MRU way first (IsMru; the Cpu does so inline for every L1 access)
+// skip the call entirely, since re-accessing the MRU line changes no
+// replacement state. Access() probes ways 0 and 1 inline. The rest of the
+// set goes to AccessSlow, which, when ways is a multiple of 4 and the host
+// has SSE2, walks the set once, 4 ways at a time: each group is loaded,
+// compared against the line (cmpeq + movemask) and stored back slid up one
+// way, its top way carried into the next group's lane 0. A match at lane k
+// blends the slid group with the lanes above k kept and stops; no match in
+// any group is a miss, and the slide has already dropped the LRU way and put
+// the line in way 0. Any other associativity takes a plain scalar scan. Both
+// orders are the same recency list, so the modeled outcome never depends on
+// the path.
+//
+// A Cache keeps no hit/miss tallies: Access() returns the outcome and the
+// caller counts it (the Cpu's PerfCounters are the priced account).
 
 #ifndef SGXBOUNDS_SRC_SIM_CACHE_H_
 #define SGXBOUNDS_SRC_SIM_CACHE_H_
@@ -37,29 +46,23 @@ class Cache {
 
   // Looks up a line; on miss, inserts it (evicting LRU). Returns true on hit.
   bool Access(uint32_t line) {
-    uint32_t* base = &slots_[static_cast<size_t>(line & set_mask_) * ways_];
+    uint32_t* base = SetBase(line);
     if (base[0] == line) {  // MRU fast path: repeated hot-line access
-      ++hits_;
       return true;
     }
     if (base[1] == line) {  // way-1 fast path: two lines alternating
       base[1] = base[0];    // (data+metadata interleavings make this common)
       base[0] = line;
-      ++hits_;
       return true;
     }
     return AccessSlow(line, base);
   }
 
-  // Books a hit without probing. Only valid when the caller knows `line` is
-  // this cache's MRU line for its set (e.g. the Cpu's last-line fast path):
-  // re-accessing the MRU line changes no replacement state, so counting the
-  // hit is all Access() would have done.
-  void CountMruHit() { ++hits_; }
-  // Batched form, same precondition for every one of the `n` hits.
-  void CountMruHits(uint64_t n) { hits_ += n; }
+  // True when `line` is its set's MRU line. Access() on such a line is a hit
+  // that changes nothing, so a caller may count the hit and skip the call.
+  bool IsMru(uint32_t line) const { return *SetBase(line) == line; }
 
-  // Lookup without allocation (used by tests and the EPC prefetch logic).
+  // Lookup without allocation or promotion (tests).
   bool Contains(uint32_t line) const;
 
   // The lines resident in `line`'s set, most recent first (tests compare
@@ -73,24 +76,20 @@ class Cache {
   uint32_t ways() const { return ways_; }
   uint32_t sets() const { return sets_; }
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
  private:
   static constexpr uint32_t kInvalidLine = 0xffffffffu;
 
+  uint32_t* SetBase(uint32_t line) const {
+    return &slots_[static_cast<size_t>(line & set_mask_) * ways_];
+  }
   // Scan beyond ways 0-1 (probed inline); promote on hit, evict the LRU way
   // on miss.
   bool AccessSlow(uint32_t line, uint32_t* base);
-  // Way holding `line` in the set at `base`, or ways_ when absent.
-  uint32_t Find(uint32_t line, const uint32_t* base) const;
 
   uint64_t size_bytes_;
   uint32_t ways_;
   uint32_t sets_;
   uint32_t set_mask_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
   size_t num_slots_ = 0;  // sets_ * ways_ + 1 sentinel
   struct AlignedDelete {
     void operator()(uint32_t* p) const { ::operator delete[](p, std::align_val_t{64}); }

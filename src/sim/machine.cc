@@ -98,6 +98,12 @@ PerfCounters Cpu::counters() const {
   return priced;
 }
 
+void Cpu::AccessLine(uint32_t line) {
+  if (!l1_.Access(line)) {
+    MissLine(line);
+  }
+}
+
 void Cpu::MissLine(uint32_t line) {
   ++events_.l1_misses;
   if (!l2_.Access(line)) {
@@ -141,17 +147,14 @@ void Cpu::MemAccessRun(uint32_t addr, uint32_t size, int64_t stride, uint64_t co
     // First access of the group takes the real single-line path...
     BumpClassCounter(klass);
     ++events_.l1_accesses;
-    if (first_line == last_l1_line_) {
-      l1_.CountMruHit();
-    } else {
+    if (!l1_.IsMru(first_line)) {
       AccessLine(first_line);
     }
-    // ...after which last_l1_line_ == first_line, so the remaining k-1 are
-    // exactly the MRU-hit fast path of MemAccess, batched.
+    // ...after which first_line is its set's MRU way, so the remaining k-1
+    // are exactly the MRU-hit fast path of MemAccess, batched.
     if (k > 1) {
       BumpClassCounterN(klass, k - 1);
       events_.l1_accesses += k - 1;
-      l1_.CountMruHits(k - 1);
     }
     i += k;
     a += static_cast<int64_t>(k) * stride;
@@ -166,9 +169,7 @@ void Cpu::MemAccessSpan(uint32_t first_line, uint32_t last_line) {
   CHECK(first_line <= last_line);
   for (uint32_t line = first_line;; ++line) {
     ++events_.l1_accesses;
-    if (line == last_l1_line_) {
-      l1_.CountMruHit();
-    } else {
+    if (!l1_.IsMru(line)) {
       AccessLine(line);
     }
     if (line == last_line) {

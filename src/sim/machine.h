@@ -188,10 +188,9 @@ class Cpu {
   // access must not wrap past 4 GiB.
   //
   // Two fast paths keep the common case cheap without changing any modeled
-  // outcome: accesses contained in one line skip the span loop, and a repeat
-  // of the immediately preceding line is a guaranteed L1 hit (nothing can
-  // evict it in between — the L1 is private and only accesses evict), so it
-  // counts the hit without probing the cache.
+  // outcome: accesses contained in one line skip the span loop, and a line
+  // that is already its L1 set's MRU way is a hit that changes no LRU state
+  // (Cache::IsMru), so it is counted inline without a call into the cache.
   //
   // Forced inline: in the largest workload bodies GCC's growth limits
   // otherwise leave ~200 sites calling it out of line, which cost ~6% of
@@ -208,11 +207,9 @@ class Cpu {
     const uint32_t last_line = LineOf(addr + size - 1);
     if (first_line == last_line) {
       ++events_.l1_accesses;
-      if (first_line == last_l1_line_) {
-        l1_.CountMruHit();
-        return;
+      if (!l1_.IsMru(first_line)) {
+        AccessLine(first_line);
       }
-      AccessLine(first_line);
       return;
     }
     MemAccessSpan(first_line, last_line);
@@ -272,8 +269,6 @@ class Cpu {
   uint32_t trace_id() const { return trace_id_; }
 
  private:
-  static constexpr uint32_t kNoLine = 0xffffffffu;
-
   void BumpClassCounter(AccessClass klass) { BumpClassCounterN(klass, 1); }
 
   void BumpClassCounterN(AccessClass klass, uint64_t n) {
@@ -298,16 +293,10 @@ class Cpu {
   // sites run untraced almost always.
   void TapAccess(uint32_t addr, uint32_t size, AccessClass klass);
 
-  // Full lookup for one line (l1_accesses already counted by the caller).
-  // The L1-hit path stays inline; misses go out of line so the inline code
-  // at every Load/Store site stays small.
-  void AccessLine(uint32_t line) {
-    last_l1_line_ = line;
-    if (l1_.Access(line)) {
-      return;
-    }
-    MissLine(line);
-  }
+  // Full lookup for a line that is not its L1 set's MRU way (l1_accesses
+  // already counted by the caller). Out of line, so the inline code at every
+  // Load/Store site stays the MRU test alone.
+  void AccessLine(uint32_t line);
   // L1 miss: walk L2 -> LLC -> DRAM/EPC and count where it was served.
   void MissLine(uint32_t line);
   // Multi-line (cache-line-crossing) accesses.
@@ -319,8 +308,6 @@ class Cpu {
   const SimConfig* config_;
   Cache l1_;
   Cache l2_;
-  // Line of the most recent L1 access; repeats are guaranteed hits.
-  uint32_t last_l1_line_ = kNoLine;
   // Trace tap: null unless this run is being recorded.
   TraceRecorder* trace_ = nullptr;
   uint32_t trace_id_ = 0;

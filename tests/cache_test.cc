@@ -11,6 +11,18 @@
 namespace sgxb {
 namespace {
 
+// A Cache keeps no tallies; tests count Access() outcomes themselves.
+struct Tally {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+
+  bool Access(Cache& c, uint32_t line) {
+    const bool hit = c.Access(line);
+    ++(hit ? hits : misses);
+    return hit;
+  }
+};
+
 TEST(CacheTest, GeometryDerivedFromSizeAndWays) {
   Cache c(32 * kKiB, 8);
   EXPECT_EQ(c.sets(), 32u * 1024 / 64 / 8);
@@ -19,10 +31,11 @@ TEST(CacheTest, GeometryDerivedFromSizeAndWays) {
 
 TEST(CacheTest, MissThenHit) {
   Cache c(32 * kKiB, 8);
-  EXPECT_FALSE(c.Access(100));
-  EXPECT_TRUE(c.Access(100));
-  EXPECT_EQ(c.misses(), 1u);
-  EXPECT_EQ(c.hits(), 1u);
+  Tally t;
+  EXPECT_FALSE(t.Access(c, 100));
+  EXPECT_TRUE(t.Access(c, 100));
+  EXPECT_EQ(t.misses, 1u);
+  EXPECT_EQ(t.hits, 1u);
 }
 
 TEST(CacheTest, LruEvictionWithinSet) {
@@ -42,8 +55,8 @@ TEST(CacheTest, LruEvictionWithinSet) {
 TEST(CacheTest, ContainsDoesNotAllocate) {
   Cache c(32 * kKiB, 8);
   EXPECT_FALSE(c.Contains(5));
-  EXPECT_EQ(c.misses(), 0u);
-  c.Access(5);
+  EXPECT_FALSE(c.Contains(5));
+  EXPECT_FALSE(c.Access(5));  // still a miss: Contains allocated nothing
   EXPECT_TRUE(c.Contains(5));
 }
 
@@ -60,25 +73,28 @@ TEST(CacheTest, WorkingSetLargerThanCacheThrashes) {
   Cache c(32 * kKiB, 8);
   const uint32_t lines = static_cast<uint32_t>(32 * kKiB / kCacheLineSize);
   // Two sequential sweeps over 4x the capacity: second sweep still misses.
+  Tally t;
   uint64_t misses_after_first;
   for (uint32_t i = 0; i < 4 * lines; ++i) {
-    c.Access(i);
+    t.Access(c, i);
   }
-  misses_after_first = c.misses();
+  misses_after_first = t.misses;
   for (uint32_t i = 0; i < 4 * lines; ++i) {
-    c.Access(i);
+    t.Access(c, i);
   }
-  EXPECT_EQ(c.misses(), 2 * misses_after_first);
+  EXPECT_EQ(t.misses, 2 * misses_after_first);
 }
 
 TEST(CacheTest, RepeatedLineUsesMruFastPath) {
   Cache c(32 * kKiB, 8);
-  EXPECT_FALSE(c.Access(7));
+  Tally t;
+  EXPECT_FALSE(t.Access(c, 7));
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(c.Access(7));
+    EXPECT_TRUE(c.IsMru(7));
+    EXPECT_TRUE(t.Access(c, 7));
   }
-  EXPECT_EQ(c.misses(), 1u);
-  EXPECT_EQ(c.hits(), 100u);
+  EXPECT_EQ(t.misses, 1u);
+  EXPECT_EQ(t.hits, 100u);
 }
 
 TEST(CacheTest, AlternatingTwoLinesHitAfterFirstMisses) {
@@ -87,14 +103,15 @@ TEST(CacheTest, AlternatingTwoLinesHitAfterFirstMisses) {
   // once, then every access hits.
   Cache c(32 * kKiB, 8);
   const uint32_t sets = c.sets();
-  EXPECT_FALSE(c.Access(0));
-  EXPECT_FALSE(c.Access(sets));
+  Tally t;
+  EXPECT_FALSE(t.Access(c, 0));
+  EXPECT_FALSE(t.Access(c, sets));
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(c.Access(0));
-    EXPECT_TRUE(c.Access(sets));
+    EXPECT_TRUE(t.Access(c, 0));
+    EXPECT_TRUE(t.Access(c, sets));
   }
-  EXPECT_EQ(c.misses(), 2u);
-  EXPECT_EQ(c.hits(), 100u);
+  EXPECT_EQ(t.misses, 2u);
+  EXPECT_EQ(t.hits, 100u);
 }
 
 TEST(CacheTest, AlternationDoesNotDisturbLruOrderOfOtherWays) {
@@ -157,8 +174,6 @@ TEST(CacheTest, MatchesReferenceLruOnScrambledTrace) {
     Cache c(static_cast<uint64_t>(sets) * ways * kCacheLineSize, ways);
     ASSERT_EQ(c.sets(), sets);
     RefLru ref(sets, ways);
-    uint64_t hits = 0;
-    uint64_t misses = 0;
     uint32_t x = 12345;
     const uint32_t range = sets * ways * 2;
     for (int i = 0; i < 30000; ++i) {
@@ -174,24 +189,51 @@ TEST(CacheTest, MatchesReferenceLruOnScrambledTrace) {
           ASSERT_EQ(c.Contains(l), resident) << "ways=" << ways << " step=" << i << " line=" << l;
         }
       }
-      ++(hit ? hits : misses);
     }
-    EXPECT_EQ(c.hits(), hits) << "ways=" << ways;
-    EXPECT_EQ(c.misses(), misses) << "ways=" << ways;
   }
 }
 
 TEST(CacheTest, WorkingSetSmallerThanCacheHitsOnReuse) {
   Cache c(32 * kKiB, 8);
   const uint32_t lines = static_cast<uint32_t>(32 * kKiB / kCacheLineSize) / 2;
+  Tally t;
   for (uint32_t i = 0; i < lines; ++i) {
-    c.Access(i);
+    t.Access(c, i);
   }
-  const uint64_t misses = c.misses();
+  const uint64_t misses = t.misses;
   for (uint32_t i = 0; i < lines; ++i) {
-    c.Access(i);
+    t.Access(c, i);
   }
-  EXPECT_EQ(c.misses(), misses);  // all hits on the second sweep
+  EXPECT_EQ(t.misses, misses);  // all hits on the second sweep
+}
+
+TEST(CacheTest, IsMruIsWayZeroOfTheSet) {
+  // IsMru must name exactly the reference LRU's most recent line of each set,
+  // for a line just accessed and for every other line in range.
+  for (uint32_t ways : {1u, 2u, 4u, 8u, 12u}) {
+    const uint32_t sets = 8;
+    Cache c(static_cast<uint64_t>(sets) * ways * kCacheLineSize, ways);
+    RefLru ref(sets, ways);
+    const uint32_t range = sets * ways * 2;
+    for (uint32_t l = 0; l < range; ++l) {
+      ASSERT_FALSE(c.IsMru(l)) << "ways=" << ways << " line=" << l;  // empty cache
+    }
+    uint32_t x = 777;
+    for (int i = 0; i < 3000; ++i) {
+      x = x * 1664525u + 1013904223u;
+      const uint32_t line = (x >> 8) % range;
+      c.Access(line);
+      ref.Access(line);
+      ASSERT_TRUE(c.IsMru(line)) << "ways=" << ways << " step=" << i;
+      if (i % 50 == 0) {
+        for (uint32_t l = 0; l < range; ++l) {
+          const auto& set = ref.Set(l);
+          ASSERT_EQ(c.IsMru(l), !set.empty() && set.front() == l)
+              << "ways=" << ways << " step=" << i << " line=" << l;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

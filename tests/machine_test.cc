@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <vector>
+
 #include "src/enclave/enclave.h"
 #include "src/sim/machine.h"
 
@@ -230,6 +234,169 @@ TEST(MachineTest, EnclaveTotalsSumPricedCpus) {
             main.counters().transition_cycles + worker->counters().transition_cycles);
   EXPECT_EQ(total.transition_cycles,
             static_cast<uint64_t>(cfg.sim.costs.ecall) + 3 * cfg.sim.costs.ocall);
+}
+
+// --- Hierarchy oracle --------------------------------------------------------
+
+// Exact LRU as per-set move-to-front lists, none of Cache's fast paths.
+class RefLru {
+ public:
+  RefLru(uint64_t bytes, uint32_t ways)
+      : ways_(ways), sets_(bytes / kCacheLineSize / ways) {}
+
+  bool Access(uint32_t line) {
+    auto& set = sets_[line % sets_.size()];
+    auto it = std::find(set.begin(), set.end(), line);
+    const bool hit = it != set.end();
+    if (hit) {
+      set.erase(it);
+    } else if (set.size() == ways_) {
+      set.pop_back();
+    }
+    set.insert(set.begin(), line);
+    return hit;
+  }
+
+ private:
+  uint32_t ways_;
+  std::vector<std::vector<uint32_t>> sets_;
+};
+
+// Exact LRU over EPC pages: a touch of a non-resident page faults and, when
+// the EPC is full, evicts the least recently touched page.
+class RefEpc {
+ public:
+  explicit RefEpc(uint64_t bytes) : capacity_(bytes / kPageSize) {}
+
+  bool Touch(uint32_t page) {
+    auto it = std::find(pages_.begin(), pages_.end(), page);
+    const bool fault = it == pages_.end();
+    if (!fault) {
+      pages_.erase(it);
+    } else if (pages_.size() == capacity_) {
+      pages_.pop_back();
+    }
+    pages_.push_front(page);
+    return fault;
+  }
+
+ private:
+  uint64_t capacity_;
+  std::list<uint32_t> pages_;
+};
+
+// L1 -> L2 -> LLC -> EPC, counting what the Cpu counts.
+struct RefHierarchy {
+  explicit RefHierarchy(const SimConfig& c)
+      : l1(c.l1_bytes, c.l1_ways), l2(c.l2_bytes, c.l2_ways), l3(c.l3_bytes, c.l3_ways),
+        epc(c.epc_bytes) {}
+
+  void Access(uint32_t addr, uint32_t size) {
+    if (size == 0) {
+      return;
+    }
+    for (uint32_t line = LineOf(addr); line <= LineOf(addr + size - 1); ++line) {
+      ++events.l1_accesses;
+      if (l1.Access(line)) {
+        continue;
+      }
+      ++events.l1_misses;
+      if (l2.Access(line)) {
+        continue;
+      }
+      ++events.l2_misses;
+      ++events.llc_accesses;
+      if (l3.Access(line)) {
+        continue;
+      }
+      ++events.llc_misses;
+      events.epc_faults += epc.Touch(line >> (kPageShift - kCacheLineShift)) ? 1 : 0;
+    }
+  }
+
+  RefLru l1, l2, l3;
+  RefEpc epc;
+  PerfCounters events;
+};
+
+// One Cpu driven by a scrambled mix of single-line, line-straddling and
+// strided-run accesses must count exactly what a plain reference hierarchy
+// counts, at every step. Guards the Cpu's inline set-MRU test and the batched
+// MRU repeats of MemAccessRun, and the SSE2 (4- and 16-way) and scalar
+// (2-way) cache paths under them.
+TEST(MachineTest, HierarchyMatchesReferenceModelOnScrambledStream) {
+  SimConfig cfg;
+  cfg.l1_bytes = 2 * kKiB;  // 8 sets x 4 ways
+  cfg.l1_ways = 4;
+  cfg.l2_bytes = 4 * kKiB;  // 32 sets x 2 ways
+  cfg.l2_ways = 2;
+  cfg.l3_bytes = 16 * kKiB;  // 16 sets x 16 ways
+  cfg.l3_ways = 16;
+  cfg.epc_bytes = 12 * kPageSize;
+  MemorySystem mem(cfg);
+  Cpu cpu(&mem);
+  RefHierarchy ref(cfg);
+
+  constexpr uint32_t kBase = 0x10000;
+  constexpr uint32_t kSpan = 32 * kPageSize;  // 32 pages over a 12-page EPC
+  uint32_t x = 2024;
+  auto next = [&x] {
+    x = x * 1664525u + 1013904223u;
+    return x >> 8;
+  };
+  uint64_t accesses = 0;
+  uint32_t hot = kBase;
+  for (int step = 0; step < 20000; ++step) {
+    const uint32_t kind = next() % 8;
+    // Half the time near a hot address that drifts, so every level both
+    // hits and misses; otherwise anywhere in the span.
+    if (next() % 64 == 0) {
+      hot = kBase + next() % (kSpan - 4096);
+    }
+    const uint32_t addr = next() % 2 == 0 ? hot + next() % 512 : kBase + next() % (kSpan - 4096);
+    const AccessClass klass = static_cast<AccessClass>(next() % 4);
+    if (kind < 4) {  // within one line, or empty
+      const uint32_t size = std::min<uint32_t>(1u << (next() % 4), kCacheLineSize - addr % 64);
+      const uint32_t n = kind == 0 && next() % 8 == 0 ? 0 : size;
+      cpu.MemAccess(addr, n, klass);
+      ref.Access(addr, n);
+      ++accesses;
+    } else if (kind < 6) {  // straddles one or more line boundaries
+      const uint32_t a = (addr | 63u) - next() % 8;
+      const uint32_t size = 9 + next() % 200;
+      cpu.MemAccess(a, size, klass);
+      ref.Access(a, size);
+      ++accesses;
+    } else {  // a strided run, forwards or backwards
+      static constexpr int64_t kStrides[] = {4, 8, 12, 64, 100, -8, -64, 0};
+      const int64_t stride = kStrides[next() % 8];
+      const uint32_t size = 1u << (next() % 4);
+      const uint64_t count = 1 + next() % 48;
+      const uint32_t start = addr + 2048;  // room for a backwards run
+      cpu.MemAccessRun(start, size, stride, count, klass);
+      int64_t a = start;
+      for (uint64_t i = 0; i < count; ++i, a += stride) {
+        ref.Access(static_cast<uint32_t>(a), size);
+      }
+      accesses += count;
+    }
+    const PerfCounters& got = cpu.events();
+    ASSERT_EQ(got.l1_accesses, ref.events.l1_accesses) << "step " << step;
+    ASSERT_EQ(got.l1_misses, ref.events.l1_misses) << "step " << step;
+    ASSERT_EQ(got.l2_misses, ref.events.l2_misses) << "step " << step;
+    ASSERT_EQ(got.llc_accesses, ref.events.llc_accesses) << "step " << step;
+    ASSERT_EQ(got.llc_misses, ref.events.llc_misses) << "step " << step;
+    ASSERT_EQ(got.epc_faults, ref.events.epc_faults) << "step " << step;
+  }
+  const PerfCounters& got = cpu.events();
+  EXPECT_EQ(got.loads + got.stores + got.metadata_loads + got.metadata_stores, accesses);
+  // Every outcome occurs often enough for the comparison to mean something.
+  const PerfCounters& e = ref.events;
+  EXPECT_GT(e.l1_accesses - e.l1_misses, 10000u);  // L1 hits
+  EXPECT_GT(e.l1_misses - e.l2_misses, 1000u);     // L2 hits
+  EXPECT_GT(e.llc_accesses - e.llc_misses, 1000u);  // LLC hits
+  EXPECT_GT(e.llc_misses - e.epc_faults, 1000u);   // DRAM, page resident
+  EXPECT_GT(e.epc_faults, 1000u);
 }
 
 // An access that wraps past 4 GiB would walk every line of the address space

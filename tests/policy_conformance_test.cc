@@ -9,7 +9,8 @@
 //     must crash where claimed;
 //   * allocation/access invariants: data written through every access path
 //     (Store/StoreAt/StoreField/StorePtr/Span/Memcpy/Memset) reads back
-//     intact, under every scheme;
+//     intact, under every scheme, and a calloc whose byte count overflows
+//     32 bits traps kOutOfMemory;
 //   * live-vs-replay identity: a recorded run's PerfCounters replay
 //     bit-for-bit for every scheme;
 //   * env.Serve() containment: with recovery enabled, a detected violation
@@ -19,6 +20,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "src/policy/registry.h"
 #include "src/policy/run.h"
@@ -226,6 +228,23 @@ TEST(SchemeConformance, EveryAccessPathRoundTripsData) {
           pol.Free(cpu, p);
         });
     EXPECT_FALSE(r.crashed) << d->id << ": " << r.trap_message;
+  }
+}
+
+// A count * size product past 32 bits must fail the allocation, not allocate
+// the wrapped size (nor zero 4 GiB past a small block).
+TEST(SchemeConformance, CallocOverflowTrapsOutOfMemory) {
+  for (const SchemeDescriptor* d : AllSchemes()) {
+    for (const auto& [count, elem] : {std::pair<uint32_t, uint32_t>{65537, 65536},
+                                      {65536, 65536},
+                                      {0xffffffffu, 2}}) {
+      const RunResult r =
+          RunPolicyKind(d->kind, MachineSpec{}, PolicyOptions{}, [count, elem](auto& env) {
+            (void)env.policy.Calloc(env.cpu, count, elem);
+          });
+      EXPECT_TRUE(r.crashed) << d->id << " " << count << "x" << elem;
+      EXPECT_EQ(r.trap, TrapKind::kOutOfMemory) << d->id << ": " << r.trap_message;
+    }
   }
 }
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/policy/run.h"
+#include "src/policy/shadow/shadow_runtime.h"
 
 namespace sgxb {
 namespace {
@@ -217,6 +220,150 @@ TEST(PolicyTest, RunResultRatios) {
   other.peak_vm_bytes = 1001;
   EXPECT_NEAR(other.CyclesRatioOver(base), 1.17, 1e-9);
   EXPECT_NEAR(other.VmRatioOver(base), 1.001, 1e-9);
+}
+
+// --- ShadowRuntime's large-object escape ------------------------------------
+//
+// Objects of 0xffff granules or more store escape entries and take their
+// extent from a side table, through a one-entry memo of the last hit.
+
+struct ShadowRig {
+  ShadowRig() {
+    EnclaveConfig cfg;
+    cfg.space_bytes = 256 * kMiB;
+    enclave = std::make_unique<Enclave>(cfg);
+    heap = std::make_unique<Heap>(enclave.get(), 64 * kMiB);
+    rt = std::make_unique<ShadowRuntime>(enclave.get(), heap.get());
+  }
+  Cpu& cpu() { return enclave->main_cpu(); }
+
+  // True when checking `bytes` at `p` passes; false when it traps as a
+  // policy violation.
+  bool Passes(ShadowPtr p, uint32_t bytes, AccessType type = AccessType::kRead) {
+    try {
+      rt->CheckAccess(cpu(), p, bytes, type);
+      return true;
+    } catch (const SimTrap& trap) {
+      EXPECT_EQ(trap.kind(), TrapKind::kPolicyViolation) << trap.what();
+      return false;
+    }
+  }
+
+  std::unique_ptr<Enclave> enclave;
+  std::unique_ptr<Heap> heap;
+  std::unique_ptr<ShadowRuntime> rt;
+};
+
+constexpr uint32_t kEscapeBytes = 0xffff * kShadowGranule;  // smallest escaped object
+
+TEST(ShadowLargeObject, LastBytePassesAndOnePastTraps) {
+  ShadowRig rig;
+  for (const uint32_t size : {kEscapeBytes, kEscapeBytes + 8, 3 * kEscapeBytes + 24}) {
+    const ShadowPtr p = rig.rt->Malloc(rig.cpu(), size);
+    EXPECT_TRUE(rig.Passes(p, 1)) << size;
+    EXPECT_TRUE(rig.Passes(ShAdd(p, size - 1), 1, AccessType::kWrite)) << size;
+    EXPECT_TRUE(rig.Passes(ShAdd(p, size - 8), 8)) << size;
+    EXPECT_FALSE(rig.Passes(ShAdd(p, size), 1)) << size;
+    EXPECT_FALSE(rig.Passes(ShAdd(p, size - 4), 8, AccessType::kWrite)) << size;
+    EXPECT_FALSE(rig.Passes(ShAdd(p, -1), 1)) << size;
+  }
+  EXPECT_EQ(rig.rt->stats().violations, 9u);
+}
+
+TEST(ShadowLargeObject, EveryEscapeCheckCountsAndCharges) {
+  ShadowRig rig;
+  const ShadowPtr small = rig.rt->Malloc(rig.cpu(), kEscapeBytes - kShadowGranule);
+  const ShadowPtr big = rig.rt->Malloc(rig.cpu(), kEscapeBytes);
+  ASSERT_TRUE(rig.Passes(small, 8));
+  EXPECT_EQ(rig.rt->stats().slow_path_checks, 0u);  // one granule short of the escape
+  // The first big check walks the side table; the rest hit the memo. Each
+  // one still counts as a slow-path check and pays the same table-walk charge.
+  uint64_t first_charge = 0;
+  for (uint32_t i = 0; i < 10; ++i) {
+    const uint64_t raw_before = rig.cpu().events().cycles;
+    ASSERT_TRUE(rig.Passes(ShAdd(big, i * 4096), 8));
+    const uint64_t charge = rig.cpu().events().cycles - raw_before;
+    if (i == 0) {
+      first_charge = charge;
+      EXPECT_GT(charge, 0u);
+    }
+    EXPECT_EQ(charge, first_charge) << i;
+    EXPECT_EQ(rig.rt->stats().slow_path_checks, i + 1u);
+  }
+  ASSERT_TRUE(rig.Passes(small, 8));
+  EXPECT_EQ(rig.rt->stats().slow_path_checks, 10u);
+  EXPECT_FALSE(rig.Passes(ShAdd(big, kEscapeBytes), 1));  // a failed escape check counts too
+  EXPECT_EQ(rig.rt->stats().slow_path_checks, 11u);
+  EXPECT_EQ(rig.rt->stats().checks, 13u);
+}
+
+TEST(ShadowLargeObject, AlternatingBigObjectsKeepTheirOwnBounds) {
+  ShadowRig rig;
+  const uint32_t size_a = kEscapeBytes + 64;
+  const uint32_t size_b = 2 * kEscapeBytes + 4096;
+  const ShadowPtr a = rig.rt->Malloc(rig.cpu(), size_a);
+  const ShadowPtr b = rig.rt->Malloc(rig.cpu(), size_b);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_TRUE(rig.Passes(ShAdd(a, size_a - 1), 1)) << i;
+    EXPECT_TRUE(rig.Passes(ShAdd(b, size_b - 1), 1)) << i;
+    // One past a lands inside b's storage, but a's anchor judges it.
+    EXPECT_FALSE(rig.Passes(ShAdd(a, size_a + 64), 1)) << i;
+    EXPECT_TRUE(rig.Passes(ShAdd(b, size_a + 64), 1)) << i;
+    EXPECT_FALSE(rig.Passes(ShAdd(b, size_b), 1)) << i;
+  }
+  EXPECT_EQ(rig.rt->stats().slow_path_checks, 100u);
+  EXPECT_EQ(rig.rt->stats().violations, 40u);
+}
+
+TEST(ShadowLargeObject, ReallocAtTheSameBaseUsesTheNewExtent) {
+  ShadowRig rig;
+  // Free, then a smaller malloc that first-fit places at the same base.
+  const uint32_t big = 2 * kEscapeBytes;
+  const ShadowPtr p = rig.rt->Malloc(rig.cpu(), big);
+  ASSERT_TRUE(rig.Passes(ShAdd(p, big - 1), 1));  // memoizes p's extent
+  rig.rt->Free(rig.cpu(), p);
+  const uint32_t smaller = kEscapeBytes + 8;
+  const ShadowPtr q = rig.rt->Malloc(rig.cpu(), smaller);
+  ASSERT_EQ(ShAnchor(q), ShAnchor(p));
+  EXPECT_TRUE(rig.Passes(ShAdd(q, smaller - 1), 1));
+  EXPECT_FALSE(rig.Passes(ShAdd(q, smaller), 1));
+  EXPECT_FALSE(rig.Passes(ShAdd(q, big - 1), 1));
+
+  // Re-tagging caller-owned storage (a stack slot reused by the next frame)
+  // with a larger extent, without a free in between.
+  const uint32_t storage = rig.heap->Alloc(rig.cpu(), 4 * kEscapeBytes, kShadowGranule);
+  const ShadowPtr s1 = rig.rt->SpecifyBounds(rig.cpu(), storage, kEscapeBytes);
+  EXPECT_FALSE(rig.Passes(ShAdd(s1, kEscapeBytes), 1));  // memoizes s1's extent
+  const ShadowPtr s2 = rig.rt->SpecifyBounds(rig.cpu(), storage, 3 * kEscapeBytes);
+  ASSERT_EQ(ShAnchor(s2), ShAnchor(s1));
+  EXPECT_TRUE(rig.Passes(ShAdd(s2, kEscapeBytes), 1));
+  EXPECT_TRUE(rig.Passes(ShAdd(s2, 3 * kEscapeBytes - 1), 1));
+  EXPECT_FALSE(rig.Passes(ShAdd(s2, 3 * kEscapeBytes), 1));
+}
+
+TEST(ShadowLargeObject, StaleAnchorAfterFreeTraps) {
+  ShadowRig rig;
+  const ShadowPtr x = rig.rt->Malloc(rig.cpu(), 64);
+  const ShadowPtr p = rig.rt->Malloc(rig.cpu(), 2 * kEscapeBytes);
+  const ShadowPtr inner = ShAdd(p, 4096);
+  ASSERT_TRUE(rig.Passes(inner, 8));  // memoizes p's extent
+  rig.rt->Free(rig.cpu(), p);
+  EXPECT_FALSE(rig.Passes(p, 1));
+  EXPECT_FALSE(rig.Passes(inner, 8, AccessType::kWrite));
+  // The cleared entries trap before the escape path is reached.
+  EXPECT_EQ(rig.rt->stats().slow_path_checks, 1u);
+  EXPECT_EQ(rig.rt->stats().violations, 2u);
+
+  // A newer big object over the freed storage puts escape entries back under
+  // p's anchor; the side table still knows no object based there.
+  rig.rt->Free(rig.cpu(), x);
+  const ShadowPtr q = rig.rt->Malloc(rig.cpu(), 2 * kEscapeBytes);
+  ASSERT_EQ(ShAnchor(q), ShAnchor(x));
+  EXPECT_FALSE(rig.Passes(p, 1));
+  EXPECT_FALSE(rig.Passes(inner, 8));
+  EXPECT_TRUE(rig.Passes(ShAdd(q, ShAnchor(p) - ShAnchor(q)), 8));
+  EXPECT_EQ(rig.rt->stats().slow_path_checks, 4u);
+  EXPECT_EQ(rig.rt->stats().violations, 4u);
 }
 
 }  // namespace
