@@ -12,7 +12,9 @@
 // wall-clock, never a result byte. --selfcheck re-runs a small fleet at 1
 // and N host threads and fails on any digest mismatch (the CI gate).
 
+#include <cerrno>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -49,9 +51,14 @@ std::vector<uint64_t> ParseCsvU64(const std::string& csv, const char* flag) {
         csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
     if (!tok.empty()) {
       char* end = nullptr;
+      errno = 0;
       const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || v == 0) {
-        std::fprintf(stderr, "--%s: '%s' is not a positive integer\n", flag, tok.c_str());
+      // strtoull wraps "-1" to 2^64-1; counts and rates past 32 bits are
+      // typos, not requests.
+      if (*end != '\0' || v == 0 || errno == ERANGE || v > UINT32_MAX ||
+          tok.find('-') != std::string::npos) {
+        std::fprintf(stderr, "--%s: '%s' is not an integer in [1, %" PRIu32 "]\n", flag,
+                     tok.c_str(), UINT32_MAX);
         std::exit(2);
       }
       out.push_back(v);

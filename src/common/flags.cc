@@ -1,5 +1,7 @@
 #include "src/common/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -85,18 +87,29 @@ const FlagParser::Flag* FlagParser::Find(const std::string& name) const {
 
 bool FlagParser::SetValue(const Flag& flag, const std::string& value) {
   char* end = nullptr;
+  // A numeric value must be all number and in range: strto* read "" as 0,
+  // wrap "-1" to 2^64-1 for unsigned, and saturate out-of-range values.
+  const bool numeric =
+      flag.kind == Kind::kInt || flag.kind == Kind::kUint || flag.kind == Kind::kDouble;
+  if (numeric && value.empty()) {
+    return false;
+  }
+  errno = 0;
   switch (flag.kind) {
     case Kind::kInt: {
       const long long v = std::strtoll(value.c_str(), &end, 0);
-      if (end == nullptr || *end != '\0') {
+      if (*end != '\0' || errno == ERANGE) {
         return false;
       }
       *static_cast<int64_t*>(flag.target) = v;
       return true;
     }
     case Kind::kUint: {
+      if (value.find('-') != std::string::npos) {
+        return false;
+      }
       const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-      if (end == nullptr || *end != '\0') {
+      if (*end != '\0' || errno == ERANGE) {
         return false;
       }
       *static_cast<uint64_t*>(flag.target) = v;
@@ -104,7 +117,7 @@ bool FlagParser::SetValue(const Flag& flag, const std::string& value) {
     }
     case Kind::kDouble: {
       const double v = std::strtod(value.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
+      if (*end != '\0' || errno == ERANGE || !std::isfinite(v)) {
         return false;
       }
       *static_cast<double*>(flag.target) = v;

@@ -2,6 +2,33 @@
 
 namespace sgxb {
 
+namespace {
+
+// Guest copies are almost all one scalar: every IR load and store comes
+// through LoadBytes/StoreBytes with n of 1, 2, 4 or 8. A constant-size
+// memcpy compiles to one move; only other sizes call libc.
+inline void CopyGuestBytes(void* dst, const void* src, uint32_t n) {
+  switch (n) {
+    case 1:
+      std::memcpy(dst, src, 1);
+      break;
+    case 2:
+      std::memcpy(dst, src, 2);
+      break;
+    case 4:
+      std::memcpy(dst, src, 4);
+      break;
+    case 8:
+      std::memcpy(dst, src, 8);
+      break;
+    default:
+      std::memcpy(dst, src, n);
+      break;
+  }
+}
+
+}  // namespace
+
 Enclave::Enclave(const EnclaveConfig& config)
     : config_(config),
       memsys_(config.sim),
@@ -53,7 +80,7 @@ void Enclave::LoadBytes(Cpu& cpu, uint32_t addr, void* dst, uint32_t n, AccessCl
   }
   CheckAddressable(addr, n);
   cpu.MemAccess(addr, n, klass);
-  std::memcpy(dst, space_.HostPtr(addr), n);
+  CopyGuestBytes(dst, space_.HostPtr(addr), n);
   if (faults_ != nullptr) {
     faults_->OnAccess(cpu, addr, n);
   }
@@ -66,7 +93,7 @@ void Enclave::StoreBytes(Cpu& cpu, uint32_t addr, const void* src, uint32_t n,
   }
   CheckAddressable(addr, n);
   cpu.MemAccess(addr, n, klass);
-  std::memcpy(space_.HostPtr(addr), src, n);
+  CopyGuestBytes(space_.HostPtr(addr), src, n);
   if (faults_ != nullptr) {
     faults_->OnAccess(cpu, addr, n);
   }

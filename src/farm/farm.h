@@ -24,6 +24,9 @@
 //   throughput, and a result digest the smoke tests pin across thread
 //   counts. With resilience off the pass runs its fault-free case: FCFS per
 //   shard, no deadline, same-instant closed-loop clients in client-id order.
+//   Its event queue merges sorted sources (per-shard completion FIFOs,
+//   deadline and hedge FIFOs, two small heaps), so each event costs the
+//   same however deep the backlog grows (resilience.h).
 
 #ifndef SGXBOUNDS_SRC_FARM_FARM_H_
 #define SGXBOUNDS_SRC_FARM_FARM_H_

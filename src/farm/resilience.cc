@@ -1,3 +1,11 @@
+// ResilientTiming, the farm's phase-B discrete-event pass (model in
+// resilience.h). Its queue is EventMerge below: per-shard completion FIFOs,
+// deadline and hedge FIFOs and two small heaps, merged by their heads. Each
+// source is sorted under EventAfter (completions: a shard's free_at never
+// falls within an epoch; deadlines and hedges: pushed at t + const as t
+// advances), and a shard's FIFO is emptied whenever its epoch moves, because
+// a stale completion pops as a no-op. DESIGN.md §13 gives the full argument.
+
 #include "src/farm/resilience.h"
 
 #include <algorithm>
@@ -47,6 +55,116 @@ struct EventAfter {
     }
     return a.key > b.key;
   }
+};
+
+// A FIFO of events in one power-of-two ring, doubled when full. One buffer
+// per source, freed with the pass, goes back to the system; a queue of small
+// blocks (std::deque) leaves thousands of freed blocks in the allocator after
+// every pass, which raised hostbench's peak RSS by ~3 MB.
+class EventFifo {
+ public:
+  bool empty() const { return head_ == tail_; }
+  const Event& front() const { return ring_[head_ & mask_]; }
+  void push_back(const Event& ev) {
+    if (tail_ - head_ == ring_.size()) {
+      Grow();
+    }
+    ring_[tail_++ & mask_] = ev;
+  }
+  void pop_front() { ++head_; }
+  void clear() { head_ = tail_ = 0; }
+
+ private:
+  void Grow() {
+    std::vector<Event> bigger(std::max<size_t>(64, 2 * ring_.size()));
+    for (size_t i = head_; i != tail_; ++i) {
+      bigger[i - head_] = ring_[i & mask_];
+    }
+    tail_ -= head_;
+    head_ = 0;
+    ring_.swap(bigger);
+    mask_ = ring_.size() - 1;
+  }
+
+  std::vector<Event> ring_;
+  size_t mask_ = 0;
+  size_t head_ = 0;  // head_ and tail_ only grow; slots are taken mod size
+  size_t tail_ = 0;
+};
+
+// The pending events of one pass, popped in EventAfter order as a k-way merge
+// of sources each already sorted under it: the least head is the event one
+// heap over all of them would pop. Completions (a FIFO per shard), deadlines
+// and hedges are FIFOs sorted as pushed; arrivals and the events whose times
+// are not monotone (jittered retries, detections, restarts) live in two small
+// heaps. A pop scans 4 + shards heads, whatever the backlog.
+class EventMerge {
+ public:
+  explicit EventMerge(uint32_t shards) : fifo_(kShardFifo + shards) {}
+
+  // `shard` is the completing shard of a kDone; other kinds ignore it.
+  void Push(const Event& ev, uint32_t shard) {
+    switch (ev.kind) {
+      case Event::kArrival:
+        arrivals_.push(ev);
+        break;
+      case Event::kDone:
+        fifo_[kShardFifo + shard].push_back(ev);
+        break;
+      case Event::kTimeout:
+        fifo_[kDeadlines].push_back(ev);
+        break;
+      case Event::kHedge:
+        fifo_[kHedges].push_back(ev);
+        break;
+      default:
+        unsorted_.push(ev);
+        break;
+    }
+  }
+
+  // Only when every pending completion of `shard` is stale (its epoch moved):
+  // a stale kDone pops as a no-op, so dropping it early changes nothing.
+  void DropCompletions(uint32_t shard) { fifo_[kShardFifo + shard].clear(); }
+
+  bool Pop(Event* out) {
+    const Event* best = nullptr;
+    Heap* best_heap = nullptr;
+    EventFifo* best_fifo = nullptr;
+    for (Heap* heap : {&arrivals_, &unsorted_}) {
+      if (!heap->empty() && (best == nullptr || EventAfter()(*best, heap->top()))) {
+        best = &heap->top();
+        best_heap = heap;
+      }
+    }
+    for (EventFifo& fifo : fifo_) {
+      if (!fifo.empty() && (best == nullptr || EventAfter()(*best, fifo.front()))) {
+        best = &fifo.front();
+        best_heap = nullptr;
+        best_fifo = &fifo;
+      }
+    }
+    if (best == nullptr) {
+      return false;
+    }
+    *out = *best;
+    if (best_heap != nullptr) {
+      best_heap->pop();
+    } else {
+      best_fifo->pop_front();
+    }
+    return true;
+  }
+
+ private:
+  using Heap = std::priority_queue<Event, std::vector<Event>, EventAfter>;
+  static constexpr size_t kDeadlines = 0;
+  static constexpr size_t kHedges = 1;
+  static constexpr size_t kShardFifo = 2;  // first of the per-shard FIFOs
+
+  std::vector<EventFifo> fifo_;
+  Heap arrivals_;
+  Heap unsorted_;
 };
 
 enum class SState : uint8_t { kAlive, kHung, kDead, kRestarting };
@@ -129,15 +247,16 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
   // dispatch window as healthy/degraded.
   uint32_t unhealthy = 0;
 
-  std::priority_queue<Event, std::vector<Event>, EventAfter> pq;
+  EventMerge events(nshards);
   uint64_t seq = 0;
-  auto push = [&](uint64_t time, Event::Kind kind, uint32_t id) {
-    pq.push(Event{time, seq++, kind, id});
+  // `shard`: the completing shard of a kDone.
+  auto push = [&](uint64_t time, Event::Kind kind, uint32_t id, uint32_t shard = 0) {
+    events.Push(Event{time, seq++, kind, id}, shard);
   };
   // Arrivals order among themselves by client (closed) or request (open).
   const uint32_t clients = std::max(1u, in.clients);
   auto push_arrival = [&](uint64_t time, uint32_t r) {
-    pq.push(Event{time, in.open_loop ? r : reqs[r].client % clients, Event::kArrival, r});
+    events.Push(Event{time, in.open_loop ? r : reqs[r].client % clients, Event::kArrival, r}, 0);
   };
 
   // Makespan: last client-visible resolution or executed shard completion.
@@ -162,7 +281,8 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
   };
 
   // Removes `s` from the serving set (ring points + health accounting).
-  // False when the ring refuses (last live shard, or already removed).
+  // False when the ring refuses (last live shard, or already removed). The
+  // epoch stays: a removed shard that is still up completes its queue.
   auto remove_from_ring = [&](uint32_t s) {
     if (!ring.RemoveShard(s)) {
       return false;
@@ -188,13 +308,20 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     return outcome[r];
   };
 
+  // Crash or restart: queued and executing work dies with the old
+  // incarnation, so its pending completions are stale and go now.
+  auto end_incarnation = [&](uint32_t s) {
+    ++shard[s].epoch;
+    events.DropCompletions(s);
+  };
+
   // The supervisor repairs shard `s` at time `t` (watchdog detection or
   // consecutive-failure conviction). No-op under failstop.
   auto repair = [&](uint32_t s, uint64_t t) {
     ShardState& sh = shard[s];
     if (rc.mode == RecoveryMode::kRestart) {
       set_state(s, SState::kRestarting, t);
-      ++sh.epoch;  // in-flight work dies with the old incarnation
+      end_incarnation(s);
       sh.consec = 0;
       push(t + warmup, Event::kRestartDone, s);
     } else {
@@ -218,7 +345,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
       const uint64_t start = std::max(t, sh.free_at);
       sh.free_at = start + at.demand;
       // kDone before kTimeout: a completion exactly at the deadline wins.
-      push(sh.free_at, Event::kDone, id);
+      push(sh.free_at, Event::kDone, id, s);
     }
     // On a dead or restarting shard no kDone is scheduled: the attempt falls
     // on the floor and only the client's deadline notices.
@@ -306,7 +433,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
         return;  // already down
       }
       set_state(ev.shard, SState::kDead, t);
-      ++sh.epoch;  // queued + executing work dies with the process
+      end_incarnation(ev.shard);
       ++rep.shards[ev.shard].crashes;
       if (supervised) {
         push(t + rc.watchdog_cycles, Event::kDetect, ev.shard);
@@ -324,9 +451,8 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     }
   };
 
-  while (!pq.empty()) {
-    const Event ev = pq.top();
-    pq.pop();
+  Event ev;
+  while (events.Pop(&ev)) {
     const uint64_t t = ev.time;
     switch (ev.kind) {
       case Event::kArrival: {

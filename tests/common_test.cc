@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "src/common/digest.h"
 #include "src/common/flags.h"
@@ -178,6 +180,48 @@ TEST(FlagsTest, ParsesTypedFlags) {
   EXPECT_EQ(name, "fig7");
   ASSERT_EQ(positional.size(), 1u);
   EXPECT_EQ(positional[0], "pos");
+}
+
+// Parses one `--name=value` argument into a fresh parser with one flag of
+// each numeric kind.
+void ParseOneNumericFlag(const std::string& arg) {
+  FlagParser parser;
+  int64_t i = 0;
+  uint64_t u = 0;
+  double d = 0.0;
+  parser.AddInt("i", &i, "");
+  parser.AddUint("u", &u, "");
+  parser.AddDouble("d", &d, "");
+  const char* argv[] = {"prog", arg.c_str()};
+  parser.Parse(2, const_cast<char**>(argv));
+}
+
+TEST(FlagsTest, RejectsMalformedNumericValues) {
+  // Each of these used to parse: empty as 0, "-1" as 2^64-1 for unsigned,
+  // out-of-range values saturated, and doubles that are not finite.
+  for (const char* arg :
+       {"--u=-1", "--u=", "--i=", "--d=", "--u=99999999999999999999999",
+        "--i=99999999999999999999999", "--i=-99999999999999999999999", "--d=nan",
+        "--d=inf", "--d=-inf", "--d=1e999", "--u=12abc", "--u= -3"}) {
+    EXPECT_EXIT(ParseOneNumericFlag(arg), ::testing::ExitedWithCode(2), "invalid value")
+        << arg;
+  }
+}
+
+TEST(FlagsTest, AcceptsNumericEdgeValues) {
+  FlagParser parser;
+  int64_t i = 0;
+  uint64_t u = 0;
+  double d = 0.0;
+  parser.AddInt("i", &i, "");
+  parser.AddUint("u", &u, "");
+  parser.AddDouble("d", &d, "");
+  const char* argv[] = {"prog", "--i=-9223372036854775808", "--u=18446744073709551615",
+                        "--d=-0.5"};
+  parser.Parse(4, const_cast<char**>(argv));
+  EXPECT_EQ(i, INT64_MIN);
+  EXPECT_EQ(u, UINT64_MAX);
+  EXPECT_DOUBLE_EQ(d, -0.5);
 }
 
 TEST(LatencyHistogramTest, EmptyAndExactZeroBucket) {
