@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "src/common/digest.h"
 #include "src/policy/run.h"
 #include "src/policy/shadow/shadow_runtime.h"
 
@@ -209,6 +210,92 @@ TEST(PolicyTest, OutsideEnclaveIsFasterThanInside) {
   EXPECT_GT(in_r.cycles, out_r.cycles);
   EXPECT_GT(in_r.counters.epc_faults, 0u);
   EXPECT_EQ(out_r.counters.epc_faults, 0u);
+}
+
+// Every surface op once, in a fixed order, on a fresh machine; returns the
+// FNV-1a digest of the resulting event counts, cycles and loaded data.
+template <typename P>
+uint64_t SurfaceOpsDigest(Env<P>& env) {
+  auto& pol = env.policy;
+  auto& cpu = env.cpu;
+  auto a = pol.Malloc(cpu, 256);
+  auto b = pol.AlignedAlloc(cpu, 128, 64);
+  auto c = pol.Calloc(cpu, 16, 8);
+  uint64_t data = 0;
+  const auto a8 = pol.Offset(cpu, a, 8);
+  pol.template Store<uint64_t>(cpu, a8, 0x1234);
+  data += pol.template Load<uint64_t>(cpu, a8);
+  pol.template StoreAt<uint32_t>(cpu, a, 40, 7);
+  data += pol.template LoadAt<uint32_t>(cpu, a, 40);
+  pol.template StoreField<uint16_t>(cpu, b, 16, 9);
+  data += pol.template LoadField<uint16_t>(cpu, b, 16);
+  pol.StorePtr(cpu, c, a);
+  const auto back = pol.LoadPtr(cpu, c);
+  data += pol.template Load<uint64_t>(cpu, pol.Offset(cpu, back, 8));
+  auto span = pol.OpenSpan(cpu, a, 256);
+  for (uint32_t i = 0; i < 32; ++i) {
+    span.template Store<uint64_t>(cpu, i * 8, i * 3);
+  }
+  for (uint32_t i = 0; i < 32; ++i) {
+    data += span.template Load<uint64_t>(cpu, i * 8);
+  }
+  pol.Memcpy(cpu, b, a, 128);
+  pol.Memset(cpu, c, 0xab, 64);
+  data += pol.template Load<uint8_t>(cpu, c);
+  data += pol.template LoadAt<uint64_t>(cpu, b, 120);
+  pol.Free(cpu, a);
+  pol.Free(cpu, b);
+  pol.Free(cpu, c);
+
+  const PerfCounters& e = cpu.events();
+  uint64_t h = kFnvOffset;
+  for (uint64_t v :
+       {e.cycles, e.alu_ops, e.branches, e.fp_ops, e.calls, e.syscalls, e.loads, e.stores,
+        e.metadata_loads, e.metadata_stores, e.l1_accesses, e.l1_misses, e.l2_misses,
+        e.llc_accesses, e.llc_misses, e.epc_faults, e.minor_faults, e.bounds_checks,
+        e.bounds_violations, e.ecalls, e.ocalls, e.transition_cycles, cpu.cycles(), data}) {
+    h = FnvMix(h, v);
+  }
+  return h;
+}
+
+// Pins every registered scheme's per-op charges, with the SS4.4 switches both
+// on and both off. The figure goldens cover only the paper's four schemes at
+// default options; this covers each scheme's whole policy surface.
+TEST(PolicyTest, PerOpChargesMatchPinnedDigests) {
+  struct Pin {
+    PolicyKind kind;
+    bool opts;
+    uint64_t digest;
+  };
+  const Pin kPins[] = {
+      {PolicyKind::kNative, true, 0x31e32eb79a045bbeull},
+      {PolicyKind::kNative, false, 0x31e32eb79a045bbeull},
+      {PolicyKind::kMpx, true, 0xe9731dbca9aff1f5ull},
+      {PolicyKind::kMpx, false, 0xe9731dbca9aff1f5ull},
+      {PolicyKind::kAsan, true, 0x46a7efa41256654eull},
+      {PolicyKind::kAsan, false, 0x46a7efa41256654eull},
+      {PolicyKind::kSgxBounds, true, 0x796592b5a0d232f6ull},
+      {PolicyKind::kSgxBounds, false, 0x5c4aa1196c1f62a4ull},
+      {PolicyKind::kL4Ptr, true, 0x967532a6fd370c6bull},
+      {PolicyKind::kL4Ptr, false, 0x561699797f3f13a0ull},
+      {PolicyKind::kShadow, true, 0x2439a5372bfff598ull},
+      {PolicyKind::kShadow, false, 0x4dbee59a320ed071ull},
+  };
+  size_t checked = 0;
+  for (const Pin& pin : kPins) {
+    PolicyOptions options;
+    options.opt_safe_elision = pin.opts;
+    options.opt_hoist_checks = pin.opts;
+    uint64_t digest = 0;
+    const RunResult r = RunPolicyKind(pin.kind, SmallSpec(), options,
+                                      [&](auto& env) { digest = SurfaceOpsDigest(env); });
+    ASSERT_FALSE(r.crashed) << PolicyName(pin.kind) << ": " << r.trap_message;
+    EXPECT_EQ(digest, pin.digest) << PolicyName(pin.kind) << " opts=" << pin.opts
+                                  << " digest=0x" << std::hex << digest;
+    ++checked;
+  }
+  EXPECT_EQ(checked, static_cast<size_t>(kPolicyKindCount) * 2);
 }
 
 TEST(PolicyTest, RunResultRatios) {
