@@ -12,8 +12,6 @@
 
 #include "bench/bench_util.h"
 
-#include <cstdlib>
-
 #include "src/trace/record.h"
 #include "src/trace/sweep.h"
 
@@ -21,13 +19,11 @@ namespace {
 
 // EPC sweep (the working-set pressure axis): cycles and fault counts per EPC
 // size, one table per workload. `--mode=live` re-executes the workload per
-// point; `--mode=replay` executes once, records the trace, and re-simulates
-// every point through a ConfigSweeper; `--mode=sweep` also executes once but
-// routes the whole (workload x EPC) grid through the SweepEngine, which
-// decodes each trace once, amortizes one capture per trace, and work-steals
-// the grid across --bench_threads. All three print identical series —
-// asserted by tests/trace_test.cc — so replay/sweep are purely wall-clock
-// wins.
+// point; `--mode=sweep` executes once, records the trace, and routes the
+// whole (workload x EPC) grid through the SweepEngine, which decodes each
+// trace once, amortizes one capture per trace, and work-steals the grid
+// across --bench_threads. Both print identical series - asserted by
+// tests/trace_test.cc - so sweep is purely a wall-clock win.
 void RunEpcSweep(const std::vector<const sgxb::WorkloadInfo*>& workloads,
                  const std::vector<uint64_t>& epc_mibs, const std::string& mode,
                  sgxb::SizeClass size, sgxb::PolicyKind kind, uint32_t threads) {
@@ -38,19 +34,7 @@ void RunEpcSweep(const std::vector<const sgxb::WorkloadInfo*>& workloads,
   cfg.size = size;
   cfg.threads = threads;
   std::vector<std::vector<RunResult>> all_points(workloads.size());
-  if (mode == "replay") {
-    // One execution per workload (fanned across host threads), then every EPC
-    // point comes from the sweeper in milliseconds.
-    ParallelFor(workloads.size(), ResolveBenchThreads(), [&](size_t i) {
-      const WorkloadInfo* w = workloads[i];
-      const RecordedRun rec = RecordWorkloadRun(*w, kind, MachineSpec{}, PolicyOptions{}, cfg);
-      const ConfigSweeper sweeper(DecodedTrace(rec.trace),
-                                  SimConfigFromHeader(rec.trace.header));
-      for (uint64_t mib : epc_mibs) {
-        all_points[i].push_back(ToRunResult(sweeper.ReplayAt(mib * kMiB), rec.trace));
-      }
-    });
-  } else if (mode == "sweep") {
+  if (mode == "sweep") {
     // Record each workload once, then hand every (workload, EPC) cell to the
     // sweep engine as one batch.
     std::vector<RecordedRun> recs(workloads.size());
@@ -114,23 +98,6 @@ void RunEpcSweep(const std::vector<const sgxb::WorkloadInfo*>& workloads,
   }
 }
 
-std::vector<uint64_t> ParseMibList(const std::string& csv) {
-  std::vector<uint64_t> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = csv.size();
-    }
-    const std::string tok = csv.substr(pos, comma - pos);
-    if (!tok.empty()) {
-      out.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,9 +109,9 @@ int main(int argc, char** argv) {
   std::string sweep_size = "S";
   std::string sweep_policy = "sgxbounds";
   parser.AddInt("threads", &threads, "worker threads");
-  parser.AddChoice("mode", &mode, {"live", "replay", "sweep"},
-                   "EPC sweep execution: live re-executes per point, replay records "
-                   "once per workload, sweep batches the grid through the SweepEngine");
+  parser.AddChoice("mode", &mode, {"live", "sweep"},
+                   "EPC sweep execution: live re-executes per point, sweep records "
+                   "once per workload and batches the grid through the SweepEngine");
   parser.AddString("epc_mibs", &epc_mibs_csv,
                    "comma-separated EPC sizes in MiB; when set, runs the EPC sweep "
                    "instead of the working-set grid");
@@ -165,7 +132,8 @@ int main(int argc, char** argv) {
 
   if (!epc_mibs_csv.empty()) {
     const PolicyKind kind = ParsePolicyKind(sweep_policy);
-    RunEpcSweep(sweep_workloads, ParseMibList(epc_mibs_csv), mode,
+    // 1..4096 MiB: the EPC sizes SimConfig validation accepts.
+    RunEpcSweep(sweep_workloads, ParseU64List(epc_mibs_csv, "epc_mibs", 1, 4096), mode,
                 ParseSizeClass(sweep_size), kind, static_cast<uint32_t>(threads));
     return 0;
   }

@@ -17,12 +17,11 @@ int main(int argc, char** argv) {
   std::string size = "L";
   std::string mode = "live";
   parser.AddChoice("size", &size, SizeClassChoices(), "input size class");
-  parser.AddChoice("mode", &mode, {"live", "replay", "sweep"},
-                   "live: run the in-enclave suite; replay: record each "
+  parser.AddChoice("mode", &mode, {"live", "sweep"},
+                   "live: run the in-enclave suite; sweep: record each "
                    "(benchmark, policy) once and derive BOTH the in-enclave and "
-                   "out-of-enclave tables from that single recording set; sweep: "
-                   "same recordings, but both tables come from one SweepEngine "
-                   "batch (decode-once + capture re-pricing)");
+                   "out-of-enclave tables from one SweepEngine batch over that "
+                   "recording set (decode-once + capture re-pricing)");
   AddPoliciesFlag(parser);
   AddBenchDriverFlags(parser);
   parser.Parse(argc, argv);
@@ -45,9 +44,9 @@ int main(int argc, char** argv) {
     // Record once per (benchmark, policy), then answer the whole
     // {enclave on, enclave off} x recordings grid in ONE SweepEngine batch:
     // each trace decodes once and one enclave-ON capture per trace re-prices
-    // both modes, so neither table costs a second full replay. The engine's
-    // results are bit-identical to the live/replay paths (tests/trace_test.cc),
-    // so all three modes print the same tables.
+    // both modes, so neither table costs a second full replay. The access
+    // stream does not depend on enclave mode (it only changes charging), and
+    // the engine's results are bit-identical to a live run (tests/trace_test.cc).
     const size_t np = policies.size();
     std::vector<RecordedRun> recs(workloads.size() * np);
     ParallelFor(recs.size(), ResolveBenchThreads(), [&](size_t i) {
@@ -97,36 +96,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(st.captures_built),
                  static_cast<unsigned long long>(st.capture_replays),
                  static_cast<unsigned long long>(st.full_replays));
-    PrintOverheadTables("Fig.11 SPEC in-enclave (" + size + ", recorded)", enclave_rows);
-    PrintOverheadTables(
-        "Fig.12-style SPEC outside enclave (" + size + ", replayed from the same recordings)",
-        native_rows);
-    return 0;
-  }
-
-  if (mode == "replay") {
-    // The access stream does not depend on enclave mode (it only changes
-    // charging), so one in-enclave recording re-simulates the out-of-enclave
-    // machine exactly: the second table costs a replay, not a re-execution.
-    std::vector<SuiteRow> enclave_rows;
-    std::vector<SuiteRow> native_rows;
-    for (const WorkloadInfo* w : workloads) {
-      std::vector<RunResult> enc(policies.size());
-      std::vector<RunResult> nat(policies.size());
-      ParallelFor(policies.size(), ResolveBenchThreads(), [&](size_t i) {
-        const PolicyKind kind = policies[i];
-        std::fprintf(stderr, "[fig11] recording %s/%s...\n", w->name.c_str(),
-                     PolicyName(kind));
-        const RecordedRun rec =
-            RecordWorkloadRun(*w, kind, spec, PolicyOptions{}, cfg);
-        enc[i] = rec.live;
-        SimConfig native_cfg = SimConfigFromHeader(rec.trace.header);
-        native_cfg.enclave_mode = false;
-        nat[i] = ToRunResult(ReplayTrace(rec.trace, native_cfg), rec.trace);
-      });
-      enclave_rows.push_back(MakeSuiteRow(w->name, enc.data(), policies));
-      native_rows.push_back(MakeSuiteRow(w->name, nat.data(), policies));
-    }
     PrintOverheadTables("Fig.11 SPEC in-enclave (" + size + ", recorded)", enclave_rows);
     PrintOverheadTables(
         "Fig.12-style SPEC outside enclave (" + size + ", replayed from the same recordings)",

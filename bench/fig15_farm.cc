@@ -12,7 +12,6 @@
 // wall-clock, never a result byte. --selfcheck re-runs a small fleet at 1
 // and N host threads and fails on any digest mismatch (the CI gate).
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -41,39 +40,6 @@ struct SweepPoint {
   double rps;         // open loop
   FarmResult result;
 };
-
-std::vector<uint64_t> ParseCsvU64(const std::string& csv, const char* flag) {
-  std::vector<uint64_t> out;
-  size_t pos = 0;
-  while (pos <= csv.size()) {
-    const size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!tok.empty()) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-      // strtoull wraps "-1" to 2^64-1; counts and rates past 32 bits are
-      // typos, not requests.
-      if (*end != '\0' || v == 0 || errno == ERANGE || v > UINT32_MAX ||
-          tok.find('-') != std::string::npos) {
-        std::fprintf(stderr, "--%s: '%s' is not an integer in [1, %" PRIu32 "]\n", flag,
-                     tok.c_str(), UINT32_MAX);
-        std::exit(2);
-      }
-      out.push_back(v);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--%s: empty list\n", flag);
-    std::exit(2);
-  }
-  return out;
-}
 
 // Resolves --apps: csv of registered app names, or "all".
 std::vector<FarmApp> ResolveApps(const std::string& csv) {
@@ -380,9 +346,11 @@ int Main(int argc, char** argv) {
 
   const std::vector<FarmApp> apps = ResolveApps(apps_csv);
   const std::vector<PolicyKind> policies = ResolvePolicies();
-  const std::vector<uint64_t> shard_counts = ParseCsvU64(shards_csv, "shards");
-  const std::vector<uint64_t> loads = proto.open_loop ? ParseCsvU64(rps_csv, "rps")
-                                                      : ParseCsvU64(clients_csv, "clients");
+  const std::vector<uint64_t> shard_counts =
+      ParseU64List(shards_csv, "shards", 1, UINT32_MAX);
+  const std::vector<uint64_t> loads = proto.open_loop
+                                          ? ParseU64List(rps_csv, "rps", 1, UINT32_MAX)
+                                          : ParseU64List(clients_csv, "clients", 1, UINT32_MAX);
 
   std::vector<SweepPoint> points;
   for (const FarmApp app : apps) {

@@ -43,34 +43,6 @@ struct SweepPoint {
 
 double CyclesToUs(double cycles, double ghz) { return cycles / (ghz * 1e3); }
 
-std::vector<uint64_t> ParseCsvU64OrZero(const std::string& csv, const char* flag) {
-  std::vector<uint64_t> out;
-  size_t pos = 0;
-  while (pos <= csv.size()) {
-    const size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!tok.empty()) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "--%s: '%s' is not an integer\n", flag, tok.c_str());
-        std::exit(2);
-      }
-      out.push_back(v);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--%s: empty list\n", flag);
-    std::exit(2);
-  }
-  return out;
-}
-
 std::vector<RecoveryMode> ResolveRecoveries(const std::string& csv) {
   std::vector<RecoveryMode> out;
   if (csv == "all") {
@@ -282,7 +254,7 @@ int Main(int argc, char** argv) {
   }
 
   proto.machine.recovery.enabled = true;
-  const std::vector<uint64_t> rates = ParseCsvU64OrZero(rates_csv, "fault_rates");
+  const std::vector<uint64_t> rates = ParseU64List(rates_csv, "fault_rates", 0, requests);
   const std::vector<RecoveryMode> modes = ResolveRecoveries(recoveries_csv);
 
   std::vector<SweepPoint> points;

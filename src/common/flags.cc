@@ -35,6 +35,22 @@ std::string DefaultToString(FlagParser* unused, const void* target, int kind_ind
   return os.str();
 }
 
+// An unsigned value must be all number and in range: strtoull reads "" as
+// 0, wraps "-1" to 2^64-1 and saturates out-of-range values.
+bool ParseUnsigned(const std::string& value, uint64_t* out) {
+  if (value.empty() || value.find('-') != std::string::npos) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
+  if (*end != '\0' || errno == ERANGE) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 void FlagParser::AddInt(const std::string& name, int64_t* target, const std::string& help) {
@@ -104,17 +120,8 @@ bool FlagParser::SetValue(const Flag& flag, const std::string& value) {
       *static_cast<int64_t*>(flag.target) = v;
       return true;
     }
-    case Kind::kUint: {
-      if (value.find('-') != std::string::npos) {
-        return false;
-      }
-      const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-      if (*end != '\0' || errno == ERANGE) {
-        return false;
-      }
-      *static_cast<uint64_t*>(flag.target) = v;
-      return true;
-    }
+    case Kind::kUint:
+      return ParseUnsigned(value, static_cast<uint64_t*>(flag.target));
     case Kind::kDouble: {
       const double v = std::strtod(value.c_str(), &end);
       if (*end != '\0' || errno == ERANGE || !std::isfinite(v)) {
@@ -205,6 +212,33 @@ std::vector<std::string> FlagParser::Parse(int argc, char** argv) {
     }
   }
   return positional;
+}
+
+std::vector<uint64_t> ParseU64List(const std::string& csv, const std::string& flag,
+                                   uint64_t min, uint64_t max) {
+  if (csv.empty()) {
+    std::fprintf(stderr, "--%s: empty list\n", flag.c_str());
+    std::exit(2);
+  }
+  std::vector<uint64_t> out;
+  size_t pos = 0;
+  while (true) {
+    const size_t comma = csv.find(',', pos);
+    const std::string item =
+        csv.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    uint64_t v = 0;
+    if (!ParseUnsigned(item, &v) || v < min || v > max) {
+      std::fprintf(stderr, "--%s: '%s' is not an integer in [%llu, %llu]\n", flag.c_str(),
+                   item.c_str(), static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(max));
+      std::exit(2);
+    }
+    out.push_back(v);
+    if (comma == std::string::npos) {
+      return out;
+    }
+    pos = comma + 1;
+  }
 }
 
 std::string FlagParser::Usage(const std::string& program) const {

@@ -61,6 +61,14 @@ class FlagParser {
   std::vector<Flag> flags_;
 };
 
+// Parses a comma-separated list of unsigned integers for --`flag` (fig08's
+// --epc_mibs, fig15's --shards, fig16's --fault_rates, ...). Each item
+// follows FlagParser's unsigned rules (all number, no sign, no overflow) and
+// must lie in [min, max]; an empty item or an empty list is an error. On
+// error prints a message naming the flag and exits with status 2.
+std::vector<uint64_t> ParseU64List(const std::string& csv, const std::string& flag,
+                                   uint64_t min, uint64_t max);
+
 }  // namespace sgxb
 
 #endif  // SGXBOUNDS_SRC_COMMON_FLAGS_H_

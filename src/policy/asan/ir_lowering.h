@@ -8,7 +8,7 @@
 #define SGXBOUNDS_SRC_POLICY_ASAN_IR_LOWERING_H_
 
 #include "src/ir/opt/pipeline.h"
-#include "src/policy/asan/asan_policy.h"
+#include "src/policy/asan/scheme.h"
 #include "src/policy/ir_lowering.h"
 
 namespace sgxb {

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "src/policy/asan/asan_policy.h"
+#include "src/policy/asan/scheme.h"
 #include "src/ripe/defense.h"
 
 namespace sgxb {
@@ -57,7 +57,7 @@ std::unique_ptr<RipeDefense> MakeDefense(const RipeMachine& m) {
 
 }  // namespace
 
-const SchemeDescriptor& AsanPolicy::Descriptor() {
+const SchemeDescriptor& AsanScheme::Descriptor() {
   static const SchemeDescriptor* desc = [] {
     auto* d = new SchemeDescriptor();
     d->kind = PolicyKind::kAsan;

@@ -14,7 +14,7 @@
 
 #include "src/ir/opt/pipeline.h"
 #include "src/policy/ir_lowering.h"
-#include "src/policy/l4ptr/l4ptr_policy.h"
+#include "src/policy/l4ptr/scheme.h"
 
 namespace sgxb {
 

@@ -6,7 +6,7 @@
 
 #include <cstring>
 
-#include "src/policy/l4ptr/l4ptr_policy.h"
+#include "src/policy/l4ptr/scheme.h"
 #include "src/ripe/defense.h"
 
 namespace sgxb {
@@ -67,7 +67,7 @@ std::unique_ptr<RipeDefense> MakeDefense(const RipeMachine& m) {
 
 }  // namespace
 
-const SchemeDescriptor& L4PtrPolicy::Descriptor() {
+const SchemeDescriptor& L4PtrScheme::Descriptor() {
   static const SchemeDescriptor* desc = [] {
     auto* d = new SchemeDescriptor();
     d->kind = PolicyKind::kL4Ptr;

@@ -9,7 +9,7 @@
 
 #include "src/ir/opt/pipeline.h"
 #include "src/policy/ir_lowering.h"
-#include "src/policy/mpx/mpx_policy.h"
+#include "src/policy/mpx/scheme.h"
 
 namespace sgxb {
 

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "src/policy/mpx/mpx_policy.h"
+#include "src/policy/mpx/scheme.h"
 #include "src/policy/run.h"
 #include "src/ripe/defense.h"
 
@@ -67,7 +67,7 @@ uint64_t BtCount(const RunResult& result) { return result.mpx_bt_count; }
 
 }  // namespace
 
-const SchemeDescriptor& MpxPolicy::Descriptor() {
+const SchemeDescriptor& MpxScheme::Descriptor() {
   static const SchemeDescriptor* desc = [] {
     auto* d = new SchemeDescriptor();
     d->kind = PolicyKind::kMpx;

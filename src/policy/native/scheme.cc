@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "src/policy/native/native_policy.h"
+#include "src/policy/native/scheme.h"
 #include "src/ripe/defense.h"
 
 namespace sgxb {
@@ -47,7 +47,7 @@ std::unique_ptr<RipeDefense> MakeDefense(const RipeMachine& m) {
 
 }  // namespace
 
-const SchemeDescriptor& NativePolicy::Descriptor() {
+const SchemeDescriptor& NativeScheme::Descriptor() {
   static const SchemeDescriptor* desc = [] {
     auto* d = new SchemeDescriptor();
     d->kind = PolicyKind::kNative;

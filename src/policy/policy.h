@@ -1,29 +1,44 @@
-// Memory-safety policies: the four "compilations" of every workload.
+// Memory-safety policies: how every workload is "compiled" per scheme.
 //
-// The paper compiles each benchmark four ways: plain SGX (native), with
-// AddressSanitizer, with Intel MPX, and with SGXBounds. In this reproduction
-// each workload is a template over a Policy class that supplies pointer
-// representation, allocation, checked access, pointer-in-memory operations
-// and loop-span access - the observable effects of the four instrumentations.
+// The paper compiles each benchmark once per instrumentation: plain SGX
+// (native), AddressSanitizer, Intel MPX and SGXBounds; the registry adds
+// l4ptr and shadow. Here each workload is a template over a policy type P
+// (see run.h's Env<P>), and every P is CheckedPolicy<Scheme>
+// (checked_policy.h): one set of bodies for allocation, checked access,
+// field and span access, pointer-in-memory and the libc wrappers, over a
+// small per-scheme struct in src/policy/<scheme>/scheme.h. The policy
+// surface a workload sees:
 //
-// The Policy concept (duck-typed; see native_policy.h for the reference):
+//   Ptr Malloc/AlignedAlloc/Calloc(Cpu&, ...);  void Free(Cpu&, Ptr);
+//   Ptr Offset(Cpu&, Ptr, int64_t);  uint32_t AddrOf(Ptr);
+//   T Load<T>(Cpu&, Ptr);  LoadAt<T>(Cpu&, Ptr, off);  LoadField<T>(...)
+//   (and the Store counterparts);  Ptr LoadPtr(Cpu&, Ptr slot);
+//   StorePtr(Cpu&, Ptr slot, Ptr);  Span OpenSpan(Cpu&, Ptr, extent);
+//   Memcpy/Memset(Cpu&, ...).
 //
-//   using Ptr = ...;                  // pointer representation
+// A scheme struct supplies only what differs between schemes:
+//
 //   static constexpr PolicyKind kKind;
-//   Ptr   Malloc(Cpu&, uint32_t size);
-//   Ptr   Calloc(Cpu&, uint32_t count, uint32_t elem);
-//   void  Free(Cpu&, Ptr);
-//   Ptr   Offset(Cpu&, Ptr, int64_t delta);          // pointer arithmetic
-//   uint32_t AddrOf(Ptr) const;                      // raw enclave address
-//   T     Load<T>(Cpu&, Ptr);                        // checked access
-//   void  Store<T>(Cpu&, Ptr, T);
-//   T     LoadField<T>(Cpu&, Ptr, uint32_t off);     // provably-safe access
-//   void  StoreField<T>(Cpu&, Ptr, uint32_t off, T); //   (SS4.4 elision point)
-//   Ptr   LoadPtr(Cpu&, Ptr slot);                   // pointer-in-memory
-//   void  StorePtr(Cpu&, Ptr slot, Ptr value);       //   (MPX bndldx/bndstx point)
-//   Span  OpenSpan(Cpu&, Ptr base, uint64_t extent); // monotone-loop access
-//                                                    //   (SS4.4 hoisting point)
-//   void  Memcpy/Memset(Cpu&, ...);                  // libc-wrapper point
+//   static constexpr bool kOptimizesChecks;  // honours the SS4.4 pair
+//   static const SchemeDescriptor& Descriptor();  // in scheme.cc
+//   using Ptr = ...;                             // pointer representation
+//   Scheme(Enclave*, Heap*, const PolicyOptions&);
+//   static uint32_t Addr(Ptr);                   // raw enclave address
+//   static Ptr Add(Ptr, int64_t);                // cost-free arithmetic
+//   ResolvedAccess Resolve(Cpu&, Ptr, uint32_t bytes, AccessType);
+//                                                // the check; zero_fill
+//                                                // only for boundless
+//   Ptr Malloc/AlignedAlloc(Cpu&, ...);  void Free(Cpu&, Ptr);
+//   rt;                                          // runtime (not native)
+//
+// and optionally, each picked up with `if constexpr (requires ...)`:
+// CheckRange (required when kOptimizesChecks), Calloc and PtrAdd (runtime
+// versions of the defaults), OnPtrLoad/OnPtrStore (MPX's bndldx/bndstx
+// around a pointer slot), AttachFaults and CollectRunMetrics.
+//
+// Adding a scheme: one PolicyKind value below, one directory with that
+// struct, its scheme.cc (descriptor + RIPE defense) and, if it instruments
+// IR, an ir_lowering.h, then one line in scheme_list.h.
 
 #ifndef SGXBOUNDS_SRC_POLICY_POLICY_H_
 #define SGXBOUNDS_SRC_POLICY_POLICY_H_

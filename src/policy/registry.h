@@ -15,7 +15,7 @@
 //     each scheme against its own capability claims;
 //   * RIPE dispatches through make_ripe_defense instead of a Defense enum.
 //
-// Adding a sixth scheme means: one directory, one enum value, one entry in
+// Adding a scheme means: one directory, one enum value, one entry in
 // scheme_list.h. No bench driver, trace, fault or RIPE edits.
 
 #ifndef SGXBOUNDS_SRC_POLICY_REGISTRY_H_

@@ -7,9 +7,9 @@
 //   RunResult r = RunPolicyKind(PolicyKind::kSgxBounds, spec, PolicyOptions{},
 //                               [](auto& env) { MyKernel(env); });
 //
-// The body receives Env<P>& where P is the concrete policy class; workload
-// kernels are templates over that type, which is the moral equivalent of
-// compiling the same C source under four different instrumentations.
+// The body receives Env<P>& where P is the scheme's CheckedPolicy<Scheme>;
+// workload kernels are templates over that type, which is the moral
+// equivalent of compiling the same C source under each instrumentation.
 
 #ifndef SGXBOUNDS_SRC_POLICY_RUN_H_
 #define SGXBOUNDS_SRC_POLICY_RUN_H_

@@ -1,8 +1,9 @@
 // THE single registration point of the scheme registry.
 //
 // Adding a scheme: append its PolicyKind value (policy.h), create
-// src/policy/<scheme>/ with the policy class + a scheme.cc defining
-// Descriptor(), then add the type to SchemePolicies below. Nothing else in
+// src/policy/<scheme>/ with a scheme struct (scheme.h, see policy.h) + a
+// scheme.cc defining Descriptor(), then add CheckedPolicy<YourScheme> to
+// SchemePolicies below. Nothing else in
 // the repo changes - the registry (policy.cc), the run harness (run.h), the
 // IR suite, the bench drivers, the trace tool, RIPE and the fault campaigns
 // all enumerate from here.
@@ -10,12 +11,12 @@
 #ifndef SGXBOUNDS_SRC_POLICY_SCHEME_LIST_H_
 #define SGXBOUNDS_SRC_POLICY_SCHEME_LIST_H_
 
-#include "src/policy/asan/asan_policy.h"
-#include "src/policy/l4ptr/l4ptr_policy.h"
-#include "src/policy/mpx/mpx_policy.h"
-#include "src/policy/native/native_policy.h"
-#include "src/policy/sgxbounds/sgxbounds_policy.h"
-#include "src/policy/shadow/shadow_policy.h"
+#include "src/policy/asan/scheme.h"
+#include "src/policy/l4ptr/scheme.h"
+#include "src/policy/mpx/scheme.h"
+#include "src/policy/native/scheme.h"
+#include "src/policy/sgxbounds/scheme.h"
+#include "src/policy/shadow/scheme.h"
 
 namespace sgxb {
 

@@ -10,7 +10,7 @@
 
 #include "src/ir/opt/pipeline.h"
 #include "src/policy/ir_lowering.h"
-#include "src/policy/sgxbounds/sgxbounds_policy.h"
+#include "src/policy/sgxbounds/scheme.h"
 
 namespace sgxb {
 

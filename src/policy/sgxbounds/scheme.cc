@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "src/policy/sgxbounds/sgxbounds_policy.h"
+#include "src/policy/sgxbounds/scheme.h"
 #include "src/ripe/defense.h"
 #include "src/sgxbounds/libc.h"
 
@@ -69,7 +69,7 @@ std::unique_ptr<RipeDefense> MakeDefense(const RipeMachine& m) {
 
 }  // namespace
 
-const SchemeDescriptor& SgxBoundsPolicy::Descriptor() {
+const SchemeDescriptor& SgxBoundsScheme::Descriptor() {
   static const SchemeDescriptor* desc = [] {
     auto* d = new SchemeDescriptor();
     d->kind = PolicyKind::kSgxBounds;

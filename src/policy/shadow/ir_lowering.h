@@ -13,7 +13,7 @@
 
 #include "src/ir/opt/pipeline.h"
 #include "src/policy/ir_lowering.h"
-#include "src/policy/shadow/shadow_policy.h"
+#include "src/policy/shadow/scheme.h"
 
 namespace sgxb {
 

@@ -6,7 +6,7 @@
 
 #include <cstring>
 
-#include "src/policy/shadow/shadow_policy.h"
+#include "src/policy/shadow/scheme.h"
 #include "src/ripe/defense.h"
 
 namespace sgxb {
@@ -68,7 +68,7 @@ std::unique_ptr<RipeDefense> MakeDefense(const RipeMachine& m) {
 
 }  // namespace
 
-const SchemeDescriptor& ShadowPolicy::Descriptor() {
+const SchemeDescriptor& ShadowScheme::Descriptor() {
   static const SchemeDescriptor* desc = [] {
     auto* d = new SchemeDescriptor();
     d->kind = PolicyKind::kShadow;

@@ -206,6 +206,19 @@ TEST(FlagsTest, RejectsMalformedNumericValues) {
     EXPECT_EXIT(ParseOneNumericFlag(arg), ::testing::ExitedWithCode(2), "invalid value")
         << arg;
   }
+  // Numeric CSV lists (--epc_mibs, --fault_rates, --shards, ...) follow the
+  // same rules per item, plus the flag's range; the message names the flag.
+  for (const char* csv : {"-1", "abc", "1,,x", "", "18446744073709551616", "5,0", "8,4097"}) {
+    EXPECT_EXIT(ParseU64List(csv, "epc_mibs", 1, 4096), ::testing::ExitedWithCode(2),
+                "--epc_mibs")
+        << csv;
+  }
+}
+
+TEST(FlagsTest, ParsesNumericLists) {
+  EXPECT_EQ(ParseU64List("8,32,94", "epc_mibs", 1, 4096), (std::vector<uint64_t>{8, 32, 94}));
+  EXPECT_EQ(ParseU64List("0", "fault_rates", 0, 100), (std::vector<uint64_t>{0}));
+  EXPECT_EQ(ParseU64List("4096", "epc_mibs", 1, 4096), (std::vector<uint64_t>{4096}));
 }
 
 TEST(FlagsTest, AcceptsNumericEdgeValues) {
