@@ -20,9 +20,7 @@
 #include "bench/bench_util.h"
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
-#include "src/ir/passes.h"
 #include "src/policy/run.h"
-#include "src/policy/scheme_ir.h"
 
 namespace sgxb {
 namespace {
@@ -88,10 +86,11 @@ void RunIrAblation() {
     interp.AttachScheme(&rt);
 
     IrFunction fn = BuildCopyKernel(65536);
-    SgxPassOptions options;
-    options.elide_safe = config.elide;
-    options.hoist_loops = config.hoist;
-    const SgxPassStats stats = RunSgxBoundsPass(fn, options);
+    CheckPassConfig pass_config;
+    pass_config.elide_safe = config.elide;
+    pass_config.hoist_loops = config.hoist;
+    const CheckPassStats stats =
+        RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), pass_config);
     Cpu& cpu = enclave.main_cpu();
     interp.Run(fn, cpu);
     if (baseline == 0) {
@@ -182,22 +181,6 @@ IrFunction BuildFieldsKernel(uint32_t n) {
   return b.Finish();
 }
 
-// Instruments a copy of `proto` for the scheme and runs it; pass counters
-// land in RunResult.pass_stats (and the --json rows).
-RunResult RunKernelUnder(PolicyKind kind, const IrFunction& proto,
-                         const PolicyOptions& options) {
-  MachineSpec spec;
-  return RunPolicyKind(kind, spec, options, [&proto](auto& env) {
-    using P = std::decay_t<decltype(env.policy)>;
-    IrFunction fn = proto;
-    StackAllocator stack(&env.enclave, 1 * kMiB, "ir-stack");
-    Interpreter interp(&env.enclave, &env.heap, &stack);
-    interp.set_engine(env.options.ir_engine);
-    env.pass_stats.Accumulate(SchemeIrLowering<P>::Apply(env.policy, interp, fn, env.options));
-    interp.Run(fn, env.cpu, {}, /*max_steps=*/UINT64_MAX);
-  });
-}
-
 void RunPassAblation() {
   struct Kernel {
     const char* name;
@@ -241,8 +224,13 @@ void RunPassAblation() {
       for (const Config& config : configs) {
         jobs.push_back({std::string(kernel.name) + "/" + SchemeOf(kind).id + "/" +
                             config.name,
+                        // Instruments a copy of the kernel for the scheme and
+                        // runs it; pass counters land in RunResult.pass_stats
+                        // (and the --json rows).
                         [&kernel, kind, &config] {
-                          return RunKernelUnder(kind, kernel.fn, config.options);
+                          return RunPolicyKind(
+                              kind, MachineSpec{}, config.options,
+                              [&kernel](auto& env) { RunIrFunction(env, kernel.fn); });
                         }});
       }
     }

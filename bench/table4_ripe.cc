@@ -17,25 +17,11 @@
 int main(int argc, char** argv) {
   using namespace sgxb;
   FlagParser parser;
-  std::string policies = "all";
-  {
-    std::string help = "comma-separated schemes to test (";
-    for (const SchemeDescriptor* d : AllSchemes()) {
-      help += d->id;
-      help += "|";
-    }
-    help += "paper|all)";
-    parser.AddString("policies", &policies, help);
-  }
+  PoliciesFlag() = "all";  // Table 4 default: every registered scheme
+  AddPoliciesFlag(parser);
   parser.Parse(argc, argv);
-  std::string error;
-  const std::vector<PolicyKind> kinds = ParsePolicyList(policies, &error);
-  if (kinds.empty()) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
   std::vector<const SchemeDescriptor*> schemes;
-  for (const PolicyKind kind : kinds) {
+  for (const PolicyKind kind : ResolvePolicies()) {
     schemes.push_back(&SchemeOf(kind));
   }
 

@@ -12,8 +12,8 @@
 //   * memory: alloca (stack), malloc/free (heap), typed load/store, gep;
 //   * instrumentation opcodes that passes insert (checks, masks, bndldx/stx).
 //
-// Programs are built with IrBuilder, optionally transformed by the passes in
-// passes.h, and executed by the Interpreter in interp.h, which charges every
+// Programs are built with IrBuilder, optionally instrumented by the check
+// pipeline in opt/pipeline.h, and executed by the Interpreter in interp.h, which charges every
 // instruction and memory access into the cycle simulator.
 
 #ifndef SGXBOUNDS_SRC_IR_IR_H_

@@ -1,8 +1,9 @@
 // The scheme-generic check-optimization pipeline (paper SS4.4 + SS5.1,
 // extended with ShadowBound-style whole-program optimizations).
 //
-// Every registry scheme's SchemeIrLowering runs RunCheckPipeline with two
-// inputs:
+// Every instrumenting scheme names its lowering in its scheme struct
+// (Scheme::IrLowering, src/policy/<scheme>/scheme.h), and RunIrFunction
+// (src/workloads/workload.h) runs RunCheckPipeline with two inputs:
 //
 //   CheckSchemeLowering - WHAT the scheme's instrumentation looks like
 //     (check opcode, allocation interposition, gep masking, MPX's
@@ -24,7 +25,7 @@
 //      equal-or-wider check on the same SSA pointer is deleted)
 //
 // With every optional pass disabled the pipeline reproduces the historical
-// RunSgxBoundsPass/RunAsanPass/RunMpxPass output byte for byte, including
+// per-scheme SGXBounds/ASan/MPX passes' output byte for byte, including
 // value-numbering order (guarded by trace_golden_test and the fig07/fig10
 // stdout goldens in CI).
 

@@ -8,6 +8,7 @@
 #define SGXBOUNDS_SRC_POLICY_ASAN_SCHEME_H_
 
 #include "src/asan/asan_runtime.h"
+#include "src/ir/opt/pipeline.h"
 #include "src/policy/checked_policy.h"
 
 namespace sgxb {
@@ -42,6 +43,18 @@ struct AsanScheme {
     return Malloc(cpu, size);
   }
   void Free(Cpu& cpu, Ptr p) { rt.Free(cpu, p.addr); }
+
+  // IR lowering: a shadow check before every access (the paper's baseline
+  // tooling); only redundant-check elimination is legal on top.
+  static CheckSchemeLowering IrLowering() { return AsanCheckLowering(); }
+
+  // RIPE: stack/global instrumentation separates carved objects with a
+  // 32-byte redzone, poisoned here.
+  Ptr RegisterObject(Cpu& cpu, uint32_t addr, uint32_t size) {
+    rt.RegisterObject(cpu, addr, size, AsanRuntime::kShadowGlobalRedzone);
+    return Ptr{addr};
+  }
+  static uint32_t CarveFootprint(uint32_t size) { return size + 32; }
 
   // Fault campaigns: metadata flips land in the shadow memory.
   void AttachFaults(FaultInjector* faults) {

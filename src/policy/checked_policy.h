@@ -22,6 +22,9 @@ namespace sgxb {
 template <typename Scheme>
 class CheckedPolicy {
  public:
+  // The scheme struct itself, for RIPE and IR lowering, which use it
+  // without the policy wrapper.
+  using SchemeType = Scheme;
   using Ptr = typename Scheme::Ptr;
   static constexpr PolicyKind kKind = Scheme::kKind;
 

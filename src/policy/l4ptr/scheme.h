@@ -10,6 +10,7 @@
 #ifndef SGXBOUNDS_SRC_POLICY_L4PTR_SCHEME_H_
 #define SGXBOUNDS_SRC_POLICY_L4PTR_SCHEME_H_
 
+#include "src/ir/opt/pipeline.h"
 #include "src/policy/checked_policy.h"
 #include "src/policy/l4ptr/l4ptr_runtime.h"
 
@@ -41,6 +42,18 @@ struct L4PtrScheme {
   Ptr Calloc(Cpu& cpu, uint32_t count, uint32_t elem) { return rt.Calloc(cpu, count, elem); }
   void Free(Cpu& cpu, Ptr p) { rt.Free(cpu, p); }
   Ptr PtrAdd(Cpu& cpu, Ptr p, int64_t delta) { return rt.PtrAdd(cpu, p, delta); }
+
+  // IR lowering: the shared tagged-pointer lowering. Every allocation pads
+  // to a power of two >= kL4Granule, which is the in-field elision floor.
+  static CheckSchemeLowering IrLowering() { return TaggedSchemeCheckLowering(kL4Granule); }
+
+  // RIPE: a carved stack/bss/data object is tagged in place, padded to a
+  // power of two on a 32-byte base.
+  Ptr RegisterObject(Cpu& cpu, uint32_t addr, uint32_t size) {
+    return rt.SpecifyBounds(cpu, addr, size);
+  }
+  static constexpr uint32_t kCarveAlign = kL4Granule;
+  static uint32_t CarveFootprint(uint32_t size) { return L4PaddedSize(size); }
 
   L4PtrRuntime rt;
 };

@@ -8,6 +8,7 @@
 #ifndef SGXBOUNDS_SRC_POLICY_MPX_SCHEME_H_
 #define SGXBOUNDS_SRC_POLICY_MPX_SCHEME_H_
 
+#include "src/ir/opt/pipeline.h"
 #include "src/mpx/mpx_runtime.h"
 #include "src/policy/checked_policy.h"
 
@@ -69,6 +70,17 @@ struct MpxScheme {
     faults->RegisterMetadataCorruptor(
         [this](Cpu& cpu, Rng& rng) { return rt.CorruptBoundsTable(cpu, rng); });
   }
+
+  // IR lowering: bndcl/bndcu before every access, bndldx/bndstx at
+  // pointer-in-memory sites; no elision or hoisting is legal.
+  static CheckSchemeLowering IrLowering() { return MpxCheckLowering(); }
+
+  // RIPE: bndmk on a carved stack/bss/data object. libc is not
+  // instrumented (kUninstrumentedLibc): a copy never sees the bounds.
+  Ptr RegisterObject(Cpu& cpu, uint32_t addr, uint32_t size) {
+    return Ptr{addr, rt.BndMk(cpu, addr, size)};
+  }
+  static constexpr bool kUninstrumentedLibc = true;
 
   // Table 3's bounds-table count rides in the RunResult. Templated so this
   // header needs no RunResult definition.

@@ -36,9 +36,20 @@
 // versions of the defaults), OnPtrLoad/OnPtrStore (MPX's bndldx/bndstx
 // around a pointer slot), AttachFaults and CollectRunMetrics.
 //
+// The same struct serves IR lowering and RIPE (src/ripe), through more
+// optional members:
+//
+//   static CheckSchemeLowering IrLowering();  // the IR pass; absent = bare
+//   Ptr RegisterObject(Cpu&, addr, size);     // metadata for a carved
+//                                             // stack/bss/data object
+//   kCarveAlign, CarveFootprint(size);        // carve layout (16, size)
+//   kUninstrumentedLibc / LibcCopy(...);      // libc model; default: check
+//                                             // the destination with Resolve
+//   NarrowTo, ResolveNarrowed;                // SS8 bounds narrowing
+//
 // Adding a scheme: one PolicyKind value below, one directory with that
-// struct, its scheme.cc (descriptor + RIPE defense) and, if it instruments
-// IR, an ir_lowering.h, then one line in scheme_list.h.
+// struct and its scheme.cc (the descriptor), then one line in
+// scheme_list.h.
 
 #ifndef SGXBOUNDS_SRC_POLICY_POLICY_H_
 #define SGXBOUNDS_SRC_POLICY_POLICY_H_

@@ -2,18 +2,19 @@
 // management framework" claim.
 //
 // Every memory-safety scheme ships one SchemeDescriptor - stable CLI id,
-// display name, capability claims, fault-surface hooks, per-scheme option
-// defaults and a RIPE defense factory - registered from its own directory
-// under src/policy/<scheme>/ (see scheme_list.h, the single registration
-// point). Everything outside src/policy enumerates schemes through this
-// table instead of naming the four paper schemes:
+// display name, capability claims, per-scheme option defaults and its
+// declared Table 4 row - registered from its own directory under
+// src/policy/<scheme>/ (see scheme_list.h, the single registration point).
+// Everything outside src/policy enumerates schemes through this table
+// instead of naming the four paper schemes:
 //
 //   * PolicyName / flag parsing / trace headers / JSON keys all read the
 //     same id<->name mapping (policy.cc);
 //   * bench drivers size their tables from AllSchemes()/PaperSchemes();
 //   * the conformance battery (tests/policy_conformance_test.cc) checks
 //     each scheme against its own capability claims;
-//   * RIPE dispatches through make_ripe_defense instead of a Defense enum.
+//   * RIPE and the IR suite fold over SchemePolicies (scheme_list.h) and
+//     call the scheme struct itself - the one the workloads run.
 //
 // Adding a scheme means: one directory, one enum value, one entry in
 // scheme_list.h. No bench driver, trace, fault or RIPE edits.
@@ -21,7 +22,6 @@
 #ifndef SGXBOUNDS_SRC_POLICY_REGISTRY_H_
 #define SGXBOUNDS_SRC_POLICY_REGISTRY_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,8 +30,6 @@
 namespace sgxb {
 
 struct RunResult;
-class RipeDefense;
-struct RipeMachine;
 
 // What a scheme claims to detect; the conformance battery verifies every
 // claim (positively and negatively) for every registered scheme.
@@ -46,9 +44,6 @@ struct SchemeCapabilities {
   // OobPolicy::kBoundless is meaningful for this scheme.
   bool supports_boundless = false;
 };
-
-// Builds the scheme's RIPE defense over a fresh RIPE machine (src/ripe).
-using RipeDefenseFactory = std::unique_ptr<RipeDefense> (*)(const RipeMachine&);
 
 struct SchemeDescriptor {
   PolicyKind kind = PolicyKind::kNative;
@@ -75,7 +70,6 @@ struct SchemeDescriptor {
   // Optional scheme-specific RunResult metric (MPX bounds-table count).
   const char* extra_metric_label = nullptr;
   uint64_t (*extra_metric)(const RunResult&) = nullptr;
-  RipeDefenseFactory make_ripe_defense = nullptr;
 };
 
 // Descriptor for one kind; aborts on an unregistered kind.

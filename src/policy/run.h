@@ -97,9 +97,9 @@ struct Env {
   // Service harnesses (src/farm) use it to land shard-scoped injections at
   // request positions via InjectNow.
   FaultInjector* faults = nullptr;
-  // Check-pipeline statistics; IR-driven bodies accumulate the stats returned
-  // by SchemeIrLowering<P>::Apply here and the harness copies them into
-  // RunResult.pass_stats.
+  // Check-pipeline statistics; IR-driven bodies accumulate the stats of
+  // every function RunIrFunction (workload.h) instruments here and the
+  // harness copies them into RunResult.pass_stats.
   CheckPassStats pass_stats;
 
   using Ptr = typename P::Ptr;

@@ -3,10 +3,10 @@
 // Adding a scheme: append its PolicyKind value (policy.h), create
 // src/policy/<scheme>/ with a scheme struct (scheme.h, see policy.h) + a
 // scheme.cc defining Descriptor(), then add CheckedPolicy<YourScheme> to
-// SchemePolicies below. Nothing else in
-// the repo changes - the registry (policy.cc), the run harness (run.h), the
-// IR suite, the bench drivers, the trace tool, RIPE and the fault campaigns
-// all enumerate from here.
+// SchemePolicies below. Nothing else in the repo changes - the registry
+// (policy.cc), the run harness (run.h), the IR suite, the bench drivers,
+// the trace tool, RIPE and the fault campaigns all enumerate from here, and
+// RIPE and IR lowering use the same scheme struct (P::SchemeType).
 
 #ifndef SGXBOUNDS_SRC_POLICY_SCHEME_LIST_H_
 #define SGXBOUNDS_SRC_POLICY_SCHEME_LIST_H_

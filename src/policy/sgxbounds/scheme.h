@@ -8,6 +8,7 @@
 #ifndef SGXBOUNDS_SRC_POLICY_SGXBOUNDS_SCHEME_H_
 #define SGXBOUNDS_SRC_POLICY_SGXBOUNDS_SCHEME_H_
 
+#include "src/ir/opt/pipeline.h"
 #include "src/policy/checked_policy.h"
 #include "src/sgxbounds/bounds_runtime.h"
 
@@ -40,6 +41,29 @@ struct SgxBoundsScheme {
   Ptr Calloc(Cpu& cpu, uint32_t count, uint32_t elem) { return rt.Calloc(cpu, count, elem); }
   void Free(Cpu& cpu, Ptr p) { rt.Free(cpu, p); }
   Ptr PtrAdd(Cpu& cpu, Ptr p, int64_t delta) { return rt.PtrAdd(cpu, p, delta); }
+
+  // IR lowering: the shared tagged-pointer lowering. LB/UB are exact (no
+  // padding floor), so in-field elision is not legal here.
+  static CheckSchemeLowering IrLowering() { return TaggedSchemeCheckLowering(0); }
+
+  // RIPE: a carved stack/bss/data object gets its LB footer in the
+  // FooterBytes() reserved after it; libc copies go through the fortified
+  // wrappers (SS5.1), which refuse an overflowing copy with EINVAL.
+  Ptr RegisterObject(Cpu& cpu, uint32_t addr, uint32_t size) {
+    return rt.SpecifyBounds(cpu, addr, addr + size, ObjKind::kGlobal);
+  }
+  uint32_t CarveFootprint(uint32_t size) const { return size + rt.FooterBytes(); }
+  bool LibcCopy(Cpu& cpu, Ptr dst, const uint8_t* payload, uint32_t n);
+
+  // SS8 extension (RIPE with narrowing): &obj.field narrowed to the field.
+  // A narrowed UB carries no LB footer, so its accesses take the
+  // upper-bound-only check.
+  Ptr NarrowTo(Cpu& cpu, Ptr p, uint32_t offset, uint32_t len) {
+    return rt.NarrowBounds(cpu, p, offset, len);
+  }
+  ResolvedAccess ResolveNarrowed(Cpu& cpu, Ptr p, uint32_t bytes, AccessType type) {
+    return rt.CheckAccessAuto(cpu, p, bytes, type);
+  }
 
   // Fault campaigns: metadata flips land in a live object's LB footer.
   void AttachFaults(FaultInjector* faults) {

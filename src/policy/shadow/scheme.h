@@ -13,6 +13,7 @@
 #ifndef SGXBOUNDS_SRC_POLICY_SHADOW_SCHEME_H_
 #define SGXBOUNDS_SRC_POLICY_SHADOW_SCHEME_H_
 
+#include "src/ir/opt/pipeline.h"
 #include "src/policy/checked_policy.h"
 #include "src/policy/shadow/shadow_runtime.h"
 
@@ -47,6 +48,19 @@ struct ShadowScheme {
   Ptr Calloc(Cpu& cpu, uint32_t count, uint32_t elem) { return rt.Calloc(cpu, count, elem); }
   void Free(Cpu& cpu, Ptr p) { rt.Free(cpu, p); }
   Ptr PtrAdd(Cpu& cpu, Ptr p, int64_t delta) { return rt.PtrAdd(cpu, p, delta); }
+
+  // IR lowering: the shared tagged-pointer lowering. The 8-byte granule is
+  // the in-field elision floor; which passes run comes from PolicyOptions
+  // (this scheme's registry defaults switch on all five).
+  static CheckSchemeLowering IrLowering() { return TaggedSchemeCheckLowering(kShadowGranule); }
+
+  // RIPE: a carved stack/bss/data object gets shadow entries, padded only to
+  // the 8-byte granule.
+  Ptr RegisterObject(Cpu& cpu, uint32_t addr, uint32_t size) {
+    return rt.SpecifyBounds(cpu, addr, size);
+  }
+  static constexpr uint32_t kCarveAlign = kShadowGranule;
+  static uint32_t CarveFootprint(uint32_t size) { return ShFootprint(size); }
 
   // Shadow entries are in-memory metadata: the fault injector's
   // kMetadataFlip events hit them, like ASan's shadow bytes and MPX's

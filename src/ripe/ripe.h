@@ -18,19 +18,20 @@
 //   containment:  inter-object vs intra-object (buffer and target in one
 //                 struct - undetectable at object granularity)
 //
-// Each scenario is executed under each defense; the outcome is "prevented"
-// (trap or wrapper EINVAL before the target is corrupted), "succeeded"
-// (simulated control-flow target or secret overwritten), or "failed".
+// Each scenario is executed under each registered scheme, through the same
+// scheme struct (src/policy/<scheme>/scheme.h) whose Resolve the workloads
+// run: heap objects come from Scheme::Malloc, a direct store is
+// Scheme::Resolve then the store. The outcome is "prevented" (trap or
+// wrapper EINVAL before the target is corrupted), "succeeded" (simulated
+// control-flow target or secret overwritten), or "failed".
 
 #ifndef SGXBOUNDS_SRC_RIPE_RIPE_H_
 #define SGXBOUNDS_SRC_RIPE_RIPE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/policy/registry.h"
-#include "src/ripe/defense.h"
+#include "src/policy/policy.h"
 
 namespace sgxb {
 
@@ -55,12 +56,11 @@ struct AttackOutcome {
   std::string detail;
 };
 
-// Runs one scenario under one scheme's defense (looked up in the registry:
-// SchemeOf(kind).make_ripe_defense) on a fresh simulated enclave.
-// `narrow_bounds` enables the SS8 extension for schemes that support it:
-// pointers into struct fields are narrowed to the field (RipeDefense::
-// NarrowTo), which catches the intra-object overflows Table 4's defenses
-// all miss; schemes without narrowing ignore the flag.
+// Runs one scenario under one registered scheme on a fresh simulated
+// enclave. `narrow_bounds` enables the SS8 extension for schemes that
+// support it (a NarrowTo member; SGXBounds): pointers into struct fields are
+// narrowed to the field, which catches the intra-object overflows Table 4's
+// defenses all miss; schemes without narrowing ignore the flag.
 AttackOutcome RunAttack(const AttackScenario& scenario, PolicyKind kind,
                         bool narrow_bounds = false);
 

@@ -20,25 +20,10 @@
 //               cost; the cache model is visited once per sample).
 
 #include "src/ir/builder.h"
-#include "src/ir/interp.h"
-#include "src/policy/scheme_ir.h"
 #include "src/workloads/workload.h"
 
 namespace sgxb {
 namespace {
-
-// Instruments `fn` for the policy, attaches the policy's runtime, and runs
-// the function on the selected engine. Returns the kernel's checksum. The
-// scheme's pass and runtime attachment come from its IR-lowering hook
-// (src/policy/<scheme>/ir_lowering.h) - no scheme is named here.
-template <typename P>
-uint64_t RunIrKernel(Env<P>& env, IrFunction fn) {
-  StackAllocator stack(&env.enclave, 1 * kMiB, "ir-stack");
-  Interpreter interp(&env.enclave, &env.heap, &stack);
-  interp.set_engine(env.options.ir_engine);
-  env.pass_stats.Accumulate(SchemeIrLowering<P>::Apply(env.policy, interp, fn, env.options));
-  return interp.Run(fn, env.cpu, {}, /*max_steps=*/UINT64_MAX);
-}
 
 // Elements per loop at size XS; multiplied by SizeMultiplier (1..16).
 constexpr uint32_t kCopyBaseN = 24 * 1024;
@@ -156,30 +141,30 @@ IrFunction BuildPrngKernel(uint32_t n, uint32_t rounds) {
 struct IrCopyBody {
   template <typename P>
   void operator()(Env<P>& env, const WorkloadConfig& cfg) const {
-    RunIrKernel(env, BuildCopyKernel(kCopyBaseN * SizeMultiplier(cfg.size)));
+    RunIrFunction(env, BuildCopyKernel(kCopyBaseN * SizeMultiplier(cfg.size)));
   }
 };
 
 struct IrMixBody {
   template <typename P>
   void operator()(Env<P>& env, const WorkloadConfig& cfg) const {
-    RunIrKernel(env, BuildMixKernel(kMixBaseN * SizeMultiplier(cfg.size), /*rounds=*/4));
+    RunIrFunction(env, BuildMixKernel(kMixBaseN * SizeMultiplier(cfg.size), /*rounds=*/4));
   }
 };
 
 struct IrStencilBody {
   template <typename P>
   void operator()(Env<P>& env, const WorkloadConfig& cfg) const {
-    RunIrKernel(env,
-                BuildStencilKernel(kStencilBaseN * SizeMultiplier(cfg.size), /*sweeps=*/4));
+    RunIrFunction(env,
+                  BuildStencilKernel(kStencilBaseN * SizeMultiplier(cfg.size), /*sweeps=*/4));
   }
 };
 
 struct IrPrngBody {
   template <typename P>
   void operator()(Env<P>& env, const WorkloadConfig& cfg) const {
-    RunIrKernel(env,
-                BuildPrngKernel(kPrngBaseN * SizeMultiplier(cfg.size), /*rounds=*/16));
+    RunIrFunction(env,
+                  BuildPrngKernel(kPrngBaseN * SizeMultiplier(cfg.size), /*rounds=*/16));
   }
 };
 

@@ -12,7 +12,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/exec/decoder.h"
 #include "src/ir/interp.h"
-#include "src/ir/passes.h"
+#include "src/ir/opt/pipeline.h"
 
 namespace sgxb {
 namespace {
@@ -170,7 +170,7 @@ IrFunction BuildFusedKernel(uint32_t n) {
 
 TEST(IrExec, StepLimitTrapsIdenticallyIncludingMidFusedOp) {
   IrFunction fn = BuildFusedKernel(16);
-  RunSgxBoundsPass(fn, SgxPassOptions{});
+  RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), {});
   const Outcome full = RunOn(IrEngine::kReference, fn);
   ASSERT_FALSE(full.trapped);
   // Sweep limits across several loop iterations' worth of steps: every
@@ -231,13 +231,14 @@ TEST(IrExec, DecoderFusesInstrumentationPatterns) {
   // the preheader, leaving gep+maskptr+access triples in the body.
   {
     IrFunction hardened = BuildFusedKernel(8);
-    RunSgxBoundsPass(hardened, SgxPassOptions{});
+    RunCheckPipeline(hardened, TaggedSchemeCheckLowering(0), {});
     const DecodedFunction df = DecodeFunction(hardened, DecodeOptions{});
     EXPECT_GT(df.CountUOp(UOp::kGepMaskLoad) + df.CountUOp(UOp::kGepMaskStore), 0u);
   }
   // With hoisting and elision off, every access keeps its check and the full
   // gep+maskptr+check+access quad fuses.
-  RunSgxBoundsPass(fn, SgxPassOptions{/*elide_safe=*/false, /*hoist_loops=*/false});
+  RunCheckPipeline(fn, TaggedSchemeCheckLowering(0),
+                   CheckPassConfig{/*elide_safe=*/false, /*hoist_loops=*/false});
   {
     const DecodedFunction df = DecodeFunction(fn, DecodeOptions{});
     EXPECT_GT(df.CountUOp(UOp::kGepMaskSchemeCheckLoad) +

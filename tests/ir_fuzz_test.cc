@@ -13,7 +13,7 @@
 #include "src/common/rng.h"
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
-#include "src/ir/passes.h"
+#include "src/ir/opt/pipeline.h"
 #include "src/policy/l4ptr/l4ptr_runtime.h"
 #include "src/policy/shadow/shadow_runtime.h"
 
@@ -78,20 +78,20 @@ void Instrument(IrFunction& fn, Hardening hardening) {
     case Hardening::kNone:
       break;
     case Hardening::kSgx:
-      RunSgxBoundsPass(fn, SgxPassOptions{});
+      RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), {});
       break;
     case Hardening::kSgxOpt: {
-      SgxPassOptions options;
+      CheckPassConfig options;
       options.elide_safe = true;
       options.hoist_loops = true;
-      RunSgxBoundsPass(fn, options);
+      RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), options);
       break;
     }
     case Hardening::kAsan:
-      RunAsanPass(fn);
+      RunCheckPipeline(fn, AsanCheckLowering(), {});
       break;
     case Hardening::kMpx:
-      RunMpxPass(fn);
+      RunCheckPipeline(fn, MpxCheckLowering(), {});
       break;
     case Hardening::kL4Ptr:
       RunCheckPipeline(fn, TaggedSchemeCheckLowering(kL4Granule), CheckPassConfig{});
@@ -164,10 +164,10 @@ TEST_P(IrFuzz, PassesPreserveSemanticsOnSafePrograms) {
       for (const bool hoist : {false, true}) {
         FuzzRig inner(Hardening::kSgx);
         IrFunction hardened = GenerateProgram(seed, false);
-        SgxPassOptions options;
+        CheckPassConfig options;
         options.elide_safe = elide;
         options.hoist_loops = hoist;
-        RunSgxBoundsPass(hardened, options);
+        RunCheckPipeline(hardened, TaggedSchemeCheckLowering(0), options);
         EXPECT_EQ(inner.interp->Run(hardened, inner.enclave->main_cpu()), reference)
             << "seed " << seed << " elide " << elide << " hoist " << hoist;
         EXPECT_EQ(inner.sgx->stats().violations, 0u);
@@ -177,14 +177,14 @@ TEST_P(IrFuzz, PassesPreserveSemanticsOnSafePrograms) {
   {
     FuzzRig rig(Hardening::kAsan);
     IrFunction hardened = GenerateProgram(seed, false);
-    RunAsanPass(hardened);
+    RunCheckPipeline(hardened, AsanCheckLowering(), {});
     EXPECT_EQ(rig.interp->Run(hardened, rig.enclave->main_cpu()), reference);
     EXPECT_EQ(rig.asan->stats().reports, 0u);
   }
   {
     FuzzRig rig(Hardening::kMpx);
     IrFunction hardened = GenerateProgram(seed, false);
-    RunMpxPass(hardened);
+    RunCheckPipeline(hardened, MpxCheckLowering(), {});
     EXPECT_EQ(rig.interp->Run(hardened, rig.enclave->main_cpu()), reference);
     EXPECT_EQ(rig.mpx->stats().violations, 0u);
   }
@@ -211,10 +211,10 @@ TEST_P(IrFuzz, SgxPassTrapsOnOverflowingVariant) {
   for (const bool opts : {false, true}) {
     FuzzRig rig(Hardening::kSgx);
     IrFunction fn = GenerateProgram(seed, true);
-    SgxPassOptions options;
+    CheckPassConfig options;
     options.elide_safe = opts;
     options.hoist_loops = opts;
-    RunSgxBoundsPass(fn, options);
+    RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), options);
     EXPECT_THROW(rig.interp->Run(fn, rig.enclave->main_cpu()), SimTrap)
         << "seed " << seed << " opts " << opts;
   }

@@ -17,7 +17,7 @@
 #include "src/ir/exec/jit/code_buffer.h"
 #include "src/ir/exec/jit/compiler.h"
 #include "src/ir/interp.h"
-#include "src/ir/passes.h"
+#include "src/ir/opt/pipeline.h"
 
 namespace sgxb {
 namespace {
@@ -82,7 +82,7 @@ IrFunction BuildKernel(uint32_t n, bool instrument) {
   b.Ret(r);
   IrFunction fn = b.Finish();
   if (instrument) {
-    RunSgxBoundsPass(fn, SgxPassOptions{});
+    RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), {});
   }
   return fn;
 }

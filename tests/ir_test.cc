@@ -8,7 +8,7 @@
 
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
-#include "src/ir/passes.h"
+#include "src/ir/opt/pipeline.h"
 
 namespace sgxb {
 namespace {
@@ -127,21 +127,21 @@ TEST_F(IrFixture, SgxPassPreservesSemantics) {
   IrFunction fn = BuildSumKernel(64);
   const uint64_t plain = Run(fn);
   IrFunction hardened = BuildSumKernel(64);
-  RunSgxBoundsPass(hardened);
+  RunCheckPipeline(hardened, TaggedSchemeCheckLowering(0), {});
   interp->AttachScheme(sgx.get());
   EXPECT_EQ(Run(hardened), plain);
 }
 
 TEST_F(IrFixture, AsanPassPreservesSemantics) {
   IrFunction hardened = BuildSumKernel(64);
-  RunAsanPass(hardened);
+  RunCheckPipeline(hardened, AsanCheckLowering(), {});
   interp->AttachScheme(asan.get());
   EXPECT_EQ(Run(hardened), 63u);
 }
 
 TEST_F(IrFixture, MpxPassPreservesSemantics) {
   IrFunction hardened = BuildSumKernel(64);
-  RunMpxPass(hardened);
+  RunCheckPipeline(hardened, MpxCheckLowering(), {});
   interp->AttachMpx(mpx.get());
   EXPECT_EQ(Run(hardened), 63u);
 }
@@ -168,9 +168,9 @@ TEST_F(IrFixture, SgxPassCatchesOverflow) {
   interp->AttachScheme(sgx.get());
   for (bool hoist : {true, false}) {
     IrFunction fn = BuildOverflowKernel(8, 9);
-    SgxPassOptions options;
+    CheckPassConfig options;
     options.hoist_loops = hoist;
-    RunSgxBoundsPass(fn, options);
+    RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), options);
     try {
       Run(fn);
       FAIL() << "hoist=" << hoist;
@@ -182,7 +182,7 @@ TEST_F(IrFixture, SgxPassCatchesOverflow) {
 
 TEST_F(IrFixture, AsanPassCatchesOverflow) {
   IrFunction fn = BuildOverflowKernel(8, 9);
-  RunAsanPass(fn);
+  RunCheckPipeline(fn, AsanCheckLowering(), {});
   interp->AttachScheme(asan.get());
   try {
     Run(fn);
@@ -194,7 +194,7 @@ TEST_F(IrFixture, AsanPassCatchesOverflow) {
 
 TEST_F(IrFixture, MpxPassCatchesOverflow) {
   IrFunction fn = BuildOverflowKernel(8, 9);
-  RunMpxPass(fn);
+  RunCheckPipeline(fn, MpxCheckLowering(), {});
   interp->AttachMpx(mpx.get());
   try {
     Run(fn);
@@ -225,7 +225,7 @@ TEST_F(IrFixture, SafeAccessAnalysisProvesConstantAccesses) {
   b.Store(IrType::kI64, b.Const(1), p2);  // a[7]: last slot, safe
   b.Ret();
   IrFunction fn = b.Finish();
-  SgxPassStats stats = RunSgxBoundsPass(fn);
+  CheckPassStats stats = RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), {});
   EXPECT_EQ(stats.checks_elided_safe, 2u);
   EXPECT_EQ(stats.checks_inserted, 0u);
 }
@@ -238,7 +238,7 @@ TEST_F(IrFixture, UnsafeConstantAccessStillChecked) {
   b.Store(IrType::kI64, b.Const(1), p);
   b.Ret();
   IrFunction fn = b.Finish();
-  SgxPassStats stats = RunSgxBoundsPass(fn);
+  CheckPassStats stats = RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), {});
   EXPECT_EQ(stats.checks_elided_safe, 0u);
   EXPECT_EQ(stats.checks_inserted, 1u);
   interp->AttachScheme(sgx.get());
@@ -247,9 +247,9 @@ TEST_F(IrFixture, UnsafeConstantAccessStillChecked) {
 
 TEST_F(IrFixture, HoistingMovesChecksOutOfLoop) {
   IrFunction fn = BuildSumKernel(128);
-  SgxPassOptions options;
+  CheckPassConfig options;
   options.elide_safe = false;
-  SgxPassStats stats = RunSgxBoundsPass(fn, options);
+  CheckPassStats stats = RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), options);
   // The two loop-body accesses hoist; range checks appear in preheaders.
   EXPECT_GE(stats.checks_hoisted, 2u);
   EXPECT_GE(fn.CountOp(IrOp::kSchemeCheckRange), 2u);
@@ -266,7 +266,7 @@ TEST_F(IrFixture, HoistingRespectsStrideLimit) {
   b.EndLoop(loop);
   b.Ret();
   IrFunction fn = b.Finish();
-  SgxPassStats stats = RunSgxBoundsPass(fn);
+  CheckPassStats stats = RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), {});
   EXPECT_EQ(stats.checks_hoisted, 0u);
   EXPECT_EQ(stats.checks_inserted, 1u);
 }
@@ -274,13 +274,13 @@ TEST_F(IrFixture, HoistingRespectsStrideLimit) {
 TEST_F(IrFixture, HoistingReducesCycles) {
   IrFunction slow_fn = BuildSumKernel(4096);
   IrFunction fast_fn = BuildSumKernel(4096);
-  SgxPassOptions no_opt;
+  CheckPassConfig no_opt;
   no_opt.elide_safe = false;
   no_opt.hoist_loops = false;
-  SgxPassOptions all_opt;
+  CheckPassConfig all_opt;
   all_opt.elide_safe = false;
-  RunSgxBoundsPass(slow_fn, no_opt);
-  RunSgxBoundsPass(fast_fn, all_opt);
+  RunCheckPipeline(slow_fn, TaggedSchemeCheckLowering(0), no_opt);
+  RunCheckPipeline(fast_fn, TaggedSchemeCheckLowering(0), all_opt);
   interp->AttachScheme(sgx.get());
   Cpu* cpu_slow = enclave->NewCpu();
   Cpu* cpu_fast = enclave->NewCpu();
@@ -301,7 +301,7 @@ TEST_F(IrFixture, MaskedGepCannotCorruptTag) {
   b.Store(IrType::kI8, b.Const(1), p);
   b.Ret();
   IrFunction fn = b.Finish();
-  RunSgxBoundsPass(fn);
+  RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), {});
   EXPECT_GE(fn.CountOp(IrOp::kMaskPtr), 1u);
   interp->AttachScheme(sgx.get());
   EXPECT_THROW(Run(fn), SimTrap);
@@ -317,7 +317,7 @@ TEST_F(IrFixture, MpxPassInstrumentsPointerTraffic) {
   b.Store(IrType::kI8, b.Const(1), q);
   b.Ret();
   IrFunction fn = b.Finish();
-  BaselinePassStats stats = RunMpxPass(fn);
+  CheckPassStats stats = RunCheckPipeline(fn, MpxCheckLowering(), {});
   EXPECT_EQ(stats.ptr_stores_instrumented, 1u);
   EXPECT_EQ(stats.ptr_loads_instrumented, 1u);
   interp->AttachMpx(mpx.get());
@@ -338,7 +338,7 @@ TEST_F(IrFixture, MpxBoundsSurviveTableRoundTrip) {
   b.Store(IrType::kI8, b.Const(1), oob);
   b.Ret();
   IrFunction fn = b.Finish();
-  RunMpxPass(fn);
+  RunCheckPipeline(fn, MpxCheckLowering(), {});
   interp->AttachMpx(mpx.get());
   EXPECT_THROW(Run(fn), SimTrap);
 }
@@ -373,11 +373,11 @@ TEST_F(IrFixture, MpxBoundsPropagateThroughPhiAndGep) {
   interp->AttachMpx(mpx.get());
   for (uint64_t take_a : {0u, 1u}) {
     IrFunction ok = BuildPhiPointerKernel(7);  // last valid element
-    RunMpxPass(ok);
+    RunCheckPipeline(ok, MpxCheckLowering(), {});
     EXPECT_EQ(Run(ok, {take_a}), 1u) << "take_a=" << take_a;
 
     IrFunction oob = BuildPhiPointerKernel(8);  // one past the end
-    RunMpxPass(oob);
+    RunCheckPipeline(oob, MpxCheckLowering(), {});
     try {
       Run(oob, {take_a});
       FAIL() << "take_a=" << take_a;
@@ -435,11 +435,11 @@ TEST_F(IrFixture, InstrumentationBlowupOrdering) {
   };
   IrFunction sgx_fn = build();
   IrFunction mpx_fn = build();
-  SgxPassOptions no_opt;
+  CheckPassConfig no_opt;
   no_opt.elide_safe = false;
   no_opt.hoist_loops = false;
-  RunSgxBoundsPass(sgx_fn, no_opt);
-  RunMpxPass(mpx_fn);
+  RunCheckPipeline(sgx_fn, TaggedSchemeCheckLowering(0), no_opt);
+  RunCheckPipeline(mpx_fn, MpxCheckLowering(), {});
   interp->AttachScheme(sgx.get());
   interp->AttachMpx(mpx.get());
   Cpu* cpu_sgx = enclave->NewCpu();
@@ -465,7 +465,7 @@ TEST_F(IrDeathTest, AttachingADifferentSchemeRuntimeIsFatal) {
 
 TEST_F(IrDeathTest, RunningSchemeOpsWithoutARuntimeIsFatal) {
   IrFunction fn = BuildSumKernel(8);
-  RunSgxBoundsPass(fn);
+  RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), {});
   for (const IrEngine engine : {IrEngine::kReference, IrEngine::kThreaded, IrEngine::kJit}) {
     interp->set_engine(engine);
     EXPECT_DEATH(Run(fn), "holds scheme ops but no scheme runtime is attached")
@@ -473,7 +473,7 @@ TEST_F(IrDeathTest, RunningSchemeOpsWithoutARuntimeIsFatal) {
   }
   // MPX instruments accesses only; it needs no scheme runtime.
   IrFunction mpx_fn = BuildSumKernel(8);
-  RunMpxPass(mpx_fn);
+  RunCheckPipeline(mpx_fn, MpxCheckLowering(), {});
   interp->AttachMpx(mpx.get());
   EXPECT_EQ(Run(mpx_fn), 7u);
 }

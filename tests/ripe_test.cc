@@ -1,8 +1,8 @@
 // Tests for the RIPE reproduction: the Table 4 detection matrix must hold
-// exactly, and each scenario class must behave per its mechanism. Defenses
-// are dispatched through the scheme registry (SchemeOf(kind)
-// .make_ripe_defense), so every registered scheme is also checked against
-// its own declared expectation.
+// exactly, and each scenario class must behave per its mechanism. Attacks
+// run through each registered scheme's own struct (the one CheckedPolicy
+// drives for the workloads), so every registered scheme is also checked
+// against its own declared expectation.
 
 #include <gtest/gtest.h>
 
@@ -139,7 +139,7 @@ TEST(RipeTest, NarrowingExtensionCatchesIntraObject) {
 TEST(RipeTest, NarrowingDoesNotAffectOtherDefenses) {
   EXPECT_EQ(RunRipeSuite(PolicyKind::kMpx, nullptr, true).prevented, 2);
   EXPECT_EQ(RunRipeSuite(PolicyKind::kAsan, nullptr, true).prevented, 8);
-  // NarrowTo is a no-op for l4ptr's defense too.
+  // l4ptr has no NarrowTo member, so narrowing leaves it unchanged too.
   EXPECT_EQ(RunRipeSuite(PolicyKind::kL4Ptr, nullptr, true).prevented, 8);
 }
 
