@@ -21,6 +21,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
 #include "src/policy/run.h"
+#include "src/workloads/run_ir.h"
 
 namespace sgxb {
 namespace {

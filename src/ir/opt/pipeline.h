@@ -3,7 +3,7 @@
 //
 // Every instrumenting scheme names its lowering in its scheme struct
 // (Scheme::IrLowering, src/policy/<scheme>/scheme.h), and RunIrFunction
-// (src/workloads/workload.h) runs RunCheckPipeline with two inputs:
+// (src/workloads/run_ir.h) runs RunCheckPipeline with two inputs:
 //
 //   CheckSchemeLowering - WHAT the scheme's instrumentation looks like
 //     (check opcode, allocation interposition, gep masking, MPX's

@@ -98,8 +98,8 @@ struct Env {
   // request positions via InjectNow.
   FaultInjector* faults = nullptr;
   // Check-pipeline statistics; IR-driven bodies accumulate the stats of
-  // every function RunIrFunction (workload.h) instruments here and the
-  // harness copies them into RunResult.pass_stats.
+  // every function RunIrFunction (src/workloads/run_ir.h) instruments here
+  // and the harness copies them into RunResult.pass_stats.
   CheckPassStats pass_stats;
 
   using Ptr = typename P::Ptr;

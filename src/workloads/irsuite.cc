@@ -20,6 +20,7 @@
 //               cost; the cache model is visited once per sample).
 
 #include "src/ir/builder.h"
+#include "src/workloads/run_ir.h"
 #include "src/workloads/workload.h"
 
 namespace sgxb {
