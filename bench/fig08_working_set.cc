@@ -12,81 +12,36 @@
 
 #include "bench/bench_util.h"
 
-#include "src/trace/record.h"
-#include "src/trace/sweep.h"
-
 namespace {
 
 // EPC sweep (the working-set pressure axis): cycles and fault counts per EPC
-// size, one table per workload. `--mode=live` re-executes the workload per
-// point; `--mode=sweep` executes once, records the trace, and routes the
-// whole (workload x EPC) grid through the SweepEngine, which decodes each
-// trace once, amortizes one capture per trace, and work-steals the grid
-// across --bench_threads. Both print identical series - asserted by
-// tests/trace_test.cc - so sweep is purely a wall-clock win.
+// size, one table per workload. Every (workload, EPC) point is one live run,
+// fanned out across --bench_threads.
 void RunEpcSweep(const std::vector<const sgxb::WorkloadInfo*>& workloads,
-                 const std::vector<uint64_t>& epc_mibs, const std::string& mode,
-                 sgxb::SizeClass size, sgxb::PolicyKind kind, uint32_t threads) {
+                 const std::vector<uint64_t>& epc_mibs, sgxb::SizeClass size,
+                 sgxb::PolicyKind kind, uint32_t threads) {
   using namespace sgxb;
-  std::printf("\nEPC sweep: %s, size %s, %zu point(s), mode=%s\n", PolicyName(kind),
-              SizeClassName(size), epc_mibs.size(), mode.c_str());
+  std::printf("\nEPC sweep: %s, size %s, %zu point(s)\n", PolicyName(kind),
+              SizeClassName(size), epc_mibs.size());
   WorkloadConfig cfg;
   cfg.size = size;
   cfg.threads = threads;
-  std::vector<std::vector<RunResult>> all_points(workloads.size());
-  if (mode == "sweep") {
-    // Record each workload once, then hand every (workload, EPC) cell to the
-    // sweep engine as one batch.
-    std::vector<RecordedRun> recs(workloads.size());
-    ParallelFor(workloads.size(), ResolveBenchThreads(), [&](size_t i) {
-      recs[i] = RecordWorkloadRun(*workloads[i], kind, MachineSpec{}, PolicyOptions{}, cfg);
-    });
-    std::vector<DecodedTrace> decoded;
-    decoded.reserve(recs.size());
-    for (const RecordedRun& rec : recs) {
-      decoded.emplace_back(rec.trace);
-    }
-    std::vector<SweepRequest> grid;
-    for (const DecodedTrace& d : decoded) {
-      for (uint64_t mib : epc_mibs) {
-        SweepRequest req;
-        req.trace = &d;
-        req.config = SimConfigFromHeader(d.header());
-        req.config.epc_bytes = mib * kMiB;
-        grid.push_back(req);
-      }
-    }
-    SweepOptions opt;
-    opt.threads = ResolveBenchThreads();
-    SweepEngine engine(opt);
-    const std::vector<ReplayResult> swept = engine.Run(grid);
-    for (size_t i = 0; i < workloads.size(); ++i) {
-      for (size_t j = 0; j < epc_mibs.size(); ++j) {
-        all_points[i].push_back(ToRunResult(swept[i * epc_mibs.size() + j], decoded[i]));
-      }
-    }
-  } else {
-    std::vector<BenchJob> jobs;
-    for (const WorkloadInfo* w : workloads) {
-      for (uint64_t mib : epc_mibs) {
-        MachineSpec spec;
-        spec.epc_bytes = mib * kMiB;
-        jobs.push_back({w->name + "/epc" + std::to_string(mib),
-                        [w, kind, spec, cfg] { return w->run(kind, spec, PolicyOptions{}, cfg); }});
-      }
-    }
-    const std::vector<RunResult> flat = RunBenchJobs(jobs, "fig08-epc");
-    for (size_t i = 0; i < workloads.size(); ++i) {
-      all_points[i].assign(flat.begin() + i * epc_mibs.size(),
-                           flat.begin() + (i + 1) * epc_mibs.size());
+  std::vector<BenchJob> jobs;
+  for (const WorkloadInfo* w : workloads) {
+    for (uint64_t mib : epc_mibs) {
+      MachineSpec spec;
+      spec.epc_bytes = mib * kMiB;
+      jobs.push_back({w->name + "/epc" + std::to_string(mib),
+                      [w, kind, spec, cfg] { return w->run(kind, spec, PolicyOptions{}, cfg); }});
     }
   }
+  const std::vector<RunResult> flat = RunBenchJobs(jobs, "fig08-epc");
   for (size_t wi = 0; wi < workloads.size(); ++wi) {
     const WorkloadInfo* w = workloads[wi];
-    const std::vector<RunResult>& points = all_points[wi];
+    const RunResult* points = &flat[wi * epc_mibs.size()];
     std::printf("\n== %s (%s) ==\n", w->name.c_str(), PolicyName(kind));
     Table table({"EPC MiB", "cycles", "EPC faults", "LLC misses", "vs largest"});
-    const RunResult& base = points.back();
+    const RunResult& base = points[epc_mibs.size() - 1];
     for (size_t i = 0; i < epc_mibs.size(); ++i) {
       const RunResult& r = points[i];
       table.AddRow({std::to_string(epc_mibs[i]), std::to_string(r.cycles),
@@ -104,14 +59,10 @@ int main(int argc, char** argv) {
   using namespace sgxb;
   FlagParser parser;
   int64_t threads = 8;
-  std::string mode = "live";
   std::string epc_mibs_csv;
   std::string sweep_size = "S";
   std::string sweep_policy = "sgxbounds";
   parser.AddInt("threads", &threads, "worker threads");
-  parser.AddChoice("mode", &mode, {"live", "sweep"},
-                   "EPC sweep execution: live re-executes per point, sweep records "
-                   "once per workload and batches the grid through the SweepEngine");
   parser.AddString("epc_mibs", &epc_mibs_csv,
                    "comma-separated EPC sizes in MiB; when set, runs the EPC sweep "
                    "instead of the working-set grid");
@@ -122,18 +73,18 @@ int main(int argc, char** argv) {
 
   PrintReproHeader("fig08_working_set", MachineSpec{});
 
-  std::vector<const WorkloadInfo*> sweep_workloads;
+  std::vector<const WorkloadInfo*> workloads;
   for (const char* name : {"kmeans", "matrixmul", "wordcount", "linear_regression"}) {
     const WorkloadInfo* w = WorkloadRegistry::Instance().Find(name);
     if (w != nullptr) {
-      sweep_workloads.push_back(w);
+      workloads.push_back(w);
     }
   }
 
   if (!epc_mibs_csv.empty()) {
     const PolicyKind kind = ParsePolicyKind(sweep_policy);
     // 1..4096 MiB: the EPC sizes SimConfig validation accepts.
-    RunEpcSweep(sweep_workloads, ParseU64List(epc_mibs_csv, "epc_mibs", 1, 4096), mode,
+    RunEpcSweep(workloads, ParseU64List(epc_mibs_csv, "epc_mibs", 1, 4096),
                 ParseSizeClass(sweep_size), kind, static_cast<uint32_t>(threads));
     return 0;
   }
@@ -147,13 +98,6 @@ int main(int argc, char** argv) {
 
   // Fan every (workload, size, policy) run out across host threads, then
   // print the per-workload tables from the collected results in order.
-  std::vector<const WorkloadInfo*> workloads;
-  for (const char* name : {"kmeans", "matrixmul", "wordcount", "linear_regression"}) {
-    const WorkloadInfo* w = WorkloadRegistry::Instance().Find(name);
-    if (w != nullptr) {
-      workloads.push_back(w);
-    }
-  }
   constexpr size_t kNumSizes = sizeof(sizes) / sizeof(sizes[0]);
   // This figure's analysis is intrinsically about the paper's four schemes
   // (everything is normalized to SGXBounds, Table 3 counts MPX tables).

@@ -19,7 +19,6 @@
 
 #include "bench/bench_util.h"
 #include "src/ir/builder.h"
-#include "src/ir/interp.h"
 #include "src/policy/run.h"
 #include "src/workloads/run_ir.h"
 
@@ -68,39 +67,29 @@ void RunIrAblation() {
   Table table({"config", "checks", "elided", "hoisted", "cycles", "vs none"});
   struct Config {
     const char* name;
-    bool elide;
-    bool hoist;
+    PolicyOptions options;
   };
-  const Config configs[] = {{"none", false, false},
-                            {"safe-elision", true, false},
-                            {"hoisting", false, true},
-                            {"all", true, true}};
+  const Config configs[] = {{"none", OptNone()},
+                            {"safe-elision", OptSafe()},
+                            {"hoisting", OptHoist()},
+                            {"all", OptWith(true, true, false, false, false)}};
+  // A small machine: 256 MiB of address space, 64 MiB of it heap.
+  MachineSpec spec;
+  spec.space_bytes = 256 * kMiB;
+  spec.heap_reserve = 64 * kMiB;
   uint64_t baseline = 0;
   for (const Config& config : configs) {
-    EnclaveConfig ecfg;
-    ecfg.space_bytes = 256 * kMiB;
-    Enclave enclave(ecfg);
-    Heap heap(&enclave, 64 * kMiB);
-    StackAllocator stack(&enclave, 1 * kMiB);
-    SgxBoundsRuntime rt(&enclave, &heap);
-    Interpreter interp(&enclave, &heap, &stack);
-    interp.AttachScheme(&rt);
-
-    IrFunction fn = BuildCopyKernel(65536);
-    CheckPassConfig pass_config;
-    pass_config.elide_safe = config.elide;
-    pass_config.hoist_loops = config.hoist;
-    const CheckPassStats stats =
-        RunCheckPipeline(fn, TaggedSchemeCheckLowering(0), pass_config);
-    Cpu& cpu = enclave.main_cpu();
-    interp.Run(fn, cpu);
+    const RunResult r =
+        RunPolicyKind(PolicyKind::kSgxBounds, spec, config.options,
+                      [](auto& env) { RunIrFunction(env, BuildCopyKernel(65536)); });
+    const CheckPassStats& stats = r.pass_stats;
     if (baseline == 0) {
-      baseline = cpu.cycles();
+      baseline = r.cycles;
     }
     table.AddRow({config.name, std::to_string(stats.checks_inserted),
                   std::to_string(stats.checks_elided_safe),
-                  std::to_string(stats.checks_hoisted), std::to_string(cpu.cycles()),
-                  FormatDouble(static_cast<double>(cpu.cycles()) /
+                  std::to_string(stats.checks_hoisted), std::to_string(r.cycles),
+                  FormatDouble(static_cast<double>(r.cycles) /
                                    static_cast<double>(baseline) * 100.0,
                                1) +
                       "%"});

@@ -78,9 +78,14 @@ struct GridAxes {
   std::vector<uint32_t> l3_shift;
 };
 
-std::vector<SimConfig> BuildConfigs(const TraceHeader& header, const GridAxes& axes) {
+// Appends the header's grid to `out`. Every config must be a machine the
+// simulator can build; on the first that is not, prints the flag behind it
+// and returns false. The header's own config is valid, so a bad point comes
+// from the L3 axis or the EPC axis.
+bool BuildConfigs(const TraceHeader& header, const GridAxes& axes,
+                  std::vector<SimConfig>* out) {
   const SimConfig base = SimConfigFromHeader(header);
-  std::vector<SimConfig> out;
+  std::string error;
   for (uint32_t shift : axes.l3_shift) {
     for (bool enclave : axes.enclave) {
       for (const CostModel& costs : axes.costs) {
@@ -90,12 +95,21 @@ std::vector<SimConfig> BuildConfigs(const TraceHeader& header, const GridAxes& a
           cfg.enclave_mode = enclave;
           cfg.costs = costs;
           cfg.epc_bytes = epc;
-          out.push_back(cfg);
+          if (!ValidateSimConfig(cfg, &error)) {
+            SimConfig l3_only = base;
+            l3_only.l3_bytes = cfg.l3_bytes;
+            std::fprintf(stderr, "%s: %s\n",
+                         ValidateSimConfig(l3_only, nullptr) ? "--epc_min_mib/--epc_max_mib"
+                                                             : "--l3_points",
+                         error.c_str());
+            return false;
+          }
+          out->push_back(cfg);
         }
       }
     }
   }
-  return out;
+  return true;
 }
 
 double Seconds(std::chrono::steady_clock::time_point from,
@@ -116,8 +130,6 @@ int Main(int argc, char** argv) {
   uint64_t epc_max_mib = 128;
   uint64_t cost_points = 2;
   uint64_t l3_points = 1;
-  bool memoize = true;
-  bool use_capture = true;
   parser.AddString("workloads", &workloads_csv, "comma-separated workloads to record");
   parser.AddString("traces", &traces_csv,
                    "comma-separated .sgxtrace files to sweep instead of recording");
@@ -135,15 +147,21 @@ int Main(int argc, char** argv) {
   parser.AddUint("l3_points", &l3_points,
                  "L3 axis: geometry i halves the L3 i times; points past the first "
                  "force the full-replay fallback");
-  parser.AddBool("memoize", &memoize, "reuse results across identical configs");
-  parser.AddBool("use_capture", &use_capture,
-                 "allow structural-capture re-pricing (off = full replay only)");
   AddPoliciesFlag(parser);
   AddBenchDriverFlags(parser);
   parser.Parse(argc, argv);
 
   if (epc_points == 0 || cost_points == 0 || l3_points == 0) {
     std::fprintf(stderr, "each axis needs at least one point\n");
+    return 2;
+  }
+  // 4096 MiB is the largest EPC SimConfig accepts; the bound also keeps the
+  // axis arithmetic below from wrapping.
+  if (epc_min_mib > epc_max_mib || epc_max_mib > 4096) {
+    std::fprintf(stderr,
+                 "--epc_min_mib/--epc_max_mib: need min <= max <= 4096, got %" PRIu64
+                 "..%" PRIu64 "\n",
+                 epc_min_mib, epc_max_mib);
     return 2;
   }
 
@@ -234,7 +252,11 @@ int Main(int argc, char** argv) {
   std::vector<SweepRequest> grid;
   std::vector<size_t> trace_of;  // grid index -> trace index
   for (size_t t = 0; t < traces.size(); ++t) {
-    for (const SimConfig& cfg : BuildConfigs(traces[t].decoded.header(), axes)) {
+    std::vector<SimConfig> configs;
+    if (!BuildConfigs(traces[t].decoded.header(), axes, &configs)) {
+      return 2;
+    }
+    for (const SimConfig& cfg : configs) {
       SweepRequest req;
       req.trace = &traces[t].decoded;
       req.config = cfg;
@@ -256,8 +278,6 @@ int Main(int argc, char** argv) {
   if (mode == "sweep" || mode == "verify") {
     SweepOptions opt;
     opt.threads = threads;
-    opt.memoize = memoize;
-    opt.use_capture = use_capture;
     SweepEngine engine(opt);
     const auto start = Clock::now();
     swept = engine.Run(grid);

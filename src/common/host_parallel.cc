@@ -65,119 +65,4 @@ void ParallelFor(size_t n, uint32_t threads, const std::function<void(size_t)>& 
   }
 }
 
-void ParallelForWorkStealing(size_t n, uint32_t threads,
-                             const std::function<void(size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
-  const uint32_t workers =
-      static_cast<uint32_t>(std::min<size_t>(threads == 0 ? 1 : threads, n));
-  if (workers <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-
-  // One contiguous [begin, end) chunk per worker. Owners pop from the front,
-  // thieves take the back half, both under the chunk's mutex; the ranges are
-  // small enough (two size_t) that a mutex beats a lock-free deque here and
-  // keeps the invariant trivial: every index is handed out exactly once.
-  struct Chunk {
-    std::mutex mu;
-    size_t begin = 0;
-    size_t end = 0;
-  };
-  std::vector<Chunk> chunks(workers);
-  for (uint32_t w = 0; w < workers; ++w) {
-    chunks[w].begin = n * w / workers;
-    chunks[w].end = n * (w + 1) / workers;
-  }
-
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  auto body = [&](uint32_t self) {
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) {
-        return;
-      }
-      size_t index = n;  // n = sentinel for "own chunk empty"
-      {
-        std::lock_guard<std::mutex> lock(chunks[self].mu);
-        if (chunks[self].begin < chunks[self].end) {
-          index = chunks[self].begin++;
-        }
-      }
-      if (index == n) {
-        // Steal: scan for the victim with the most remaining work, then take
-        // the back half of its range into our own (empty) chunk. The scan is
-        // racy by design — if the victim drains between scan and steal we
-        // just rescan. Seeing every chunk empty only ends THIS worker: a
-        // range mid-steal is invisible for an instant, but its thief still
-        // runs it, so each index executes exactly once and the join at the
-        // bottom waits for all of it.
-        uint32_t victim = workers;
-        size_t victim_remaining = 0;
-        for (uint32_t v = 0; v < workers; ++v) {
-          if (v == self) {
-            continue;
-          }
-          std::lock_guard<std::mutex> lock(chunks[v].mu);
-          const size_t remaining = chunks[v].end - chunks[v].begin;
-          if (remaining > victim_remaining) {
-            victim_remaining = remaining;
-            victim = v;
-          }
-        }
-        if (victim == workers) {
-          return;
-        }
-        size_t steal_begin = 0, steal_end = 0;
-        {
-          std::lock_guard<std::mutex> lock(chunks[victim].mu);
-          const size_t remaining = chunks[victim].end - chunks[victim].begin;
-          if (remaining == 0) {
-            continue;  // lost the race; rescan
-          }
-          const size_t take = (remaining + 1) / 2;
-          steal_begin = chunks[victim].end - take;
-          steal_end = chunks[victim].end;
-          chunks[victim].end = steal_begin;
-        }
-        {
-          std::lock_guard<std::mutex> lock(chunks[self].mu);
-          chunks[self].begin = steal_begin;
-          chunks[self].end = steal_end;
-        }
-        continue;
-      }
-      try {
-        fn(index);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (uint32_t t = 1; t < workers; ++t) {
-    pool.emplace_back(body, t);
-  }
-  body(0);  // the calling thread is worker 0
-  for (auto& th : pool) {
-    th.join();
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
-}
-
 }  // namespace sgxb

@@ -29,23 +29,13 @@ uint32_t HostHardwareThreads();
 
 // Invokes fn(0) .. fn(n-1), each exactly once, distributed over up to
 // `threads` host threads (clamped to n; <= 1 runs inline). fn must be safe
-// to call concurrently for distinct indices. If any invocation throws, the
+// to call concurrently for distinct indices. Workers draw indices one at a
+// time from a shared counter, so uneven per-index costs (a sweep grid mixes
+// microsecond re-pricings with full replays) balance without a fixed
+// pre-split. If any invocation throws, the
 // first exception (in completion order) is rethrown on the calling thread
 // after all workers join; remaining indices may or may not run.
 void ParallelFor(size_t n, uint32_t threads, const std::function<void(size_t)>& fn);
-
-// Same contract as ParallelFor, but with work stealing: the index range is
-// pre-split into one contiguous chunk per worker, and a worker that drains
-// its chunk steals the back half of the largest remaining chunk. Preferable
-// when per-index costs are wildly uneven (a sweep grid mixes microsecond
-// capture re-pricings with full replays that run five orders of magnitude
-// longer): the atomic-counter ParallelFor serializes every index through one
-// cache line, while stealing touches shared state only when a worker runs
-// dry. Results must still be written to caller-owned indexed slots; the
-// execution order is nondeterministic but the index->slot mapping keeps
-// output deterministic.
-void ParallelForWorkStealing(size_t n, uint32_t threads,
-                             const std::function<void(size_t)>& fn);
 
 }  // namespace sgxb
 

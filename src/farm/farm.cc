@@ -244,7 +244,7 @@ FarmResult RunFarm(const FarmConfig& cfg) {
   // needs a channel for shard-scoped injections; arming with an empty plan
   // leaves simulated results untouched.
   const bool arm_faults = !cfg.faults.empty() || cfg.resilience.enabled;
-  ParallelForWorkStealing(cfg.shards, threads, [&](size_t s) {
+  ParallelFor(cfg.shards, threads, [&](size_t s) {
     MachineSpec spec = cfg.machine;
     spec.seed = cfg.machine.seed + 1000003ull * s;  // per-shard env rng stream
     FaultPlan shard_plan = cfg.faults;

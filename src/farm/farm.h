@@ -13,7 +13,7 @@
 //   ECALL dispatch and OCALL syscall transitions when the machine spec's
 //   cost table enables them — and records per-request service cycles.
 //   Shards share no mutable state, so they fan out over
-//   ParallelForWorkStealing with results in shard-indexed slots:
+//   ParallelFor with results in shard-indexed slots:
 //   bit-identical for any host thread count.
 //
 //   Phase B (timing, sequential host-side): one discrete-event queueing

@@ -44,13 +44,11 @@ std::vector<ReplayResult> SweepEngine::Run(const std::vector<SweepRequest>& requ
   for (size_t i = 0; i < requests.size(); ++i) {
     const SweepRequest& r = requests[i];
     const MemoKey key{r.trace->stream_hash(), r.config};
-    if (options_.memoize) {
-      const auto hit = memo_.find(key);
-      if (hit != memo_.end()) {
-        out[i] = hit->second;
-        ++stats_.memo_hits;
-        continue;
-      }
+    const auto hit = memo_.find(key);
+    if (hit != memo_.end()) {
+      out[i] = hit->second;
+      ++stats_.memo_hits;
+      continue;
     }
     const auto ins = seen.emplace(key, i);
     if (!ins.second) {
@@ -93,14 +91,12 @@ std::vector<ReplayResult> SweepEngine::Run(const std::vector<SweepRequest>& requ
   // it only pays off when a group has at least two members; singletons go
   // straight to full replay in phase D.
   std::vector<size_t> capture_groups;
-  if (options_.use_capture) {
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].members.size() >= 2) {
-        capture_groups.push_back(g);
-      }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].members.size() >= 2) {
+      capture_groups.push_back(g);
     }
   }
-  ParallelForWorkStealing(capture_groups.size(), threads, [&](size_t i) {
+  ParallelFor(capture_groups.size(), threads, [&](size_t i) {
     Group& g = groups[capture_groups[i]];
     const SweepRequest& first = requests[g.members.front()];
     SimConfig base = SimConfigFromHeader(first.trace->header());
@@ -118,9 +114,8 @@ std::vector<ReplayResult> SweepEngine::Run(const std::vector<SweepRequest>& requ
 
   // Phase D (parallel): answer every canonical request over the shared
   // decode — capture re-pricing where a group sweeper covers the config,
-  // full replay otherwise. Work stealing absorbs the five-orders-of-
-  // magnitude cost spread between the two tiers.
-  ParallelForWorkStealing(canon.size(), threads, [&](size_t k) {
+  // full replay otherwise.
+  ParallelFor(canon.size(), threads, [&](size_t k) {
     const SweepRequest& r = requests[canon[k]];
     const ConfigSweeper* sweeper = groups[group_of[k]].sweeper.get();
     if (sweeper != nullptr && sweeper->Covers(r.config)) {
@@ -145,10 +140,7 @@ std::vector<ReplayResult> SweepEngine::Run(const std::vector<SweepRequest>& requ
     for (size_t j : copies[i]) {
       out[j] = out[i];
     }
-    if (options_.memoize) {
-      memo_.emplace(MemoKey{requests[i].trace->stream_hash(), requests[i].config},
-                    out[i]);
-    }
+    memo_.emplace(MemoKey{requests[i].trace->stream_hash(), requests[i].config}, out[i]);
   }
   return out;
 }

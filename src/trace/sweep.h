@@ -12,10 +12,9 @@
 //   3. full replay   — geometry singletons and capture-ineligible configs
 //                      replay the shared decode directly.
 //
-// Captures and replays fan out over ParallelForWorkStealing: grids mix
-// microsecond re-pricings with full replays that run five orders of
-// magnitude longer, so chunk-stealing — not a fixed pre-split — is what
-// keeps 8 threads busy. Results land in slots indexed by request order and
+// Captures and replays fan out over ParallelFor, whose shared index counter
+// balances the five-orders-of-magnitude cost spread between a re-pricing
+// and a full replay. Results land in slots indexed by request order and
 // every tier is bit-identical to a sequential full replay, so the output
 // (and anything printed from it) is byte-identical for any thread count.
 //
@@ -49,9 +48,7 @@ struct SweepRequest {
 };
 
 struct SweepOptions {
-  uint32_t threads = 0;      // 0 = HostHardwareThreads()
-  bool memoize = true;       // reuse results across Run() calls
-  bool use_capture = true;   // false = force full replay (verification mode)
+  uint32_t threads = 0;  // 0 = HostHardwareThreads()
 };
 
 // Cumulative across Run() calls; deterministic for a given request sequence

@@ -15,12 +15,35 @@ namespace sgxb {
 namespace {
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (uint32_t threads : {1u, 2u, 4u, 7u}) {
-    std::vector<std::atomic<int>> hits(100);
-    ParallelFor(hits.size(), threads, [&](size_t i) { ++hits[i]; });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
+  for (size_t n : {100u, 257u}) {  // 257: an odd size, not a multiple of any count
+    for (uint32_t threads : {1u, 2u, 4u, 7u, 16u}) {
+      std::vector<std::atomic<int>> hits(n);
+      ParallelFor(hits.size(), threads, [&](size_t i) { ++hits[i]; });
+      for (size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << n << ", threads " << threads;
+      }
     }
+  }
+}
+
+// The sweep engine's case: the first indices hold nearly all the cost (full
+// replays next to microsecond re-pricings). Every index must still run
+// exactly once while the other workers drain the cheap tail.
+TEST(ParallelForTest, CoversSkewedCostsExactlyOnce) {
+  std::vector<std::atomic<int>> hits(64);
+  std::atomic<uint64_t> sink{0};
+  ParallelFor(hits.size(), 8, [&](size_t i) {
+    ++hits[i];
+    if (i < 8) {
+      uint64_t acc = 0;
+      for (uint64_t k = 0; k < 2000000; ++k) {
+        acc += k * i;
+      }
+      sink += acc;
+    }
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
@@ -41,56 +64,6 @@ TEST(ParallelForTest, PropagatesWorkerException) {
 
 TEST(ParallelForTest, HostHardwareThreadsIsPositive) {
   EXPECT_GE(HostHardwareThreads(), 1u);
-}
-
-// --- the work-stealing variant ----------------------------------------------
-
-TEST(ParallelForWorkStealingTest, CoversEveryIndexExactlyOnce) {
-  for (uint32_t threads : {1u, 2u, 4u, 7u, 16u}) {
-    std::vector<std::atomic<int>> hits(257);  // odd size: uneven chunk split
-    ParallelForWorkStealing(hits.size(), threads, [&](size_t i) { ++hits[i]; });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-// The scenario stealing exists for: one chunk holds nearly all the cost. A
-// static split would serialize it; stealing must still cover every index
-// exactly once while the long tasks migrate.
-TEST(ParallelForWorkStealingTest, CoversSkewedCostsExactlyOnce) {
-  std::vector<std::atomic<int>> hits(64);
-  std::atomic<uint64_t> sink{0};
-  ParallelForWorkStealing(hits.size(), 8, [&](size_t i) {
-    ++hits[i];
-    // Front-loaded cost: the first chunk's indices spin, the rest return
-    // immediately, forcing the idle workers to steal from worker 0.
-    if (i < 8) {
-      uint64_t acc = 0;
-      for (uint64_t k = 0; k < 2000000; ++k) {
-        acc += k * i;
-      }
-      sink += acc;
-    }
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForWorkStealingTest, ZeroJobsIsANoop) {
-  ParallelForWorkStealing(0, 4, [&](size_t) { FAIL(); });
-}
-
-TEST(ParallelForWorkStealingTest, PropagatesWorkerException) {
-  EXPECT_THROW(
-      ParallelForWorkStealing(64, 4,
-                              [&](size_t i) {
-                                if (i == 33) {
-                                  throw std::runtime_error("boom");
-                                }
-                              }),
-      std::runtime_error);
 }
 
 // --- determinism across thread counts ---------------------------------------
