@@ -71,6 +71,22 @@ inline uint32_t ResolveBenchThreads() {
   return v <= 0 ? HostHardwareThreads() : static_cast<uint32_t>(v);
 }
 
+// Simulated worker threads (--threads, sweep_tool's --sim_threads): each is a
+// Cpu of the one simulated machine, so the count is a machine size like the
+// EPC and is bounded the same way. The paper's runs use at most 8.
+inline constexpr int64_t kMaxSimThreads = 64;
+
+// Returns the value of --`flag` as a simulated thread count; prints a message
+// naming the flag and exits(2) when it is outside [1, kMaxSimThreads].
+inline uint32_t SimThreadsOrExit(const char* flag, int64_t value) {
+  if (value < 1 || value > kMaxSimThreads) {
+    std::fprintf(stderr, "--%s: %lld simulated threads is outside [1, %lld]\n", flag,
+                 static_cast<long long>(value), static_cast<long long>(kMaxSimThreads));
+    std::exit(2);
+  }
+  return static_cast<uint32_t>(value);
+}
+
 // --- the shared --opts= flag -------------------------------------------------------
 //
 // Check-optimization pass selection for the scheme-generic pipeline

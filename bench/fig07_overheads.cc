@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   AddPoliciesFlag(parser);
   AddBenchDriverFlags(parser);
   parser.Parse(argc, argv);
+  const uint32_t sim_threads = SimThreadsOrExit("threads", threads);
   const std::vector<PolicyKind> policies = ResolvePolicies();
 
   PrintReproHeader("fig07_overheads", MachineSpec{});
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
 
   MachineSpec spec;
   WorkloadConfig cfg;
-  cfg.threads = static_cast<uint32_t>(threads);
+  cfg.threads = sim_threads;
   cfg.size = ParseSizeClass(size);
 
   std::vector<const WorkloadInfo*> workloads;

@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
   parser.AddChoice("sweep_policy", &sweep_policy, PolicyChoices(), "EPC sweep policy");
   AddBenchDriverFlags(parser);
   parser.Parse(argc, argv);
+  const uint32_t sim_threads = SimThreadsOrExit("threads", threads);
 
   PrintReproHeader("fig08_working_set", MachineSpec{});
 
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
     const PolicyKind kind = ParsePolicyKind(sweep_policy);
     // 1..4096 MiB: the EPC sizes SimConfig validation accepts.
     RunEpcSweep(workloads, ParseU64List(epc_mibs_csv, "epc_mibs", 1, 4096),
-                ParseSizeClass(sweep_size), kind, static_cast<uint32_t>(threads));
+                ParseSizeClass(sweep_size), kind, sim_threads);
     return 0;
   }
 
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
     for (SizeClass size : sizes) {
       WorkloadConfig cfg;
       cfg.size = size;
-      cfg.threads = static_cast<uint32_t>(threads);
+      cfg.threads = sim_threads;
       for (PolicyKind kind : grid) {
         jobs.push_back({w->name + "/" + SizeClassName(size) + "/" + PolicyName(kind),
                         [w, cfg, kind] {

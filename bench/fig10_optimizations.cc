@@ -279,6 +279,7 @@ int main(int argc, char** argv) {
   AddOptsFlag(parser);
   AddBenchDriverFlags(parser);
   parser.Parse(argc, argv);
+  const uint32_t sim_threads = SimThreadsOrExit("threads", threads);
 
   PrintReproHeader("fig10_optimizations", MachineSpec{});
   std::printf("Figure 10: SGXBounds optimization ablation\n");
@@ -301,7 +302,7 @@ int main(int argc, char** argv) {
   // dispatched across host threads.
   WorkloadConfig cfg;
   cfg.size = ParseSizeClass(size);
-  cfg.threads = static_cast<uint32_t>(threads);
+  cfg.threads = sim_threads;
   struct Variant {
     const char* name;
     PolicyKind kind;

@@ -9,8 +9,8 @@
 // (--transitions=off|sync|switchless).
 //
 // Everything simulated is deterministic: --bench_threads changes only host
-// wall-clock, never a result byte. --selfcheck re-runs a small fleet at 1
-// and N host threads and fails on any digest mismatch (the CI gate).
+// wall-clock, never a result byte (farm_test pins the digests at 1/4/16 host
+// threads).
 
 #include <cinttypes>
 #include <cstdint>
@@ -201,33 +201,6 @@ void WriteFarmJson(const std::vector<SweepPoint>& points, const FarmConfig& prot
   std::fprintf(stderr, "[json] wrote BENCH_farm.json (%zu rows)\n", points.size());
 }
 
-int SelfCheck(FarmConfig proto) {
-  // Small fleet, fixed seed, digest pinned across host thread counts.
-  proto.app = FarmApp::kKvStore;
-  proto.policy = PolicyKind::kSgxBounds;
-  proto.shards = 4;
-  proto.load.requests = 4000;
-  proto.load.clients = 16;
-  int failures = 0;
-  for (FarmApp app : {FarmApp::kKvStore, FarmApp::kMemcached}) {
-    proto.app = app;
-    uint64_t reference = 0;
-    for (uint32_t threads : {1u, 4u, 16u}) {
-      proto.host_threads = threads;
-      const FarmResult r = RunFarm(proto);
-      if (threads == 1) {
-        reference = r.digest;
-      }
-      const bool ok = r.digest == reference;
-      std::printf("[selfcheck] app=%s threads=%u digest=%016" PRIx64 " %s\n",
-                  FarmAppName(app), threads, r.digest, ok ? "ok" : "MISMATCH");
-      failures += ok ? 0 : 1;
-    }
-  }
-  std::printf("[selfcheck] %s\n", failures == 0 ? "PASS" : "FAIL");
-  return failures == 0 ? 0 : 1;
-}
-
 int Main(int argc, char** argv) {
   FlagParser parser;
   AddBenchDriverFlags(parser);
@@ -248,7 +221,6 @@ int Main(int argc, char** argv) {
   std::string faults_spec;
   std::string shard_faults_spec;
   std::string recovery = "off";
-  bool selfcheck = false;
   parser.AddString("apps", &apps_csv,
                    "comma-separated farm apps (kvstore|memcached|httpd|nginx|netserver|all)");
   parser.AddString("shards", &shards_csv, "comma-separated shard counts to sweep");
@@ -282,8 +254,6 @@ int Main(int argc, char** argv) {
                    "farm recovery policy for the phase-B timing pass "
                    "(off = its fault-free case, no client deadline; "
                    "--shard_faults without --recovery runs failstop)");
-  parser.AddBool("selfcheck", &selfcheck,
-                 "run the small-fleet digest check across host thread counts and exit");
   parser.Parse(argc, argv);
 
   FarmConfig proto;
@@ -338,10 +308,6 @@ int Main(int argc, char** argv) {
                     ? "none"
                     : proto.resilience.shard_faults.ToSpec().c_str(),
                 proto.faults.empty() ? "none" : proto.faults.ToSpec().c_str());
-  }
-
-  if (selfcheck) {
-    return SelfCheck(proto);
   }
 
   const std::vector<FarmApp> apps = ResolveApps(apps_csv);

@@ -14,9 +14,8 @@
 // reported tail).
 //
 // Everything simulated is deterministic: --bench_threads changes only host
-// wall-clock, never a result byte. --selfcheck re-runs a small faulted fleet
-// under every recovery mode at 1/4/16 host threads and fails on any digest
-// mismatch (the CI gate). --json writes BENCH_resilience.json.
+// wall-clock, never a result byte (farm_resilience_test pins every recovery
+// mode's digest at 1/4/16 host threads). --json writes BENCH_resilience.json.
 
 #include <algorithm>
 #include <cinttypes>
@@ -153,41 +152,6 @@ void WriteResilienceJson(const std::vector<SweepPoint>& points, const FarmConfig
   std::fprintf(stderr, "[json] wrote BENCH_resilience.json (%zu rows)\n", points.size());
 }
 
-int SelfCheck(FarmConfig proto) {
-  // Small faulted fleet, every recovery mode, digest pinned across host
-  // thread counts.
-  proto.app = FarmApp::kKvStore;
-  proto.policy = PolicyKind::kSgxBounds;
-  proto.shards = 4;
-  proto.load.requests = 4000;
-  proto.open_loop = true;
-  proto.offered_rps = 600000;
-  proto.machine.recovery.enabled = true;
-  proto.resilience.enabled = true;
-  proto.resilience.shard_faults =
-      ShardFaultPlan::Sampled(proto.load.seed, proto.shards, proto.load.requests,
-                              /*events=*/3);
-  int failures = 0;
-  for (uint32_t m = 0; m < kRecoveryModeCount; ++m) {
-    proto.resilience.mode = static_cast<RecoveryMode>(m);
-    uint64_t reference = 0;
-    for (uint32_t threads : {1u, 4u, 16u}) {
-      proto.host_threads = threads;
-      const FarmResult r = RunFarm(proto);
-      if (threads == 1) {
-        reference = r.digest;
-      }
-      const bool ok = r.digest == reference;
-      std::printf("[selfcheck] recovery=%s threads=%u digest=%016" PRIx64 " %s\n",
-                  RecoveryModeName(proto.resilience.mode), threads, r.digest,
-                  ok ? "ok" : "MISMATCH");
-      failures += ok ? 0 : 1;
-    }
-  }
-  std::printf("[selfcheck] %s\n", failures == 0 ? "PASS" : "FAIL");
-  return failures == 0 ? 0 : 1;
-}
-
 int Main(int argc, char** argv) {
   FlagParser parser;
   AddBenchDriverFlags(parser);
@@ -202,7 +166,6 @@ int Main(int argc, char** argv) {
   uint64_t seed = 42;
   uint64_t vnodes = 64;
   double rps = 1200000;
-  bool selfcheck = false;
   parser.AddChoice("app", &app, FarmAppChoices(), "farm app to serve");
   parser.AddString("policy", &policy, "memory-safety scheme for every shard");
   parser.AddString("fault_rates", &rates_csv,
@@ -219,8 +182,6 @@ int Main(int argc, char** argv) {
   parser.AddUint("seed", &seed, "load + fault campaign seed");
   parser.AddUint("vnodes", &vnodes, "ring points per shard");
   parser.AddDouble("rps", &rps, "open-loop offered requests/second");
-  parser.AddBool("selfcheck", &selfcheck,
-                 "run the faulted-fleet digest check across host thread counts and exit");
   parser.Parse(argc, argv);
 
   FarmConfig proto;
@@ -248,10 +209,6 @@ int Main(int argc, char** argv) {
     proto.machine.costs.EnableTransitions(/*use_switchless=*/true);
   }
   PrintReproHeader("resilience", proto.machine);
-
-  if (selfcheck) {
-    return SelfCheck(proto);
-  }
 
   proto.machine.recovery.enabled = true;
   const std::vector<uint64_t> rates = ParseU64List(rates_csv, "fault_rates", 0, requests);

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   AddOptsFlag(parser);
   AddBenchDriverFlags(parser);
   parser.Parse(argc, argv);
+  const uint32_t sim_threads = SimThreadsOrExit("threads", threads);
 
   auto& registry = WorkloadRegistry::Instance();
   if (list) {
@@ -59,11 +60,11 @@ int main(int argc, char** argv) {
   MachineSpec spec;
   spec.enclave_mode = !no_enclave;
   spec.epc_bytes = epc_mb * kMiB;
-  spec.threads = static_cast<uint32_t>(threads);
+  spec.threads = sim_threads;
   PrintReproHeader("run_workload", spec);
   WorkloadConfig cfg;
   cfg.size = ParseSizeClass(size);
-  cfg.threads = static_cast<uint32_t>(threads);
+  cfg.threads = sim_threads;
   // Start from the scheme's registry defaults (paper four: the SS4.4 pair;
   // shadow: all five pipeline passes), then apply --opts / --no_opts.
   PolicyOptions options = ResolveOptions(SchemeOf(kind).default_options);

@@ -151,10 +151,24 @@ int Main(int argc, char** argv) {
   AddBenchDriverFlags(parser);
   parser.Parse(argc, argv);
 
-  if (epc_points == 0 || cost_points == 0 || l3_points == 0) {
-    std::fprintf(stderr, "each axis needs at least one point\n");
+  // Point counts are bounded before any axis is built. The caps keep the grid
+  // to a size a run can hold: 256 EPC points are 16 MiB steps over the whole
+  // 1..4096 MiB range; cost table i scales uint32_t prices by (100+50*i)%,
+  // which must not wrap; the L3 axis shifts the 64-bit L3 size once per point
+  // (ValidateSimConfig then rejects the geometries that leave no L3).
+  const auto points_ok = [](const char* flag, uint64_t points, uint64_t max) {
+    if (points >= 1 && points <= max) {
+      return true;
+    }
+    std::fprintf(stderr, "--%s: need 1..%" PRIu64 " points, got %" PRIu64 "\n", flag, max,
+                 points);
+    return false;
+  };
+  if (!points_ok("epc_points", epc_points, 256) || !points_ok("cost_points", cost_points, 16) ||
+      !points_ok("l3_points", l3_points, 64)) {
     return 2;
   }
+  const uint32_t recording_threads = SimThreadsOrExit("sim_threads", sim_threads);
   // 4096 MiB is the largest EPC SimConfig accepts; the bound also keeps the
   // axis arithmetic below from wrapping.
   if (epc_min_mib > epc_max_mib || epc_max_mib > 4096) {
@@ -202,7 +216,7 @@ int Main(int argc, char** argv) {
     }
     WorkloadConfig cfg;
     cfg.size = ParseSizeClass(size);
-    cfg.threads = static_cast<uint32_t>(sim_threads);
+    cfg.threads = recording_threads;
     const size_t np = policies.size();
     std::vector<RecordedRun> recs(workloads.size() * np);
     std::fprintf(stderr, "[sweep] recording %zu (workload, policy) trace(s)...\n",

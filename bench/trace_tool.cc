@@ -91,6 +91,7 @@ int Record(FlagParser& parser, int argc, char** argv) {
   parser.AddUint("event_limit", &event_limit,
                  "retain only the first N events (golden prefix traces); 0 = all");
   parser.Parse(argc, argv);
+  const uint32_t sim_threads = SimThreadsOrExit("threads", threads);
 
   const SchemeDescriptor* scheme = FindScheme(policy);
   if (scheme == nullptr) {
@@ -120,14 +121,14 @@ int Record(FlagParser& parser, int argc, char** argv) {
   spec.enclave_mode = enclave;
   spec.epc_bytes = epc_mib * kMiB;
   spec.seed = seed;
-  spec.threads = static_cast<uint32_t>(threads);
+  spec.threads = sim_threads;
   if (!plan.empty()) {
     spec.faults = &plan;
   }
   PrintReproHeader("trace_tool", spec);
   WorkloadConfig cfg;
   cfg.size = ParseSizeClass(size);
-  cfg.threads = static_cast<uint32_t>(threads);
+  cfg.threads = sim_threads;
   cfg.seed = seed;
 
   TraceRecorder recorder(info->name + "/" + SizeClassName(cfg.size), note);

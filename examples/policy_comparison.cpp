@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "src/common/stats.h"
+#include "src/policy/registry.h"
 #include "src/policy/run.h"
 
 using namespace sgxb;
@@ -54,7 +55,8 @@ int main() {
   RunResult native;
   std::printf("%-11s %14s %12s %10s %12s %8s\n", "scheme", "cycles", "vs native",
               "checks", "peak mem", "BTs");
-  for (PolicyKind kind : kAllPolicies) {
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const PolicyKind kind = scheme->kind;
     const RunResult r = RunPolicyKind(kind, spec, PolicyOptions{},
                                       [](auto& env) { LinkedListProgram(env); });
     if (kind == PolicyKind::kNative) {

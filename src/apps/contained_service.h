@@ -139,20 +139,6 @@ ServiceResult RunContainedMemcachedWorkload(Env<P>& env, uint64_t requests,
   return result;
 }
 
-// Netserver: closed-loop throughput point derived from a contained run.
-// Dropped requests consumed their cycles but served nobody, so the effective
-// service demand is total cycles over *served* requests - graceful
-// degradation shows up as a sagging curve, not a dead server.
-inline CurvePoint ContainedCurvePoint(uint32_t clients, uint32_t server_threads,
-                                      uint64_t total_cycles, const ServiceResult& r,
-                                      double ghz = 3.6) {
-  if (r.served == 0) {
-    return CurvePoint{clients, 0.0, 0.0};
-  }
-  const double demand = static_cast<double>(total_cycles) / static_cast<double>(r.served);
-  return ClosedLoopPoint(clients, server_threads, demand, ghz);
-}
-
 }  // namespace sgxb
 
 #endif  // SGXBOUNDS_SRC_APPS_CONTAINED_SERVICE_H_

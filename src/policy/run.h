@@ -227,11 +227,6 @@ RunResult RunPolicyKind(PolicyKind kind, const MachineSpec& spec, const PolicyOp
   return result;
 }
 
-// The paper's four default schemes in presentation order (Figure 7 et al.);
-// plugged-in schemes are opt-in via --policies (registry.h PaperSchemes()).
-inline constexpr PolicyKind kAllPolicies[] = {PolicyKind::kNative, PolicyKind::kMpx,
-                                              PolicyKind::kAsan, PolicyKind::kSgxBounds};
-
 }  // namespace sgxb
 
 #endif  // SGXBOUNDS_SRC_POLICY_RUN_H_

@@ -372,12 +372,4 @@ bool MappedTrace::Load(const std::string& path, std::string* error) {
   return true;
 }
 
-Trace MappedTrace::Copy() const {
-  Trace out;
-  out.header = header_;
-  out.summary = summary_;
-  out.events.assign(events_begin(), events_end());
-  return out;
-}
-
 }  // namespace sgxb

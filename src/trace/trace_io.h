@@ -45,10 +45,6 @@ class MappedTrace {
   const uint8_t* events_end() const { return events_begin_ + events_size_; }
   size_t events_size() const { return events_size_; }
 
-  // Materializes a heap-owned Trace (for APIs that mutate or outlive the
-  // mapping). Copies the event bytes.
-  Trace Copy() const;
-
  private:
   void Unmap();
 

@@ -9,6 +9,7 @@
 #include "src/apps/memcached.h"
 #include "src/apps/netserver.h"
 #include "src/apps/nginx_app.h"
+#include "src/policy/registry.h"
 
 namespace sgxb {
 namespace {
@@ -23,7 +24,8 @@ MachineSpec AppSpec() {
 // --- kvstore -------------------------------------------------------------------
 
 TEST(KvStoreTest, InsertGetRoundTripAllPolicies) {
-  for (PolicyKind kind : kAllPolicies) {
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const PolicyKind kind = scheme->kind;
     const RunResult r = RunPolicyKind(kind, AppSpec(), PolicyOptions{}, [&](auto& env) {
       using P = std::decay_t<decltype(env.policy)>;
       KvStore<P> store(&env.policy, &env.cpu);
@@ -89,7 +91,8 @@ TEST(KvStoreTest, SgxBoundsCostWithinPaperEnvelope) {
 // --- memcached -------------------------------------------------------------------
 
 TEST(MemcachedTest, SetGetProtocol) {
-  for (PolicyKind kind : kAllPolicies) {
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const PolicyKind kind = scheme->kind;
     const RunResult r = RunPolicyKind(kind, AppSpec(), PolicyOptions{}, [&](auto& env) {
       using P = std::decay_t<decltype(env.policy)>;
       SyscallShim shim(&env.enclave);
@@ -155,7 +158,8 @@ TEST(MemcachedTest, BoundlessModeSurvivesCve) {
 // --- httpd / Heartbleed -------------------------------------------------------------
 
 TEST(HttpdTest, ServesRequestsAllPolicies) {
-  for (PolicyKind kind : kAllPolicies) {
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const PolicyKind kind = scheme->kind;
     const RunResult r = RunPolicyKind(kind, AppSpec(), PolicyOptions{}, [&](auto& env) {
       using P = std::decay_t<decltype(env.policy)>;
       SyscallShim shim(&env.enclave);

@@ -60,6 +60,31 @@ TEST(FarmResilienceTest, DigestInvariantAcrossHostThreads) {
       EXPECT_EQ(r.makespan_cycles, ref.makespan_cycles);
     }
   }
+  // fig16_resilience's defaults (sync transitions, seed 42) on a 4-shard
+  // SGXBounds fleet, open loop at 600 krps over 4000 requests, with three
+  // sampled shard faults: each recovery mode's digest is pinned.
+  const uint64_t pinned[kRecoveryModeCount] = {0x5f219f347e13346dull, 0x5ac912f26e57b65aull,
+                                               0xc48c0fb400007e23ull, 0x94c0c86c80f083f1ull};
+  FarmConfig cfg;
+  cfg.app = FarmApp::kKvStore;
+  cfg.policy = PolicyKind::kSgxBounds;
+  cfg.shards = 4;
+  cfg.load.requests = 4000;
+  cfg.open_loop = true;
+  cfg.offered_rps = 600000;
+  cfg.machine.costs.EnableTransitions();
+  cfg.machine.recovery.enabled = true;
+  cfg.resilience.enabled = true;
+  cfg.resilience.shard_faults =
+      ShardFaultPlan::Sampled(cfg.load.seed, cfg.shards, cfg.load.requests, /*events=*/3);
+  for (uint32_t m = 0; m < kRecoveryModeCount; ++m) {
+    cfg.resilience.mode = static_cast<RecoveryMode>(m);
+    for (const uint32_t threads : {1u, 4u, 16u}) {
+      cfg.host_threads = threads;
+      EXPECT_EQ(RunFarm(cfg).digest, pinned[m])
+          << RecoveryModeName(cfg.resilience.mode) << " at " << threads << " host threads";
+    }
+  }
 }
 
 TEST(FarmResilienceTest, RecoveryModesProduceDistinctOutcomes) {

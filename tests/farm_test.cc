@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/farm/farm.h"
@@ -178,6 +179,25 @@ TEST(FarmTest, DigestInvariantAcrossHostThreads) {
       EXPECT_EQ(r.served, base.served);
       EXPECT_EQ(r.makespan_cycles, base.makespan_cycles);
       EXPECT_EQ(r.totals.cycles, base.totals.cycles);
+    }
+  }
+  // fig15_farm's defaults (closed loop, sync transitions, seed 42) on a
+  // 4-shard SGXBounds fleet of 16 clients x 4000 requests: the digests are
+  // pinned, so a change that moves the farm's results fails here too.
+  const std::pair<FarmApp, uint64_t> pinned[] = {{FarmApp::kKvStore, 0x885f638d64ba6460ull},
+                                                 {FarmApp::kMemcached, 0x81050d03cd15bdadull}};
+  for (const auto& [app, digest] : pinned) {
+    FarmConfig cfg;
+    cfg.app = app;
+    cfg.policy = PolicyKind::kSgxBounds;
+    cfg.shards = 4;
+    cfg.load.requests = 4000;
+    cfg.load.clients = 16;
+    cfg.machine.costs.EnableTransitions();
+    for (const uint32_t threads : {1u, 4u, 16u}) {
+      cfg.host_threads = threads;
+      EXPECT_EQ(RunFarm(cfg).digest, digest)
+          << FarmAppName(app) << " at " << threads << " host threads";
     }
   }
 }

@@ -10,6 +10,7 @@
 
 #include "src/apps/contained_service.h"
 #include "src/fault/fault.h"
+#include "src/policy/registry.h"
 #include "src/trace/trace_recorder.h"
 #include "src/trace/trace_replay.h"
 
@@ -188,7 +189,8 @@ TEST(Recovery, WatchdogRethrowsWhenRequestBudgetExhausted) {
 // --- seeded determinism across the full pipeline ----------------------------------
 
 TEST(FaultDeterminism, SamePlanSameSeedBitIdenticalAcrossPolicies) {
-  for (PolicyKind kind : kAllPolicies) {
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const PolicyKind kind = scheme->kind;
     const FaultPlan plan = FaultPlan::Mixed(/*seed=*/11, /*events=*/6, /*span=*/3000);
     auto run = [&] {
       MachineSpec spec = SpecWithRecovery();
@@ -263,7 +265,8 @@ TEST(Containment, KvStoreServesAllButInjectedUnderTransientCampaign) {
   plan.events.insert(plan.events.end(), storms.events.begin(), storms.events.end());
 
   constexpr uint64_t kRequests = 600;
-  for (PolicyKind kind : kAllPolicies) {
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const PolicyKind kind = scheme->kind;
     const std::string what = PolicyName(kind);
     MachineSpec base = SpecWithRecovery();
     OracleKvResult clean;
@@ -294,7 +297,8 @@ TEST(Containment, KvStoreServesAllButInjectedUnderTransientCampaign) {
 TEST(Containment, HttpdKeepsServingUnderMixedCampaign) {
   const FaultPlan plan = FaultPlan::Mixed(/*seed=*/31, /*events=*/8, /*span=*/4000);
   constexpr uint64_t kRequests = 200;
-  for (PolicyKind kind : kAllPolicies) {
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const PolicyKind kind = scheme->kind;
     const std::string what = PolicyName(kind);
     MachineSpec spec = SpecWithRecovery();
     spec.faults = &plan;
@@ -337,7 +341,8 @@ TEST(MetadataFlip, LandsInSchemeMetadataOrIsCountedSkipped) {
   std::string error;
   ASSERT_TRUE(FaultPlan::Parse("metadata_flip@access:400*3+400;seed=17", &plan, &error))
       << error;
-  for (PolicyKind kind : kAllPolicies) {
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const PolicyKind kind = scheme->kind;
     MachineSpec spec = SpecWithRecovery();
     spec.faults = &plan;
     OracleKvResult kv;

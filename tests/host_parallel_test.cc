@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/host_parallel.h"
+#include "src/policy/registry.h"
 #include "src/workloads/workload.h"
 
 namespace sgxb {
@@ -104,8 +105,8 @@ TEST(ParallelForTest, SimulationResultsIdenticalAcrossThreadCounts) {
   std::vector<std::pair<const WorkloadInfo*, PolicyKind>> jobs;
   for (const WorkloadInfo* w : workloads) {
     ASSERT_NE(w, nullptr);
-    for (PolicyKind kind : kAllPolicies) {
-      jobs.emplace_back(w, kind);
+    for (const SchemeDescriptor* scheme : PaperSchemes()) {
+      jobs.emplace_back(w, scheme->kind);
     }
   }
 

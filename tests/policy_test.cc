@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "src/common/digest.h"
+#include "src/policy/registry.h"
 #include "src/policy/run.h"
 #include "src/policy/shadow/shadow_runtime.h"
 
@@ -46,7 +48,8 @@ uint64_t CopyKernel(Env<P>& env, uint32_t n) {
 TEST(PolicyTest, AllPoliciesComputeSameResult) {
   uint64_t sums[4];
   int i = 0;
-  for (PolicyKind kind : kAllPolicies) {
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const PolicyKind kind = scheme->kind;
     uint64_t out = 0;
     const RunResult r = RunPolicyKind(kind, SmallSpec(), PolicyOptions{},
                                       [&](auto& env) { out = CopyKernel(env, 1000); });
@@ -60,16 +63,15 @@ TEST(PolicyTest, AllPoliciesComputeSameResult) {
 
 TEST(PolicyTest, CostOrderingMatchesPaper) {
   // native <= sgxbounds < asan for a simple scalar kernel.
-  uint64_t cycles[4] = {0, 0, 0, 0};
-  int i = 0;
-  for (PolicyKind kind : kAllPolicies) {  // native, mpx, asan, sgxbounds
-    const RunResult r = RunPolicyKind(kind, SmallSpec(), PolicyOptions{},
+  std::map<PolicyKind, uint64_t> cycles;
+  for (const SchemeDescriptor* scheme : PaperSchemes()) {
+    const RunResult r = RunPolicyKind(scheme->kind, SmallSpec(), PolicyOptions{},
                                       [&](auto& env) { CopyKernel(env, 4000); });
-    cycles[i++] = r.cycles;
+    cycles[scheme->kind] = r.cycles;
   }
-  const uint64_t native = cycles[0];
-  const uint64_t sgxbounds = cycles[3];
-  const uint64_t asan = cycles[2];
+  const uint64_t native = cycles[PolicyKind::kNative];
+  const uint64_t sgxbounds = cycles[PolicyKind::kSgxBounds];
+  const uint64_t asan = cycles[PolicyKind::kAsan];
   EXPECT_LT(native, sgxbounds);
   EXPECT_LT(sgxbounds, asan);
 }
