@@ -4,8 +4,7 @@
 // of; handy for exploring the simulator interactively:
 //
 //   ./build/bench/run_workload --list
-//   ./build/bench/run_workload --workload=kmeans --policy=mpx --size=M \
-//       --threads=8 --epc_mb=94
+//   ./build/bench/run_workload --workload=kmeans --policy=mpx --size=M --threads=8 --epc_mb=94
 //   ./build/bench/run_workload --workload=mcf --policy=sgxbounds --no_enclave
 
 #include "bench/bench_util.h"

@@ -1,7 +1,8 @@
 // sweep_tool: drive the parallel sweep engine over a (trace x SimConfig)
-// grid and measure it against the sequential-replay baseline.
+// grid and measure it against the sequential-replay baseline. Usage (one
+// command line):
 //
-//   sweep_tool --workloads=kmeans,matrixmul --policies=sgxbounds,sgx \
+//   sweep_tool --workloads=kmeans,matrixmul --policies=sgxbounds,sgx
 //              --epc_points=16 --cost_points=2 --modes=both --mode=verify
 //
 // The grid is the cross product of three config axes per recorded trace:

@@ -2,33 +2,6 @@
 
 namespace sgxb {
 
-namespace {
-
-// Guest copies are almost all one scalar: every IR load and store comes
-// through LoadBytes/StoreBytes with n of 1, 2, 4 or 8. A constant-size
-// memcpy compiles to one move; only other sizes call libc.
-inline void CopyGuestBytes(void* dst, const void* src, uint32_t n) {
-  switch (n) {
-    case 1:
-      std::memcpy(dst, src, 1);
-      break;
-    case 2:
-      std::memcpy(dst, src, 2);
-      break;
-    case 4:
-      std::memcpy(dst, src, 4);
-      break;
-    case 8:
-      std::memcpy(dst, src, 8);
-      break;
-    default:
-      std::memcpy(dst, src, n);
-      break;
-  }
-}
-
-}  // namespace
-
 Enclave::Enclave(const EnclaveConfig& config)
     : config_(config),
       memsys_(config.sim),
@@ -74,29 +47,16 @@ void Enclave::AttachTrace(TraceRecorder* trace) {
   }
 }
 
-void Enclave::LoadBytes(Cpu& cpu, uint32_t addr, void* dst, uint32_t n, AccessClass klass) {
-  if (n == 0) {
-    return;
-  }
-  CheckAddressable(addr, n);
-  cpu.MemAccess(addr, n, klass);
-  CopyGuestBytes(dst, space_.HostPtr(addr), n);
-  if (faults_ != nullptr) {
-    faults_->OnAccess(cpu, addr, n);
-  }
-}
-
-void Enclave::StoreBytes(Cpu& cpu, uint32_t addr, const void* src, uint32_t n,
-                         AccessClass klass) {
-  if (n == 0) {
-    return;
-  }
-  CheckAddressable(addr, n);
-  cpu.MemAccess(addr, n, klass);
-  CopyGuestBytes(space_.HostPtr(addr), src, n);
-  if (faults_ != nullptr) {
-    faults_->OnAccess(cpu, addr, n);
-  }
+Enclave::InlineAccess Enclave::InlineAccessFor(Cpu& cpu) {
+  InlineAccess view;
+  view.enabled = cpu.trace() == nullptr && faults_ == nullptr;
+  view.addressable = pages_.addressable_table();
+  view.host_base = space_.HostPtr(0);
+  view.l1_sets = cpu.l1().slot_array();
+  view.l1_set_mask = cpu.l1().set_mask();
+  view.l1_ways = cpu.l1().ways();
+  view.events = cpu.mutable_events();
+  return view;
 }
 
 PerfCounters Enclave::TotalCounters() const {

@@ -4,7 +4,13 @@
 // (commit/guard/accounting) and the MemorySystem (caches + EPC + MEE). All
 // guest memory accesses go through Load/Store here: they perform the real
 // host-side data movement AND charge simulated cycles, so workload results
-// carry both correct values and a faithful cost account.
+// carry both correct values and a faithful cost account. Every access path
+// is inline: the typed Load<T>/Store<T> of the workload bodies and the
+// runtime-size LoadBytes/StoreBytes of the IR engines both compile to one
+// addressable test and one L1-MRU test before the move. The one exception
+// is JIT-compiled IR, which makes the same tests in generated code from the
+// raw pointers of InlineAccessFor (taking L1 way 1 as well as the MRU way)
+// and calls LoadBytes/StoreBytes whenever one fails.
 //
 // Typical wiring:
 //
@@ -92,10 +98,51 @@ class Enclave {
     }
   }
 
-  void LoadBytes(Cpu& cpu, uint32_t addr, void* dst, uint32_t n,
-                 AccessClass klass = AccessClass::kAppLoad);
-  void StoreBytes(Cpu& cpu, uint32_t addr, const void* src, uint32_t n,
-                  AccessClass klass = AccessClass::kAppStore);
+  // Runtime-size forms, for IR loads/stores and copies. Forced inline so an
+  // IR access compiles to the same addressable + L1-MRU test as Load<T>; the
+  // size is almost always 1, 2, 4 or 8 (CopyGuestBytes).
+  [[gnu::always_inline]] void LoadBytes(Cpu& cpu, uint32_t addr, void* dst, uint32_t n,
+                                        AccessClass klass = AccessClass::kAppLoad) {
+    if (n == 0) {
+      return;
+    }
+    CheckAddressable(addr, n);
+    cpu.MemAccess(addr, n, klass);
+    CopyGuestBytes(dst, space_.HostPtr(addr), n);
+    if (faults_ != nullptr) {
+      faults_->OnAccess(cpu, addr, n);
+    }
+  }
+  [[gnu::always_inline]] void StoreBytes(Cpu& cpu, uint32_t addr, const void* src,
+                                         uint32_t n,
+                                         AccessClass klass = AccessClass::kAppStore) {
+    if (n == 0) {
+      return;
+    }
+    CheckAddressable(addr, n);
+    cpu.MemAccess(addr, n, klass);
+    CopyGuestBytes(space_.HostPtr(addr), src, n);
+    if (faults_ != nullptr) {
+      faults_->OnAccess(cpu, addr, n);
+    }
+  }
+
+  // What an access needs to be made without a call: JIT tier-2 loads and
+  // stores (src/ir/exec/jit/compiler.cc) test the addressable table and
+  // ways 0 and 1 of `cpu`'s L1 set, copy through host_base, count in `cpu`'s
+  // account, and take LoadBytes/StoreBytes whenever a test fails. `enabled`
+  // is false when every access must take that path: `cpu` records a trace,
+  // or this enclave has fault hooks.
+  struct InlineAccess {
+    bool enabled = false;
+    const uint8_t* addressable = nullptr;  // PageManager, one byte per page
+    uint8_t* host_base = nullptr;          // host address of enclave byte 0
+    uint32_t* l1_sets = nullptr;           // Cache::slot_array of cpu's L1
+    uint32_t l1_set_mask = 0;
+    uint32_t l1_ways = 0;
+    PerfCounters* events = nullptr;  // cpu's live account
+  };
+  InlineAccess InlineAccessFor(Cpu& cpu);
 
   // Direct (uncharged) views for test assertions and machine setup. Guest
   // code must never use these on a measured path.
@@ -129,6 +176,29 @@ class Enclave {
     CheckAddressableSlow(first, last);
   }
   void CheckAddressableSlow(uint32_t first_page, uint32_t last_page);
+
+  // Guest copies are almost all one scalar: every IR load and store comes
+  // through LoadBytes/StoreBytes with n of 1, 2, 4 or 8. A constant-size
+  // memcpy compiles to one move; only other sizes call libc.
+  [[gnu::always_inline]] static void CopyGuestBytes(void* dst, const void* src, uint32_t n) {
+    switch (n) {
+      case 1:
+        std::memcpy(dst, src, 1);
+        break;
+      case 2:
+        std::memcpy(dst, src, 2);
+        break;
+      case 4:
+        std::memcpy(dst, src, 4);
+        break;
+      case 8:
+        std::memcpy(dst, src, 8);
+        break;
+      default:
+        std::memcpy(dst, src, n);
+        break;
+    }
+  }
 
   EnclaveConfig config_;
   MemorySystem memsys_;

@@ -53,10 +53,12 @@ uint32_t PageManager::Carve(uint64_t bytes, const std::string& tag, VmAccounting
     base = static_cast<uint32_t>(high_cursor_);
   }
   regions_.push_back({base, rounded, tag, accounting});
-  const uint32_t first_page = PageOf(base);
-  std::fill_n(accounting_.data() + first_page, rounded / kPageSize,
-              static_cast<uint8_t>(accounting));
+  // Regions never overlap, so the new region's entries still read 0, which
+  // is kOnCommit: only kFull regions are written (a 3 GiB heap reservation
+  // would otherwise fault in 768 KiB of table to write zeros).
   if (accounting == VmAccounting::kFull) {
+    std::fill_n(accounting_.data() + PageOf(base), rounded / kPageSize,
+                static_cast<uint8_t>(accounting));
     BumpVm(rounded);
   }
   return base;

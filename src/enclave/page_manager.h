@@ -80,6 +80,8 @@ class PageManager {
   // region.
   void SetGuardPage(uint32_t page);
   bool Addressable(uint32_t addr) const { return addressable_[PageOf(addr)] != 0; }
+  // The per-page addressable bytes Addressable() reads, indexed by page.
+  const uint8_t* addressable_table() const { return addressable_.data(); }
 
   // The paper's "virtual memory" metric.
   uint64_t vm_bytes() const { return vm_bytes_; }

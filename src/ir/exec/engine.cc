@@ -56,6 +56,14 @@ SGXB_OP_INLINE JitFrame Interpreter::OpenFrame(uint32_t num_slots, bool track_mp
   f.scheme_kind = scheme_kind_;
   f.mpx_bounds = track_mpx ? mpx_bounds_.data() : nullptr;
   f.mpx_valid = track_mpx ? mpx_valid_.data() : nullptr;
+  const Enclave::InlineAccess view = enclave_->InlineAccessFor(cpu);
+  f.inline_mem = view.enabled ? 1 : 0;
+  f.addressable = view.addressable;
+  f.host_base = view.host_base;
+  f.l1_sets = view.l1_sets;
+  f.l1_set_mask = view.l1_set_mask;
+  f.l1_ways = view.l1_ways;
+  f.events = view.events;
   return f;
 }
 

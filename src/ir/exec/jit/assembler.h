@@ -1,8 +1,9 @@
 // Minimal x86-64 byte emitter for the template JIT.
 //
 // Only the encodings the op templates need: 64-bit mov/ALU in reg-reg,
-// reg-mem ([base+disp32]) and reg-imm forms, shifts, setcc, div, call, and
-// rel32 jumps with two-pass fixups. No scheduling, no register allocation -
+// reg-mem ([base+disp32]) and reg-imm forms, the 1/2/4/8-byte [base+index]
+// moves and compares of the inline guest access, shifts, setcc, div, call,
+// and rel32 jumps with two-pass fixups. No scheduling, no register allocation -
 // the compiler (compiler.cc) pins its registers statically and uses
 // rax/rcx/rdx as scratch.
 
@@ -104,6 +105,100 @@ class X64Assembler {
     U8((3 << 6) | ((index & 7) << 3) | (base & 7));
   }
 
+  // mov dst32, src32 (zero-extends into the full register)
+  void MovReg32Reg32(Reg dst, Reg src) {
+    Rex(dst, src);
+    U8(0x8B);
+    ModRM(3, dst, src);
+  }
+  // movzx dst32, byte [base+disp]
+  void MovzxReg32Mem8(Reg dst, Reg base, int32_t disp) {
+    Rex(dst, base);
+    U8(0x0F);
+    U8(0xB6);
+    Mem(dst, base, disp);
+  }
+  // mov byte [base+disp], imm8
+  void MovMem8Imm8(Reg base, int32_t disp, uint8_t imm) {
+    Rex(0, base);
+    U8(0xC6);
+    Mem(0, base, disp);
+    U8(imm);
+  }
+
+  // --- indexed memory: [base + index << scale_log2 (+ disp8)] ------------
+  // `base` must not be RBP/R13 (their mod=0 form means disp32) and `index`
+  // not RSP.
+
+  // movzx dst32, byte [base+index]
+  void MovzxReg32Mem8Index(Reg dst, Reg base, Reg index) {
+    RexIndex(false, dst, base, index);
+    U8(0x0F);
+    U8(0xB6);
+    MemIndex(dst, base, index, 0);
+  }
+  // cmp dword [base+index<<scale_log2+disp], src32
+  void CmpMem32IndexReg32(Reg base, Reg index, uint8_t scale_log2, int8_t disp, Reg src) {
+    RexIndex(false, src, base, index);
+    U8(0x39);
+    MemIndex(src, base, index, scale_log2, disp);
+  }
+  // mov dst32, dword [base+index<<scale_log2+disp]
+  void MovReg32MemIndex(Reg dst, Reg base, Reg index, uint8_t scale_log2, int8_t disp) {
+    RexIndex(false, dst, base, index);
+    U8(0x8B);
+    MemIndex(dst, base, index, scale_log2, disp);
+  }
+  // mov dword [base+index<<scale_log2+disp], src32
+  void MovMem32IndexReg32(Reg base, Reg index, uint8_t scale_log2, int8_t disp, Reg src) {
+    RexIndex(false, src, base, index);
+    U8(0x89);
+    MemIndex(src, base, index, scale_log2, disp);
+  }
+  // dst = zero-extended `bytes` (1, 2, 4 or 8) at [base+index]
+  void LoadZxIndex(uint32_t bytes, Reg dst, Reg base, Reg index) {
+    RexIndex(bytes == 8, dst, base, index);
+    switch (bytes) {
+      case 1:
+        U8(0x0F);
+        U8(0xB6);
+        break;
+      case 2:
+        U8(0x0F);
+        U8(0xB7);
+        break;
+      case 4:
+      case 8:
+        U8(0x8B);
+        break;
+      default:
+        FATAL("guest access width must be 1, 2, 4 or 8");
+    }
+    MemIndex(dst, base, index, 0);
+  }
+  // the low `bytes` (1, 2, 4 or 8) of src to [base+index]; src is one of
+  // rax..rbx, whose low byte needs no REX
+  void StoreIndex(uint32_t bytes, Reg base, Reg index, Reg src) {
+    CHECK(src <= RBX);
+    if (bytes == 2) {
+      U8(0x66);
+    }
+    RexIndex(bytes == 8, src, base, index);
+    switch (bytes) {
+      case 1:
+        U8(0x88);
+        break;
+      case 2:
+      case 4:
+      case 8:
+        U8(0x89);
+        break;
+      default:
+        FATAL("guest access width must be 1, 2, 4 or 8");
+    }
+    MemIndex(src, base, index, 0);
+  }
+
   // --- ALU -----------------------------------------------------------------
 
   // Two-operand ALU, dst = dst OP src. Opcode is the r64,r/m64 form:
@@ -185,6 +280,19 @@ class X64Assembler {
       AluRegImm32(0, reg, imm);
     }
   }
+  // add qword [base+disp], src
+  void AddMemReg(Reg base, int32_t disp, Reg src) {
+    RexW(src, base);
+    U8(0x01);
+    Mem(src, base, disp);
+  }
+  // cmp qword [base+disp], imm8 (sign-extended)
+  void CmpMemImm8(Reg base, int32_t disp, int8_t imm) {
+    RexW(0, base);
+    U8(0x83);
+    Mem(7, base, disp);
+    U8(static_cast<uint8_t>(imm));
+  }
   // inc qword [base+disp]
   void IncMem(Reg base, int32_t disp) {
     RexW(0, base);
@@ -262,6 +370,21 @@ class X64Assembler {
   void Rex(uint8_t reg, uint8_t rm) {
     const uint8_t bits = static_cast<uint8_t>(((reg >> 3) << 2) | (rm >> 3));
     if (bits) U8(0x40 | bits);
+  }
+  // REX for [base+index] forms: W, then reg/index/base extension bits.
+  void RexIndex(bool w, uint8_t reg, Reg base, Reg index) {
+    const uint8_t bits = static_cast<uint8_t>((w ? 8 : 0) | ((reg >> 3) << 2) |
+                                              ((index >> 3) << 1) | (base >> 3));
+    if (bits) U8(0x40 | bits);
+  }
+  // [base + index << scale_log2 + disp8] with a SIB byte (mod=0 when disp
+  // is 0, mod=1 otherwise).
+  void MemIndex(uint8_t reg, Reg base, Reg index, uint8_t scale_log2, int8_t disp = 0) {
+    CHECK((base & 7) != 5);
+    CHECK(index != RSP);
+    ModRM(disp == 0 ? 0 : 1, reg, 4);
+    U8(static_cast<uint8_t>((scale_log2 << 6) | ((index & 7) << 3) | (base & 7)));
+    if (disp != 0) U8(static_cast<uint8_t>(disp));
   }
   void ModRM(uint8_t mod, uint8_t reg, uint8_t rm) {
     U8(static_cast<uint8_t>((mod << 6) | ((reg & 7) << 3) | (rm & 7)));

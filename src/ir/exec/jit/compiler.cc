@@ -1,7 +1,9 @@
 // Per-op x86-64 templates for the JIT tier. See jit_frame.h for the register
 // pinning and the helper-call protocol; every inline template reproduces the
 // op's shared body (ExecOp in exec/ops.h) - same step accounting, same
-// pending-charge increments, same value write-back order. Run with
+// pending-charge increments, same value write-back order. Loads and stores
+// (tier 2) reproduce it only on the path their guard admits and call the
+// body for everything else. Run with
 // SGXB_IR_JIT_HELPER_ONLY=1 to route every op through those bodies instead
 // and cross-check the templates against them.
 
@@ -13,7 +15,10 @@
 
 #include "src/common/check.h"
 #include "src/common/ir_engine.h"
+#include "src/common/units.h"
 #include "src/ir/exec/jit/assembler.h"
+#include "src/mpx/mpx_runtime.h"
+#include "src/sim/perf_counters.h"
 
 namespace sgxb {
 namespace jit {
@@ -29,6 +34,10 @@ constexpr Reg kPendBranch = RBP;
 constexpr Reg kMaxSteps = R15;
 
 #define SGXB_JIT_OFF(field) static_cast<int32_t>(offsetof(JitFrame, field))
+#define SGXB_JIT_EV(field) static_cast<int32_t>(offsetof(PerfCounters, field))
+
+// The inline bounds copy moves one MpxBounds as a single qword.
+static_assert(sizeof(MpxBounds) == 8, "MpxBounds is copied as one 8-byte move");
 
 bool FitsInt32(int64_t x) { return x >= INT32_MIN && x <= INT32_MAX; }
 
@@ -82,6 +91,7 @@ class Compiler {
     // generated code ever falls off the stream (ud2).
     a_.U8(0x0F);
     a_.U8(0x0B);
+    EmitColdPaths();
     EmitStubsAndEpilogue();
     PatchJumps();
     out_->native_bytes = a_.size();
@@ -168,11 +178,17 @@ class Compiler {
     jump_fixups_.push_back({a_.JccRel32(cc), static_cast<size_t>(target)});
   }
 
+  // An op with no inline template: its thunk is the whole op.
+  void EmitSlow(size_t i) {
+    EmitThunkCall(i);
+    ++out_->helper_ops;
+  }
+
   // The uniform helper call: spill hot state, call the op's specialized
   // slow-path thunk (it runs the op's shared body from exec/ops.h),
   // bail on nonzero, reload hot state (helpers may flush, stepping through
   // runtime code that charges the Cpu and zeroes the pending counters).
-  void EmitSlow(size_t i) {
+  void EmitThunkCall(size_t i) {
     SpillHot();
     a_.MovRegReg(RDI, kFrame);
     a_.MovReg32Imm32(RSI, static_cast<uint32_t>(i));
@@ -182,7 +198,180 @@ class Compiler {
     a_.TestRegReg(RAX, RAX);
     bail_fixups_.push_back(a_.JccRel32(kCondNE));
     ReloadHot();
-    ++out_->helper_ops;
+  }
+
+  // --- tier 2: inline guest loads and stores -------------------------------
+  //
+  // Guard, then commit. The guard reads the op's address from its slots and
+  // tests, changing nothing: the frame allows inline access, the access lies
+  // in one cache line (so in one page), that page is addressable, and the
+  // line is on way 0 or 1 of its L1 set - exactly the case in which the
+  // shared body (Enclave::LoadBytes/StoreBytes, Cpu::MemAccess) counts one
+  // L1 access, moves the bytes and, for way 1, swaps the two ways, with no
+  // other effect. Any failed test jumps to a cold stub that runs the op's
+  // thunk from the start, so nothing is done twice. The commit then replays
+  // the body's effects in its order.
+
+  // Guard on the 32-bit guest address in ECX for `bytes` bytes; each failed
+  // test branches to a jcc appended to `cold`. Clobbers RAX, RDX, RSI.
+  void EmitGuestGuard(uint32_t bytes, std::vector<size_t>* cold) {
+    // One line: (addr ^ (addr + bytes - 1)) >> 6 == 0. A line never crosses
+    // a page; an access wrapping past 4 GiB sets bit 32 and fails too.
+    if (bytes > 1) {
+      a_.MovRegReg(RDX, RCX);
+      a_.AddRegImm(RDX, static_cast<int32_t>(bytes - 1));
+      a_.AluRegReg(0x33, RDX, RCX);
+      a_.ShrRegImm8(RDX, kCacheLineShift);
+      cold->push_back(a_.JccRel32(kCondNE));
+    }
+    // Addressable page: addressable[addr >> 12] != 0.
+    a_.MovRegReg(RAX, RCX);
+    a_.ShrRegImm8(RAX, kPageShift);
+    a_.MovRegMem(RDX, kFrame, SGXB_JIT_OFF(addressable));
+    a_.MovzxReg32Mem8Index(RDX, RDX, RAX);
+    a_.TestRegReg(RDX, RDX);
+    cold->push_back(a_.JccRel32(kCondE));
+    // Way 0 or 1 of the line's set: with RSI = l1_sets, RDX = (line &
+    // l1_set_mask) * l1_ways and EAX = line, [rsi + rdx*4] is the MRU way
+    // (Cache::IsMru) and [rsi + rdx*4 + 4] way 1, the two ways
+    // Cache::Access probes inline. The commit re-tests way 0 and promotes a
+    // way-1 line (EmitWay1Promote); RSI, RDX and EAX stay live until then.
+    a_.MovRegReg(RAX, RCX);
+    a_.ShrRegImm8(RAX, kCacheLineShift);
+    a_.MovRegMem(RDX, kFrame, SGXB_JIT_OFF(l1_set_mask));
+    a_.AluRegReg(0x23, RDX, RAX);
+    a_.ImulRegMem(RDX, kFrame, SGXB_JIT_OFF(l1_ways));
+    a_.MovRegMem(RSI, kFrame, SGXB_JIT_OFF(l1_sets));
+    a_.CmpMem32IndexReg32(RSI, RDX, 2, 0, RAX);
+    const size_t mru = a_.JccRel32(kCondE);
+    a_.CmpMem32IndexReg32(RSI, RDX, 2, 4, RAX);
+    cold->push_back(a_.JccRel32(kCondNE));
+    a_.BindHere(mru);
+  }
+
+  // After the access's last step: a line the guard found on way 1 moves to
+  // way 0 and way 0 to way 1, Cache::Access's way-1 hit. Out of line: the
+  // inline path is one compare.
+  void EmitWay1Promote() {
+    a_.CmpMem32IndexReg32(RSI, RDX, 2, 0, RAX);
+    way1_.push_back({a_.JccRel32(kCondNE), 0});
+    way1_.back().resume = a_.size();
+  }
+
+  // ops::FlushPending, inline: the pending ALU/branch/call counts into the
+  // Cpu's account, then zeroed. Leaves the account pointer in RDX.
+  void EmitFlushInline() {
+    a_.MovRegMem(RDX, kFrame, SGXB_JIT_OFF(events));
+    a_.AddMemReg(RDX, SGXB_JIT_EV(alu_ops), kPendAlu);
+    a_.AddMemReg(RDX, SGXB_JIT_EV(branches), kPendBranch);
+    a_.MovRegMem(RAX, kFrame, SGXB_JIT_OFF(pend_call));
+    a_.AddMemReg(RDX, SGXB_JIT_EV(calls), RAX);
+    a_.ZeroReg(kPendAlu);
+    a_.ZeroReg(kPendBranch);
+    a_.MovMemImm32(kFrame, SGXB_JIT_OFF(pend_call), 0);
+  }
+
+  // kLoad, kStore, kGepMaskLoad, kGepMaskStore. The decoder sets the width
+  // to the type's size, so the width-specific move is TruncateToType as
+  // well. Returns false (nothing emitted) for any other width.
+  bool EmitGuestAccess(size_t i) {
+    const MicroOp& u = df_.code[i];
+    const uint32_t bytes = u.aux;
+    if (bytes != IrTypeSize(u.type) || (bytes != 1 && bytes != 2 && bytes != 4 && bytes != 8)) {
+      return false;
+    }
+    const bool store = u.op == UOp::kStore || u.op == UOp::kGepMaskStore;
+    const bool quad = u.op == UOp::kGepMaskLoad || u.op == UOp::kGepMaskStore;
+    ColdPath cold;
+    cold.op = i;
+    a_.CmpMemImm8(kFrame, SGXB_JIT_OFF(inline_mem), 0);
+    cold.jccs.push_back(a_.JccRel32(kCondE));
+    if (quad) {
+      // The body's t (R8), re-tagged p (R9) and address (ECX = low half of
+      // p). p takes the high half of v[a] as read after t is written to
+      // v[c], so it is t's own when c aliases a.
+      const uint64_t packed = static_cast<uint64_t>(u.imm);
+      LoadSlot(RAX, u.b);
+      MulImm(RAX, static_cast<int64_t>(packed >> 32));
+      a_.AluRegMem(0x03, RAX, kSlots, SlotDisp(u.a));
+      AddImm(RAX, static_cast<int64_t>(packed & 0xffffffffULL));
+      a_.MovRegReg(R8, RAX);
+      if (u.c == u.a) {
+        a_.MovRegReg(R9, R8);
+      } else {
+        LoadSlot(R9, u.a);
+      }
+      a_.ShrRegImm8(R9, 32);
+      a_.ShlRegImm8(R9, 32);
+      a_.MovReg32Reg32(RCX, R8);
+      a_.AluRegReg(0x0B, R9, RCX);
+    } else {
+      a_.MovReg32Mem(RCX, kSlots, SlotDisp(store ? u.b : u.a));
+    }
+    EmitGuestGuard(bytes, &cold.jccs);
+
+    // Commit: the gep and maskptr components of a quad, each a step, two
+    // pending ALU ops and a slot write; then the access's step and flush.
+    if (quad) {
+      Step();
+      a_.AluRegImm8(0, kPendAlu, 2);
+      StoreSlot(u.c, R8);
+      Step();
+      a_.AluRegImm8(0, kPendAlu, 2);
+      StoreSlot(static_cast<uint32_t>(u.imm2), R9);
+    }
+    Step();
+    EmitWay1Promote();
+    EmitFlushInline();
+    a_.IncMem(kFrame, store ? SGXB_JIT_OFF(stores) : SGXB_JIT_OFF(loads));
+    a_.IncMem(RDX, store ? SGXB_JIT_EV(stores) : SGXB_JIT_EV(loads));
+    a_.IncMem(RDX, SGXB_JIT_EV(l1_accesses));
+    a_.MovRegMem(RSI, kFrame, SGXB_JIT_OFF(host_base));
+    if (store) {
+      // Read after the quad's slot writes, as the body reads it.
+      LoadSlot(RAX, quad ? u.dst : u.a);
+      a_.StoreIndex(bytes, RSI, RCX, RAX);
+    } else {
+      a_.LoadZxIndex(bytes, RAX, RSI, RCX);
+      StoreSlot(u.dst, RAX);
+    }
+    cold.resume = a_.size();
+    cold_.push_back(std::move(cold));
+    return true;
+  }
+
+  // ops::CopyBounds, inline: if mpx_valid[src], copy the 8-byte bounds and
+  // mark dst valid.
+  void EmitCopyBounds(uint32_t dst, uint32_t src) {
+    CHECK(dst < df_.num_slots && src < df_.num_slots);
+    a_.MovRegMem(RDX, kFrame, SGXB_JIT_OFF(mpx_valid));
+    a_.MovzxReg32Mem8(RAX, RDX, static_cast<int32_t>(src));
+    a_.TestRegReg(RAX, RAX);
+    const size_t invalid = a_.JccRel32(kCondE);
+    a_.MovRegMem(RSI, kFrame, SGXB_JIT_OFF(mpx_bounds));
+    a_.MovRegMem(RAX, RSI, SlotDisp(src));
+    a_.MovMemReg(RSI, SlotDisp(dst), RAX);
+    a_.MovMem8Imm8(RDX, static_cast<int32_t>(dst), 1);
+    a_.BindHere(invalid);
+  }
+
+  // The cold stubs of the inline accesses, after the op stream: the whole op
+  // through its thunk, then back to the op's end.
+  void EmitColdPaths() {
+    for (const ColdPath& cold : cold_) {
+      for (size_t jcc : cold.jccs) {
+        a_.BindHere(jcc);
+      }
+      EmitThunkCall(cold.op);
+      a_.PatchRel32(a_.JmpRel32(), cold.resume);
+    }
+    for (const Way1Promote& way1 : way1_) {
+      a_.BindHere(way1.jcc);
+      a_.MovReg32MemIndex(R10, RSI, RDX, 2, 0);
+      a_.MovMem32IndexReg32(RSI, RDX, 2, 4, R10);
+      a_.MovMem32IndexReg32(RSI, RDX, 2, 0, RAX);
+      a_.PatchRel32(a_.JmpRel32(), way1.resume);
+    }
   }
 
   // --- layout --------------------------------------------------------------
@@ -501,7 +690,12 @@ class Compiler {
         StoreSlot(u.dst, RAX);
         break;
 
+      case UOp::kBoundsCopy:
+        EmitCopyBounds(u.dst, u.a);
+        break;
+
       case UOp::kGep:
+      case UOp::kGepMpx:
         Step();
         a_.AluRegImm8(0, kPendAlu, 2);
         LoadSlot(RAX, u.b);
@@ -509,6 +703,9 @@ class Compiler {
         a_.AluRegMem(0x03, RAX, kSlots, SlotDisp(u.a));
         AddImm(RAX, u.imm2);
         StoreSlot(u.dst, RAX);
+        if (u.op == UOp::kGepMpx) {
+          EmitCopyBounds(u.dst, u.a);
+        }
         break;
       case UOp::kMaskPtr:
         Step();
@@ -543,9 +740,19 @@ class Compiler {
         }
         break;
 
+      case UOp::kLoad:
+      case UOp::kStore:
+      case UOp::kGepMaskLoad:
+      case UOp::kGepMaskStore:
+        if (!EmitGuestAccess(i)) {
+          EmitSlow(i);
+          return;
+        }
+        break;
+
       default:
-        // Observable ops (memory, checks, allocation, MPX side table,
-        // scheme hooks, fused access quads) share the interpreter's C++
+        // The other observable ops (checks, allocation, MPX runtime calls,
+        // scheme hooks, checked access quads) share the interpreter's C++
         // bodies through the slow-path thunk.
         EmitSlow(i);
         return;
@@ -562,12 +769,26 @@ class Compiler {
   std::vector<size_t> step_fixups_;
   std::vector<size_t> bail_fixups_;
   std::vector<size_t> ret_fixups_;
+  // An inline access's way out: the guard's jccs, the op, and where its
+  // inline code ends.
+  struct ColdPath {
+    std::vector<size_t> jccs;
+    size_t op = 0;
+    size_t resume = 0;
+  };
+  std::vector<ColdPath> cold_;
+  struct Way1Promote {
+    size_t jcc;
+    size_t resume;
+  };
+  std::vector<Way1Promote> way1_;
   size_t steplimit_pos_ = 0;
   size_t bail_pos_ = 0;
   size_t epilogue_pos_ = 0;
 };
 
 #undef SGXB_JIT_OFF
+#undef SGXB_JIT_EV
 
 }  // namespace
 

@@ -1,10 +1,12 @@
 // Template compilation of decoded micro-op streams to x86-64.
 //
 // Each MicroOp is stamped out from a hand-written code template (pure
-// compute and control flow inline; everything observable - memory traffic,
-// runtime calls, checks, allocation - calls that op's thunk, which runs the
-// shared C++ body from exec/ops.h). Branch targets are recorded during emission and fixed up
-// in a second pass once every op's native offset is known. See jit_frame.h
+// compute, control flow, the MPX side-table copies, and loads and stores
+// that hit an addressable line on L1 way 0 or 1 inline; everything else observable -
+// runtime calls, checks, allocation, the rest of memory traffic - calls that
+// op's thunk, which runs the shared C++ body from exec/ops.h). Branch
+// targets are recorded during emission and fixed up in a second pass once
+// every op's native offset is known. See jit_frame.h
 // for the frame ABI and compiler.cc for the per-op templates.
 
 #ifndef SGXBOUNDS_SRC_IR_EXEC_JIT_COMPILER_H_

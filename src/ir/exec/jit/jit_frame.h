@@ -18,7 +18,15 @@
 //
 // pend_call and the loads/stores/checks counters live in frame memory (cold).
 //
-// Helper protocol: every op that is not emitted as an inline template calls
+// Tier 2: loads, stores and the unchecked gep+maskptr access quads are
+// inline. They read the guest-access fields at the end of the frame
+// (inline_mem, addressable, host_base, l1_sets/l1_set_mask/l1_ways,
+// events), which OpenFrame fills from Enclave::InlineAccessFor, test that
+// the access is addressable, in one cache line and on way 0 or 1 of its L1
+// set, and otherwise call the op's thunk as below (compiler.cc, DESIGN §12).
+//
+// Helper protocol: every op that is not emitted as an inline template, and
+// every inline access whose guard fails, calls
 // its own per-opcode thunk (SgxbJitSlowFnFor(op), jit/runtime.cc)
 //   uint64_t thunk(JitFrame*, uint64_t op_index)
 // with steps/pend_alu/pend_branch spilled to the frame first. The thunk runs
@@ -44,6 +52,7 @@ namespace sgxb {
 
 class Cpu;
 class Enclave;
+struct PerfCounters;
 class Heap;
 class StackAllocator;
 class MpxRuntime;
@@ -93,6 +102,18 @@ struct JitFrame {
   uint8_t* mpx_valid = nullptr;
   void* ex_slot = nullptr;  // std::exception_ptr* owned by the RunJit wrapper
   IrSchemeKind scheme_kind{};  // which runtime `scheme` is (ops::WithScheme)
+  // Tier-2 inline loads and stores (compiler.cc), from
+  // Enclave::InlineAccessFor(*cpu) in OpenFrame. Generated code reads these
+  // at run time and never bakes them in, because JitCache shares one
+  // compiled program across enclaves. inline_mem == 0 (a trace recorder or
+  // fault hooks attached) sends every access to its thunk.
+  uint64_t inline_mem = 0;
+  const uint8_t* addressable = nullptr;  // per-page addressable bytes
+  uint8_t* host_base = nullptr;          // host address of enclave byte 0
+  uint32_t* l1_sets = nullptr;           // the L1 recency array, MRU way first
+  uint64_t l1_set_mask = 0;
+  uint64_t l1_ways = 0;
+  PerfCounters* events = nullptr;  // the Cpu's live event account
 };
 
 // The slow-path thunk for micro-op `op` (its numeric UOp value; control-flow

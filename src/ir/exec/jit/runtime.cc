@@ -2,8 +2,9 @@
 // that op's shared body (ExecOp in exec/ops.h - the same body the threaded
 // engine runs), so the JIT can never drift from the interpreters on anything
 // a simulation observes. Generated code calls them for every observable op
-// (memory traffic, checks, allocation, MPX side table, scheme hooks, fused
-// access quads), and for every op under SGXB_IR_JIT_HELPER_ONLY.
+// without an inline template (checks, allocation, MPX runtime calls, scheme
+// hooks, checked access quads), for every load and store its inline guard
+// turns away, and for every op under SGXB_IR_JIT_HELPER_ONLY.
 //
 // Also the exception firewall: generated code has no unwind tables, so a
 // SimTrap (or anything else) thrown by a runtime must not propagate through

@@ -99,6 +99,10 @@ std::vector<uint32_t> Cache::SetOrder(uint32_t line) const {
   return order;
 }
 
+uint32_t* Cache::slot_array() { return slots_.get(); }
+
+uint32_t Cache::set_mask() const { return set_mask_; }
+
 void Cache::Flush() {
   std::fill_n(slots_.get(), num_slots_, kInvalidLine);
 }

@@ -76,6 +76,13 @@ class Cache {
   uint32_t ways() const { return ways_; }
   uint32_t sets() const { return sets_; }
 
+  // The raw recency array (sets() rows of ways() line ids, MRU first) and
+  // the set-index mask, for generated code that probes ways 0 and 1 inline
+  // (Enclave::InlineAccessFor). Out of line: defined here, two more inline
+  // members changed GCC's inlining in the workload bodies (nm -S sizes).
+  uint32_t* slot_array();
+  uint32_t set_mask() const;
+
  private:
   static constexpr uint32_t kInvalidLine = 0xffffffffu;
 

@@ -259,6 +259,13 @@ class Cpu {
   const PerfCounters& events() const { return events_; }
   MemorySystem* memory() { return memory_; }
 
+  // The L1 model and the live account, for generated code that counts an
+  // L1 way-0 or way-1 hit without calling MemAccess
+  // (Enclave::InlineAccessFor). Every other writer counts through the
+  // methods above.
+  Cache& l1() { return l1_; }
+  PerfCounters* mutable_events() { return &events_; }
+
   // Points this Cpu's taps at `trace` under trace cpu id `id`. Passing null
   // detaches (the hot paths revert to their single-pointer-test cost).
   void AttachTrace(TraceRecorder* trace, uint32_t id) {

@@ -110,6 +110,25 @@ TEST(EnclaveTest, PageOutsideEveryRegionCountsOnCommit) {
   EXPECT_EQ(e.pages().vm_bytes(), vm0);
 }
 
+// Carve writes the accounting table only for kFull regions; the kOnCommit
+// region between two kFull neighbours must still count page by page, and
+// its neighbours not at all, when one commit spans all three.
+TEST(EnclaveTest, OnCommitRegionBetweenFullRegionsAccountsBoth) {
+  Enclave e(SmallConfig());
+  const uint64_t vm0 = e.pages().vm_bytes();
+  const uint32_t below = e.pages().ReserveLow(2 * kPageSize, "below", VmAccounting::kFull);
+  const uint32_t lazy = e.pages().ReserveLow(4 * kPageSize, "lazy", VmAccounting::kOnCommit);
+  const uint32_t above = e.pages().ReserveLow(2 * kPageSize, "above", VmAccounting::kFull);
+  ASSERT_EQ(lazy, below + 2 * kPageSize);
+  ASSERT_EQ(above, lazy + 4 * kPageSize);
+  EXPECT_EQ(e.pages().vm_bytes(), vm0 + 4 * kPageSize);  // the two kFull regions
+  e.pages().Commit(nullptr, below, 8 * kPageSize);
+  EXPECT_EQ(e.pages().vm_bytes(), vm0 + 8 * kPageSize);  // + the 4 lazy pages
+  e.pages().Decommit(below, 8 * kPageSize);
+  EXPECT_EQ(e.pages().vm_bytes(), vm0 + 4 * kPageSize);
+  EXPECT_EQ(e.PeakVirtualBytes(), vm0 + 8 * kPageSize);
+}
+
 // The page tables and EPC nodes are mappings that start zero-filled; an
 // enclave built after another one (possibly over recycled host memory) must
 // see none of its commits, guards, accounting or EPC residency.
