@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   if (custom) {
     plans.push_back(custom_plan);
     for (PolicyKind kind : policies) {
-      cells.push_back({kind, first_class, 0, 0});
+      cells.push_back({kind, first_class, 0, 0, {}, {}});
     }
   } else {
     for (int cls = 0; cls < kClassCount; ++cls) {
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
           plan_index = static_cast<int>(plans.size()) - 1;
         }
         for (PolicyKind kind : policies) {
-          cells.push_back({kind, cls, c, plan_index});
+          cells.push_back({kind, cls, c, plan_index, {}, {}});
         }
       }
     }

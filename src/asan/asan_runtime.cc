@@ -16,6 +16,10 @@ AsanRuntime::AsanRuntime(Enclave* enclave, Heap* heap, const AsanConfig& config)
   shadow_base_ = enclave_->pages().ReserveHigh(shadow_bytes, "asan-shadow", VmAccounting::kFull);
 }
 
+uint64_t* AsanRuntime::InlineCheckCounter(const Enclave* enclave) {
+  return enclave == enclave_ && config_.shadow_scale == 3 ? &stats_.shadow_checks : nullptr;
+}
+
 uint32_t AsanRuntime::RedzoneFor(uint32_t size) const {
   uint32_t rz = config_.min_redzone;
   if (size >= 128) {

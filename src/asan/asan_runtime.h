@@ -75,10 +75,12 @@ class AsanRuntime final : public IrSchemeRuntime {
 
   // Shadow lookup before an access; throws SimTrap(kAsanReport) on poisoned
   // shadow. `fatal=false` turns the report into a return value (used by the
-  // RIPE harness to count detections without unwinding). Inline so the common
-  // shape — a word access inside one fully-addressable granule — resolves
-  // without a call; anything else drops to the granule-walk slow path.
-  bool CheckAccess(Cpu& cpu, uint32_t addr, uint32_t size, bool is_write, bool fatal = true) {
+  // RIPE harness to count detections without unwinding). Forced inline so
+  // the common shape — a word access inside one fully-addressable granule —
+  // resolves without a call (GCC otherwise outlines it as an .isra clone);
+  // anything else drops to the granule-walk slow path.
+  [[gnu::always_inline]] bool CheckAccess(Cpu& cpu, uint32_t addr, uint32_t size,
+                                          bool is_write, bool fatal = true) {
     (void)is_write;
     ++stats_.shadow_checks;
     cpu.CountBoundsCheck();
@@ -133,6 +135,13 @@ class AsanRuntime final : public IrSchemeRuntime {
 
   uint32_t shadow_base() const { return shadow_base_; }
   const AsanStats& stats() const { return stats_; }
+
+  // For generated code that makes CheckAccess's fast path itself (JIT tier 3,
+  // src/ir/exec/jit/compiler.cc) over `enclave`'s pages, L1 and bytes: the
+  // counter behind stats().shadow_checks, or null unless `enclave` is this
+  // runtime's own and a shadow byte covers 8 bytes, the only scale that code
+  // handles. Out of line, like every accessor only the JIT needs.
+  uint64_t* InlineCheckCounter(const Enclave* enclave);
 
   // Fault campaigns (src/fault): flips one RNG-chosen bit of the shadow byte
   // covering an RNG-chosen address in the allocated heap span (charged

@@ -64,6 +64,9 @@ SGXB_OP_INLINE JitFrame Interpreter::OpenFrame(uint32_t num_slots, bool track_mp
   f.l1_set_mask = view.l1_set_mask;
   f.l1_ways = view.l1_ways;
   f.events = view.events;
+  f.mpx_checks = mpx_checks_;
+  f.asan_checks = asan_checks_;
+  f.asan_shadow_base = asan_shadow_base_;
   return f;
 }
 

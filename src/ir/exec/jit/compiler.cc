@@ -2,10 +2,11 @@
 // pinning and the helper-call protocol; every inline template reproduces the
 // op's shared body (ExecOp in exec/ops.h) - same step accounting, same
 // pending-charge increments, same value write-back order. Loads and stores
-// (tier 2) reproduce it only on the path their guard admits and call the
-// body for everything else. Run with
-// SGXB_IR_JIT_HELPER_ONLY=1 to route every op through those bodies instead
-// and cross-check the templates against them.
+// (tier 2) and MPX and ASan checks (tier 3) reproduce it only on the path
+// their guard admits and call the body for everything else: a guard tests
+// and changes nothing, so the body runs the op from the start (DESIGN §12).
+// Run with SGXB_IR_JIT_HELPER_ONLY=1 to route every op through those bodies
+// instead and cross-check the templates against them.
 
 #include "src/ir/exec/jit/compiler.h"
 
@@ -335,6 +336,124 @@ class Compiler {
       a_.LoadZxIndex(bytes, RAX, RSI, RCX);
       StoreSlot(u.dst, RAX);
     }
+    cold.resume = a_.size();
+    cold_.push_back(std::move(cold));
+    return true;
+  }
+
+  // --- tier 3: inline MPX and ASan checks ----------------------------------
+  //
+  // The same guard-then-commit shape for the two checks that are runtime
+  // calls in the shared body. The guard proves the check passes and takes
+  // its fast path; the commit replays what StepFlush, ++checks and the
+  // runtime's passing check count. A failing or unusual check runs the
+  // thunk, which counts the violation and traps.
+
+  // kMpxCheck: MpxRuntime::BndCheck on BoundsOrInit(a). Returns false
+  // (nothing emitted) for a size the add below cannot carry.
+  bool EmitMpxCheck(size_t i) {
+    const MicroOp& u = df_.code[i];
+    if (u.imm < 0 || u.imm > INT32_MAX) {
+      return false;
+    }
+    ColdPath cold;
+    cold.op = i;
+    a_.CmpMemImm8(kFrame, SGXB_JIT_OFF(inline_mem), 0);
+    cold.jccs.push_back(a_.JccRel32(kCondE));
+    // Guard: ECX = addr; EAX = ub; lb <= addr tested on the valid path only,
+    // because INIT's lb is 0.
+    a_.MovReg32Mem(RCX, kSlots, SlotDisp(u.a));
+    a_.MovRegMem(RDX, kFrame, SGXB_JIT_OFF(mpx_valid));
+    a_.MovzxReg32Mem8(RAX, RDX, static_cast<int32_t>(u.a));
+    a_.TestRegReg(RAX, RAX);
+    const size_t init = a_.JccRel32(kCondE);
+    a_.MovRegMem(RSI, kFrame, SGXB_JIT_OFF(mpx_bounds));
+    a_.MovReg32Mem(RAX, RSI, SlotDisp(u.a) + static_cast<int32_t>(offsetof(MpxBounds, lb)));
+    a_.CmpRegReg(RCX, RAX);
+    cold.jccs.push_back(a_.JccRel32(kCondB));
+    a_.MovReg32Mem(RAX, RSI, SlotDisp(u.a) + static_cast<int32_t>(offsetof(MpxBounds, ub)));
+    const size_t have_ub = a_.JmpRel32();
+    a_.BindHere(init);
+    a_.MovReg32Imm32(RAX, MpxBounds{}.ub);
+    a_.BindHere(have_ub);
+    // (u64)addr + size <= (u64)ub.
+    AddImm(RCX, u.imm);
+    a_.CmpRegReg(RCX, RAX);
+    cold.jccs.push_back(a_.JccRel32(kCondA));
+
+    // Commit: step, then the flush with BndCheck's three ALU ops in it (the
+    // account only sums them), frame checks, bndcl_bndcu, bounds_checks.
+    Step();
+    a_.AluRegImm8(0, kPendAlu, 3);
+    EmitFlushInline();
+    a_.IncMem(kFrame, SGXB_JIT_OFF(checks));
+    a_.IncMem(RDX, SGXB_JIT_EV(bounds_checks));
+    a_.MovRegMem(RAX, kFrame, SGXB_JIT_OFF(mpx_checks));
+    a_.IncMem(RAX, 0);
+    cold.resume = a_.size();
+    cold_.push_back(std::move(cold));
+    return true;
+  }
+
+  // kSchemeCheck under an 8-byte-granule AsanRuntime: AsanRuntime::
+  // CheckAccess's fast path. Its shadow access is a metadata load of n =
+  // (size >> 3) + 1 bytes at saddr = shadow_base + (addr >> 3), behind
+  // PageManager::Commit. Returns false (nothing emitted) for a size outside
+  // 1..8: a larger one never passes the granule test, and size 0 passes it
+  // only through the 32-bit wrap of addr - 1, which the test below does in
+  // 64 bits.
+  bool EmitAsanCheck(size_t i) {
+    const MicroOp& u = df_.code[i];
+    if (u.imm < 1 || u.imm > 8) {
+      return false;
+    }
+    const uint32_t size = static_cast<uint32_t>(u.imm);
+    ColdPath cold;
+    cold.op = i;
+    a_.CmpMemImm8(kFrame, SGXB_JIT_OFF(inline_mem), 0);
+    cold.jccs.push_back(a_.JccRel32(kCondE));
+    // The scheme is an AsanRuntime the code can stand in for.
+    a_.CmpMemImm8(kFrame, SGXB_JIT_OFF(asan_checks), 0);
+    cold.jccs.push_back(a_.JccRel32(kCondE));
+    a_.MovReg32Mem(RCX, kSlots, SlotDisp(u.a));
+    // One granule: ((addr ^ (addr + size - 1)) & ~7) == 0. In 64 bits an
+    // access wrapping past 4 GiB fails it, as it does in 32.
+    if (size > 1) {
+      a_.MovRegReg(RDX, RCX);
+      a_.AddRegImm(RDX, static_cast<int32_t>(size - 1));
+      a_.AluRegReg(0x33, RDX, RCX);
+      a_.ShrRegImm8(RDX, 3);
+      cold.jccs.push_back(a_.JccRel32(kCondNE));
+    }
+    // ECX = saddr. ShadowAddr's uint32_t sum never wraps, so neither does
+    // this one: the shadow region, an eighth of the space, lies below the
+    // space's top, so shadow_base <= 7/8 * 4 GiB, and addr >> 3 < 1/8 * 4 GiB.
+    a_.ShrRegImm8(RCX, 3);
+    a_.AluRegMem(0x03, RCX, kFrame, SGXB_JIT_OFF(asan_shadow_base));
+    // The shadow access in one line of an addressable page, on way 0 or 1.
+    // Addressable implies committed, so Commit would return at once.
+    EmitGuestGuard((size >> 3) + 1, &cold.jccs);
+    // The shadow byte is kShadowAddressable. RAX, RDX and RSI are the
+    // guard's, live until the promotion.
+    a_.MovRegMem(R8, kFrame, SGXB_JIT_OFF(host_base));
+    a_.MovzxReg32Mem8Index(R8, R8, RCX);
+    a_.TestRegReg(R8, R8);
+    cold.jccs.push_back(a_.JccRel32(kCondNE));
+
+    // Commit: step; the way-1 promotion; the flush with the check's three
+    // ALU ops and two branches in it; frame checks, shadow_checks,
+    // bounds_checks, the metadata load and its L1 access.
+    Step();
+    a_.AluRegImm8(0, kPendAlu, 3);
+    a_.AluRegImm8(0, kPendBranch, 2);
+    EmitWay1Promote();
+    EmitFlushInline();
+    a_.IncMem(kFrame, SGXB_JIT_OFF(checks));
+    a_.IncMem(RDX, SGXB_JIT_EV(bounds_checks));
+    a_.IncMem(RDX, SGXB_JIT_EV(metadata_loads));
+    a_.IncMem(RDX, SGXB_JIT_EV(l1_accesses));
+    a_.MovRegMem(RAX, kFrame, SGXB_JIT_OFF(asan_checks));
+    a_.IncMem(RAX, 0);
     cold.resume = a_.size();
     cold_.push_back(std::move(cold));
     return true;
@@ -749,11 +868,25 @@ class Compiler {
           return;
         }
         break;
+      case UOp::kMpxCheck:
+        if (!EmitMpxCheck(i)) {
+          EmitSlow(i);
+          return;
+        }
+        break;
+      case UOp::kSchemeCheck:
+        // Inline for ASan only; under any other runtime the guard's
+        // asan_checks test sends it to the thunk.
+        if (!EmitAsanCheck(i)) {
+          EmitSlow(i);
+          return;
+        }
+        break;
 
       default:
-        // The other observable ops (checks, allocation, MPX runtime calls,
-        // scheme hooks, checked access quads) share the interpreter's C++
-        // bodies through the slow-path thunk.
+        // The other observable ops (the other checks, allocation, MPX table
+        // walks, scheme hooks, checked access quads) share the interpreter's
+        // C++ bodies through the slow-path thunk.
         EmitSlow(i);
         return;
     }

@@ -25,6 +25,15 @@
 // the access is addressable, in one cache line and on way 0 or 1 of its L1
 // set, and otherwise call the op's thunk as below (compiler.cc, DESIGN §12).
 //
+// Tier 3: MPX's kMpxCheck and ASan's kSchemeCheck are inline too, in the
+// same guard-then-commit shape. The MPX guard reads the pointer's bounds
+// from the side table and tests the access against them; the ASan guard
+// finds the shadow byte from asan_shadow_base and makes the tier-2 tests on
+// its line, then tests the byte and the granule. Their commits count the
+// check through mpx_checks / asan_checks, the runtimes' own counters. A
+// failed test calls the op's thunk, which counts a violation and traps
+// exactly as the shared body does.
+//
 // Helper protocol: every op that is not emitted as an inline template, and
 // every inline access whose guard fails, calls
 // its own per-opcode thunk (SgxbJitSlowFnFor(op), jit/runtime.cc)
@@ -114,6 +123,15 @@ struct JitFrame {
   uint64_t l1_set_mask = 0;
   uint64_t l1_ways = 0;
   PerfCounters* events = nullptr;  // the Cpu's live event account
+  // Tier-3 inline checks (compiler.cc), filled by OpenFrame from the
+  // attached runtimes' InlineCheckCounter and, like the fields above, read
+  // at run time. mpx_checks is MpxStats::bndcl_bndcu (null without MPX).
+  // asan_checks is AsanStats::shadow_checks, non-null only when the scheme
+  // is an AsanRuntime on this frame's enclave with 8-byte granules;
+  // asan_shadow_base is then its shadow_base().
+  uint64_t* mpx_checks = nullptr;
+  uint64_t* asan_checks = nullptr;
+  uint64_t asan_shadow_base = 0;
 };
 
 // The slow-path thunk for micro-op `op` (its numeric UOp value; control-flow

@@ -2,9 +2,10 @@
 // that op's shared body (ExecOp in exec/ops.h - the same body the threaded
 // engine runs), so the JIT can never drift from the interpreters on anything
 // a simulation observes. Generated code calls them for every observable op
-// without an inline template (checks, allocation, MPX runtime calls, scheme
-// hooks, checked access quads), for every load and store its inline guard
-// turns away, and for every op under SGXB_IR_JIT_HELPER_ONLY.
+// without an inline template (the other checks, allocation, MPX table
+// walks, scheme hooks, checked access quads), for every load, store, MPX
+// check and ASan check its inline guard turns away, and for every op under
+// SGXB_IR_JIT_HELPER_ONLY.
 //
 // Also the exception firewall: generated code has no unwind tables, so a
 // SimTrap (or anything else) thrown by a runtime must not propagate through

@@ -38,6 +38,17 @@ void Interpreter::Attach(IrSchemeRuntime* rt, IrSchemeKind kind) {
   scheme_kind_ = kind;
 }
 
+void Interpreter::AttachScheme(AsanRuntime* rt) {
+  Attach(rt, IrSchemeKind::kAsan);
+  asan_checks_ = rt->InlineCheckCounter(enclave_);
+  asan_shadow_base_ = rt->shadow_base();
+}
+
+void Interpreter::AttachMpx(MpxRuntime* rt) {
+  mpx_ = rt;
+  mpx_checks_ = rt != nullptr ? rt->InlineCheckCounter() : nullptr;
+}
+
 uint64_t Interpreter::Run(const IrFunction& fn, Cpu& cpu, const std::vector<uint64_t>& args,
                           uint64_t max_steps) {
   if (scheme_ == nullptr && NeedsSchemeRuntime(fn)) {

@@ -61,10 +61,10 @@ class Interpreter {
   // typed overloads let the engines call the two built-in runtimes
   // directly; any other runtime goes through the vtable.
   void AttachScheme(SgxBoundsRuntime* rt) { Attach(rt, IrSchemeKind::kSgxBounds); }
-  void AttachScheme(AsanRuntime* rt) { Attach(rt, IrSchemeKind::kAsan); }
+  void AttachScheme(AsanRuntime* rt);
   void AttachScheme(IrSchemeRuntime* rt) { Attach(rt, IrSchemeKind::kOther); }
   // MPX keeps dedicated opcodes (its bounds live in a per-SSA side table).
-  void AttachMpx(MpxRuntime* rt) { mpx_ = rt; }
+  void AttachMpx(MpxRuntime* rt);
 
   // Selects the execution engine for subsequent Run() calls. kDefault
   // resolves to the process default (see src/common/ir_engine.h).
@@ -107,6 +107,11 @@ class Interpreter {
   MpxRuntime* mpx_ = nullptr;
   IrSchemeRuntime* scheme_ = nullptr;
   IrSchemeKind scheme_kind_ = IrSchemeKind::kOther;
+  // The runtimes' check counters for the JIT's inline checks (JitFrame's
+  // mpx_checks, asan_checks, asan_shadow_base), taken once at attach.
+  uint64_t* mpx_checks_ = nullptr;
+  uint64_t* asan_checks_ = nullptr;
+  uint32_t asan_shadow_base_ = 0;
   InterpStats stats_;
   IrEngine engine_ = IrEngine::kDefault;
   DecodeCache cache_;

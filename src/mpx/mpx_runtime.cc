@@ -14,6 +14,8 @@ MpxRuntime::MpxRuntime(Enclave* enclave) : enclave_(enclave) {
   enclave_->pages().Commit(nullptr, spill_base_, kPageSize);
 }
 
+uint64_t* MpxRuntime::InlineCheckCounter() { return &stats_.bndcl_bndcu; }
+
 MpxBounds MpxRuntime::BndMk(Cpu& cpu, uint32_t base, uint32_t size) {
   ++stats_.bndmk;
   cpu.Alu(1);

@@ -96,6 +96,10 @@ class MpxRuntime {
 
   uint32_t bt_count() const { return static_cast<uint32_t>(bt_bases_.size()); }
   const MpxStats& stats() const { return stats_; }
+  // For generated code that makes BndCheck's passing case itself (JIT tier
+  // 3, src/ir/exec/jit/compiler.cc): the counter behind
+  // stats().bndcl_bndcu. Out of line, like every accessor only the JIT needs.
+  uint64_t* InlineCheckCounter();
 
   // Fault campaigns (src/fault): when entry tracking is on, every bndstx
   // records its BT entry address so a corruptor can pick a populated entry

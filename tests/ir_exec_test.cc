@@ -17,6 +17,19 @@
 namespace sgxb {
 namespace {
 
+// An IrInstr with no symbol (the fields in declaration order).
+IrInstr Instr(ValueId id, IrOp op, IrType type, std::vector<ValueId> args, int64_t imm = 0,
+              int64_t imm2 = 0) {
+  IrInstr in;
+  in.id = id;
+  in.op = op;
+  in.type = type;
+  in.args = std::move(args);
+  in.imm = imm;
+  in.imm2 = imm2;
+  return in;
+}
+
 struct Rig {
   Rig() {
     EnclaveConfig cfg;
@@ -74,26 +87,26 @@ IrFunction BuildPhiSwap() {
   fn.name = "phi_swap";
   fn.num_values = 14;
   IrBlock entry;
-  entry.instrs.push_back({1, IrOp::kConst, IrType::kI64, {}, 1});
-  entry.instrs.push_back({2, IrOp::kConst, IrType::kI64, {}, 2});
-  entry.instrs.push_back({3, IrOp::kConst, IrType::kI64, {}, 0});
-  entry.instrs.push_back({9, IrOp::kConst, IrType::kI64, {}, 3});
-  entry.instrs.push_back({11, IrOp::kConst, IrType::kI64, {}, 10});
-  entry.instrs.push_back({0, IrOp::kBr, IrType::kI64, {}, 1});
+  entry.instrs.push_back(Instr(1, IrOp::kConst, IrType::kI64, {}, 1));
+  entry.instrs.push_back(Instr(2, IrOp::kConst, IrType::kI64, {}, 2));
+  entry.instrs.push_back(Instr(3, IrOp::kConst, IrType::kI64, {}, 0));
+  entry.instrs.push_back(Instr(9, IrOp::kConst, IrType::kI64, {}, 3));
+  entry.instrs.push_back(Instr(11, IrOp::kConst, IrType::kI64, {}, 10));
+  entry.instrs.push_back(Instr(0, IrOp::kBr, IrType::kI64, {}, 1));
   IrBlock loop;
   loop.preds = {0, 1};
-  loop.instrs.push_back({4, IrOp::kPhi, IrType::kI64, {1, 5}});
-  loop.instrs.push_back({5, IrOp::kPhi, IrType::kI64, {2, 4}});
-  loop.instrs.push_back({6, IrOp::kPhi, IrType::kI64, {3, 7}});
-  loop.instrs.push_back({7, IrOp::kAdd, IrType::kI64, {6, 1}});
+  loop.instrs.push_back(Instr(4, IrOp::kPhi, IrType::kI64, {1, 5}));
+  loop.instrs.push_back(Instr(5, IrOp::kPhi, IrType::kI64, {2, 4}));
+  loop.instrs.push_back(Instr(6, IrOp::kPhi, IrType::kI64, {3, 7}));
+  loop.instrs.push_back(Instr(7, IrOp::kAdd, IrType::kI64, {6, 1}));
   loop.instrs.push_back(
-      {8, IrOp::kICmp, IrType::kI64, {7, 9}, static_cast<int64_t>(IrCmp::kULt)});
-  loop.instrs.push_back({0, IrOp::kCondBr, IrType::kI64, {8}, 1, 2});
+      Instr(8, IrOp::kICmp, IrType::kI64, {7, 9}, static_cast<int64_t>(IrCmp::kULt)));
+  loop.instrs.push_back(Instr(0, IrOp::kCondBr, IrType::kI64, {8}, 1, 2));
   IrBlock exit;
   exit.preds = {1};
-  exit.instrs.push_back({12, IrOp::kMul, IrType::kI64, {4, 11}});
-  exit.instrs.push_back({13, IrOp::kAdd, IrType::kI64, {12, 5}});
-  exit.instrs.push_back({0, IrOp::kRet, IrType::kI64, {13}});
+  exit.instrs.push_back(Instr(12, IrOp::kMul, IrType::kI64, {4, 11}));
+  exit.instrs.push_back(Instr(13, IrOp::kAdd, IrType::kI64, {12, 5}));
+  exit.instrs.push_back(Instr(0, IrOp::kRet, IrType::kI64, {13}));
   fn.blocks = {entry, loop, exit};
   return fn;
 }

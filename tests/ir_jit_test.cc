@@ -2,11 +2,13 @@
 // the engine-differential fuzzer cannot reach - the PROT_EXEC fallback path
 // (forced via SGXB_IR_FORCE_NOEXEC), the helper-only cross-check mode
 // (SGXB_IR_JIT_HELPER_ONLY), the per-function code cache, the W^X
-// discipline of the installed code mappings, and the guard of the inline
-// (tier-2) loads and stores against the reference and threaded engines.
+// discipline of the installed code mappings, and the guards of the inline
+// (tier-2) loads and stores and (tier-3) MPX and ASan checks against the
+// reference and threaded engines.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -51,21 +53,38 @@ class ScopedEnv {
   std::string old_;
 };
 
+// The runtime a Rig's interpreter runs instrumentation on.
+enum class RigScheme { kSgxBounds, kMpx, kAsan };
+
 struct Rig {
-  Rig() {
+  explicit Rig(RigScheme scheme = RigScheme::kSgxBounds) {
     EnclaveConfig cfg;
     cfg.space_bytes = 64 * kMiB;
     enclave = std::make_unique<Enclave>(cfg);
     heap = std::make_unique<Heap>(enclave.get(), 16 * kMiB);
     stack = std::make_unique<StackAllocator>(enclave.get(), 1 * kMiB);
-    sgx = std::make_unique<SgxBoundsRuntime>(enclave.get(), heap.get());
     interp = std::make_unique<Interpreter>(enclave.get(), heap.get(), stack.get());
-    interp->AttachScheme(sgx.get());
+    switch (scheme) {
+      case RigScheme::kSgxBounds:
+        sgx = std::make_unique<SgxBoundsRuntime>(enclave.get(), heap.get());
+        interp->AttachScheme(sgx.get());
+        break;
+      case RigScheme::kMpx:
+        mpx = std::make_unique<MpxRuntime>(enclave.get());
+        interp->AttachMpx(mpx.get());
+        break;
+      case RigScheme::kAsan:
+        asan = std::make_unique<AsanRuntime>(enclave.get(), heap.get());
+        interp->AttachScheme(asan.get());
+        break;
+    }
   }
   std::unique_ptr<Enclave> enclave;
   std::unique_ptr<Heap> heap;
   std::unique_ptr<StackAllocator> stack;
   std::unique_ptr<SgxBoundsRuntime> sgx;
+  std::unique_ptr<MpxRuntime> mpx;
+  std::unique_ptr<AsanRuntime> asan;
   std::unique_ptr<Interpreter> interp;
 };
 
@@ -206,6 +225,25 @@ class AccessProgram {
     Emit(IrOp::kStore, type, {v, p}, 0, 0, /*has_value=*/false);
   }
 
+  // For tier 3: an MPX-bounded object, `bytes` of stack, whose bounds
+  // (BndMk) the MPX decode keeps in the side table.
+  ValueId Alloca(int64_t bytes) { return Emit(IrOp::kAlloca, IrType::kPtr, {}, bytes); }
+  // An MPX check of `size` bytes at `obj + off`; the gep carries obj's
+  // bounds. With obj == 0 the pointer is the constant `off`, whose bounds
+  // are INIT.
+  void MpxCheck(ValueId obj, int64_t off, int64_t size) {
+    Branch();
+    const ValueId p = obj == 0 ? Const(off)
+                               : Emit(IrOp::kGep, IrType::kPtr, {obj, Const(0)}, 1, off);
+    Emit(IrOp::kMpxCheck, IrType::kPtr, {p}, size, 0, /*has_value=*/false);
+  }
+  // A scheme check of `size` bytes at `base + off`.
+  void SchemeCheck(int64_t off, int64_t size) {
+    Branch();
+    Emit(IrOp::kSchemeCheck, IrType::kPtr, {Address(off, false)}, size, 0,
+         /*has_value=*/false);
+  }
+
   IrFunction Finish() {
     Emit(IrOp::kRet, IrType::kI64, {acc_}, 0, 0, /*has_value=*/false);
     IrFunction fn = fn_;
@@ -273,6 +311,15 @@ class AccessLog : public FaultHooks {
   std::vector<uint64_t> accesses;
 };
 
+std::array<uint64_t, 8> Fields(const MpxStats& s) {
+  return {s.bndmk, s.bndcl_bndcu, s.bndldx,           s.bndstx,
+          s.bt_allocs, s.value_mismatches, s.violations, s.reg_hits};
+}
+std::array<uint64_t, 6> Fields(const AsanStats& s) {
+  return {s.mallocs,      s.frees,        s.quarantine_bytes_held, s.quarantine_evictions,
+          s.shadow_checks, s.reports};
+}
+
 struct Observed {
   bool trapped = false;
   TrapKind kind = TrapKind::kSegFault;
@@ -284,6 +331,8 @@ struct Observed {
   std::vector<uint32_t> l1;      // every L1 set's lines, most recent first
   std::vector<uint64_t> hooked;  // accesses seen by fault hooks, if attached
   std::vector<uint8_t> trace;    // the recorded event stream, if recorded
+  std::array<uint64_t, 8> mpx{};   // MpxStats, under RigScheme::kMpx
+  std::array<uint64_t, 6> asan{};  // AsanStats, under RigScheme::kAsan
 };
 
 struct ObserveOptions {
@@ -294,10 +343,31 @@ struct ObserveOptions {
   // page 1 the first run left on their set's MRU way are no longer
   // addressable.
   bool guard_page1_then_rerun = false;
+  RigScheme scheme = RigScheme::kSgxBounds;
 };
 
+// An object of kAsanObjectBytes at kAsanObjectOff of the probe region,
+// registered with ASan's heap redzones around it: its last granule is
+// partial (shadow byte 5) and the bytes either side are poisoned.
+constexpr int64_t kAsanObjectOff = 1024;
+constexpr uint32_t kAsanObjectBytes = 13;
+
+// Reserves the probe region in `rig` and returns its base; under ASan, also
+// registers the probe object.
+uint32_t SetUpProbe(Rig& rig) {
+  Enclave& enclave = *rig.enclave;
+  const uint32_t base = enclave.pages().ReserveLow(kProbePages * kPageSize, "probe");
+  enclave.pages().Commit(nullptr, base, 3 * kPageSize);
+  enclave.pages().SetGuardPage(PageOf(base) + 2);
+  if (rig.asan != nullptr) {
+    rig.asan->RegisterObject(enclave.main_cpu(), base + kAsanObjectOff, kAsanObjectBytes,
+                             AsanRuntime::kShadowHeapRedzone);
+  }
+  return base;
+}
+
 Observed Observe(IrEngine engine, const IrFunction& fn, const ObserveOptions& opts = {}) {
-  Rig rig;
+  Rig rig(opts.scheme);
   Enclave& enclave = *rig.enclave;
   TraceRecorder recorder("tier2");
   if (opts.record) {
@@ -308,9 +378,7 @@ Observed Observe(IrEngine engine, const IrFunction& fn, const ObserveOptions& op
   if (opts.hooks) {
     enclave.AttachFaults(&log);
   }
-  const uint32_t base = enclave.pages().ReserveLow(kProbePages * kPageSize, "probe");
-  enclave.pages().Commit(nullptr, base, 3 * kPageSize);
-  enclave.pages().SetGuardPage(PageOf(base) + 2);
+  const uint32_t base = SetUpProbe(rig);
 
   rig.interp->set_engine(engine);
   Observed out;
@@ -340,6 +408,12 @@ Observed Observe(IrEngine engine, const IrFunction& fn, const ObserveOptions& op
     recorder.Finalize(TraceRecorder::Outcome{});
     out.trace = recorder.TakeTrace().events;
   }
+  if (rig.mpx != nullptr) {
+    out.mpx = Fields(rig.mpx->stats());
+  }
+  if (rig.asan != nullptr) {
+    out.asan = Fields(rig.asan->stats());
+  }
   return out;
 }
 
@@ -357,6 +431,8 @@ void ExpectSame(const Observed& ref, const Observed& got, const std::string& lab
   EXPECT_TRUE(got.l1 == ref.l1) << label;
   EXPECT_TRUE(got.hooked == ref.hooked) << label;
   EXPECT_TRUE(got.trace == ref.trace) << label;
+  EXPECT_TRUE(got.mpx == ref.mpx) << label;
+  EXPECT_TRUE(got.asan == ref.asan) << label;
 }
 
 // Runs `fn` under all three engines and compares threaded and jit against
@@ -509,6 +585,225 @@ TEST(IrJitTier2, TraceAndFaultHooksSeeEveryAccess) {
   record.record = true;
   EXPECT_FALSE(Observe(IrEngine::kReference, fn, record).trace.empty());
   ExpectEnginesAgree(fn, "trace", record);
+}
+
+// --- tier 3: inline MPX and ASan checks -----------------------------------
+//
+// kMpxCheck and, under ASan, kSchemeCheck are inline when the check passes
+// on its fast path and run their thunk otherwise. These programs put checks
+// on each side of every guard test; the engines must agree on everything,
+// the runtimes' own statistics included.
+
+ObserveOptions Under(RigScheme scheme) {
+  ObserveOptions opts;
+  opts.scheme = scheme;
+  return opts;
+}
+
+// Passing MPX checks: valid bounds (inside, an exact fit at ub, the last
+// byte) and INIT bounds (anywhere, an exact fit at 2^32).
+IrFunction BuildMpxChecks() {
+  AccessProgram p;
+  const ValueId obj = p.Alloca(64);
+  p.MpxCheck(obj, 0, 8);
+  p.MpxCheck(obj, 56, 8);
+  p.MpxCheck(obj, 63, 1);
+  p.MpxCheck(obj, 20, 4);
+  p.MpxCheck(0, 0x1000, 4);
+  p.MpxCheck(0, 0xfffffff7, 8);
+  p.MpxCheck(obj, 0, 64);
+  return p.Finish();
+}
+
+TEST(IrJitTier3, MpxChecksMatchEveryEngine) {
+  const IrFunction fn = BuildMpxChecks();
+  const ObserveOptions opts = Under(RigScheme::kMpx);
+  const Observed ref = Observe(IrEngine::kReference, fn, opts);
+  ASSERT_FALSE(ref.trapped) << ref.message;
+  EXPECT_EQ(ref.stats.checks, 7u);
+  EXPECT_EQ(ref.mpx[1], 7u);  // bndcl_bndcu
+  ExpectEnginesAgree(fn, "mpx", opts);
+}
+
+// Each failing check traps #BR after passing ones: the byte below lb, a
+// byte past ub, and INIT bounds whose addr + size passes 2^32 (which a
+// 32-bit sum would wrap to 0 and pass).
+TEST(IrJitTier3, MpxViolationsTrapOnEveryEngine) {
+  struct Case {
+    bool init;
+    int64_t off;
+    int64_t size;
+  };
+  const Case cases[] = {{false, -1, 1}, {false, 57, 8}, {false, 64, 1},
+                        {true, 0xfffffff8, 8}, {true, 0xffffffff, 1}};
+  for (const Case& c : cases) {
+    AccessProgram p;
+    const ValueId obj = p.Alloca(64);
+    p.MpxCheck(obj, 8, 8);
+    p.MpxCheck(c.init ? 0 : obj, c.off, c.size);
+    const IrFunction fn = p.Finish();
+    const ObserveOptions opts = Under(RigScheme::kMpx);
+    const Observed ref = Observe(IrEngine::kReference, fn, opts);
+    const std::string label = "mpx trap at " + std::to_string(c.off);
+    ASSERT_TRUE(ref.trapped) << label;
+    EXPECT_EQ(ref.kind, TrapKind::kMpxBoundRange) << label;
+    EXPECT_EQ(ref.mpx[6], 1u) << label;  // violations
+    ExpectEnginesAgree(fn, label, opts);
+  }
+}
+
+// Passing ASan checks around the probe object (kAsanObjectOff, 13 bytes,
+// shadow bytes 0 and 5 with poisoned redzones either side). `way2_at` and
+// `cold_at` are checks whose shadow line is on way 2 of its set and never
+// touched, `first_touch_at` one whose shadow page is not yet committed.
+constexpr int64_t kWay2Off = 0x208;
+constexpr int64_t kColdOff = 1536;
+constexpr int64_t kFirstTouchOff = 64 * 1024 + 16;
+constexpr int64_t kWay1Stride = 8 * 4096;
+IrFunction BuildAsanChecks() {
+  AccessProgram p;
+  for (const int64_t size : {1, 2, 4, 8}) {
+    p.SchemeCheck(0x100, size);  // in one granule, shadow 0: inline
+  }
+  p.SchemeCheck(0x101, 1);
+  p.SchemeCheck(0x104, 4);
+  p.SchemeCheck(0x104, 8);                 // across two granules
+  p.SchemeCheck(kAsanObjectOff + 4, 8);    // across into the partial granule
+  p.SchemeCheck(kAsanObjectOff + 8, 4);    // the partial granule, in bounds
+  p.SchemeCheck(kAsanObjectOff + 8, 5);    // its last addressable byte
+  p.SchemeCheck(kAsanObjectOff, 8);        // the full granule
+  p.SchemeCheck(504, 8);                   // a 2-byte shadow read across a line
+  // 0x1300's shadow line, then one 4 KiB further in the shadow, on the same
+  // L1 set: the first is on way 1 when checked again, and moves to way 0.
+  // No later op touches either line, so the end state shows the swap.
+  for (const int64_t off : {int64_t{0x1300}, 0x1300 + kWay1Stride, int64_t{0x1300}}) {
+    p.SchemeCheck(off, 4);
+  }
+  p.SchemeCheck(0x200, 4);
+  // Two more lines in every L1 set push 0x200's shadow line to way 2.
+  for (int64_t line = 0; line < 2 * kPage / 64; ++line) {
+    p.Load(IrType::kI8, 64 * line, /*quad=*/false);
+  }
+  p.SchemeCheck(kWay2Off, 4);
+  p.SchemeCheck(kWay2Off + 8, 4);  // now MRU again
+  p.SchemeCheck(kColdOff, 2);
+  p.SchemeCheck(kFirstTouchOff, 4);
+  p.SchemeCheck(kFirstTouchOff + 8, 4);
+  p.SchemeCheck(16, 9);  // sizes past 8 and 0 have no inline template
+  p.SchemeCheck(16, 0);
+  return p.Finish();
+}
+
+TEST(IrJitTier3, AsanChecksMatchEveryEngine) {
+  // The shapes the program names are there: the cold and first-touch
+  // shadow lines are untouched after set-up.
+  {
+    Rig rig(RigScheme::kAsan);
+    const uint32_t base = SetUpProbe(rig);
+    const uint32_t shadow = rig.asan->shadow_base();
+    EXPECT_EQ(rig.asan->ShadowByte(base + kAsanObjectOff + 8), kAsanObjectBytes - 8);
+    EXPECT_FALSE(rig.enclave->pages().Committed(shadow + ((base + kFirstTouchOff) >> 3)));
+    EXPECT_NE((shadow + ((base + kColdOff) >> 3)) >> kCacheLineShift,
+              (shadow + ((base + kAsanObjectOff + 16) >> 3)) >> kCacheLineShift);
+  }
+  const IrFunction fn = BuildAsanChecks();
+  const ObserveOptions opts = Under(RigScheme::kAsan);
+  const Observed ref = Observe(IrEngine::kReference, fn, opts);
+  ASSERT_FALSE(ref.trapped) << ref.message;
+  EXPECT_EQ(ref.stats.checks, 23u);
+  EXPECT_EQ(ref.asan[4], 23u);  // shadow_checks
+  ExpectEnginesAgree(fn, "asan", opts);
+}
+
+// Under any other runtime a scheme check is that runtime's, even where the
+// ASan guard's other tests would pass: here addr >> 3 (the shadow address
+// at shadow base 0) is a probe line on L1 way 0.
+TEST(IrJitTier3, SchemeCheckUnderOtherRuntimesTakesItsThunk) {
+  Rig rig;
+  const int64_t base = SetUpProbe(rig);
+  AccessProgram p;
+  p.Load(IrType::kI64, 0x100, /*quad=*/false);
+  p.SchemeCheck(8 * (base + 0x100) - base, 4);
+  ExpectEnginesAgree(p.Finish(), "sgxbounds");
+}
+
+// Each poisoned access traps after passing checks: the left and right
+// redzones, the partial granule read past its 5 addressable bytes, and an
+// access from the full granule into the partial one, whose first shadow
+// byte is 0.
+TEST(IrJitTier3, AsanReportsTrapOnEveryEngine) {
+  struct Case {
+    int64_t off;
+    int64_t size;
+  };
+  const Case cases[] = {{kAsanObjectOff - 8, 4}, {kAsanObjectOff - 1, 1},
+                        {kAsanObjectOff + 16, 1}, {kAsanObjectOff + 8, 8},
+                        {kAsanObjectOff + 12, 2}, {kAsanObjectOff + 6, 8}};
+  for (const Case& c : cases) {
+    AccessProgram p;
+    p.SchemeCheck(0x100, 8);
+    p.SchemeCheck(0x100, 4);
+    p.SchemeCheck(c.off, c.size);
+    const IrFunction fn = p.Finish();
+    const ObserveOptions opts = Under(RigScheme::kAsan);
+    const Observed ref = Observe(IrEngine::kReference, fn, opts);
+    const std::string label = "asan trap at " + std::to_string(c.off);
+    ASSERT_TRUE(ref.trapped) << label;
+    EXPECT_EQ(ref.kind, TrapKind::kAsanReport) << label;
+    EXPECT_EQ(ref.asan[5], 1u) << label;  // reports
+    ExpectEnginesAgree(fn, label, opts);
+  }
+}
+
+// The step limit trips at every step, on inline checks included.
+TEST(IrJitTier3, StepLimitOnEveryCheckMatchesEveryEngine) {
+  AccessProgram mpx;
+  const ValueId obj = mpx.Alloca(32);
+  mpx.MpxCheck(obj, 0, 8);
+  mpx.MpxCheck(obj, 8, 8);
+  AccessProgram asan;
+  asan.SchemeCheck(0x100, 8);
+  asan.SchemeCheck(0x100, 4);
+  const std::pair<IrFunction, RigScheme> programs[] = {{mpx.Finish(), RigScheme::kMpx},
+                                                       {asan.Finish(), RigScheme::kAsan}};
+  for (const auto& [fn, scheme] : programs) {
+    const Observed full = Observe(IrEngine::kReference, fn, Under(scheme));
+    ASSERT_FALSE(full.trapped);
+    for (uint64_t limit = 0; limit <= full.stats.steps; ++limit) {
+      ObserveOptions opts = Under(scheme);
+      opts.max_steps = limit;
+      ExpectEnginesAgree(fn, "limit " + std::to_string(limit), opts);
+    }
+  }
+}
+
+// A trace recorder or fault hooks send every check through its thunk too.
+TEST(IrJitTier3, TraceAndFaultHooksSeeEveryCheck) {
+  const IrFunction fn = BuildAsanChecks();
+  ObserveOptions hooks = Under(RigScheme::kAsan);
+  hooks.hooks = true;
+  ExpectEnginesAgree(fn, "asan fault hooks", hooks);
+  ObserveOptions record = Under(RigScheme::kAsan);
+  record.record = true;
+  EXPECT_FALSE(Observe(IrEngine::kReference, fn, record).trace.empty());
+  ExpectEnginesAgree(fn, "asan trace", record);
+  const IrFunction mpx = BuildMpxChecks();
+  record.scheme = RigScheme::kMpx;
+  ExpectEnginesAgree(mpx, "mpx trace", record);
+}
+
+// Both checks have inline templates; everything else in these programs
+// does too, except MPX's alloca.
+TEST(IrJitTier3, ChecksCompileInline) {
+  const DecodedFunction mpx = DecodeFunction(BuildMpxChecks(), DecodeOptions{true, true});
+  ASSERT_EQ(mpx.CountUOp(UOp::kMpxCheck), 7u);
+  const DecodedFunction asan = DecodeFunction(BuildAsanChecks(), DecodeOptions{});
+  ASSERT_EQ(asan.CountUOp(UOp::kSchemeCheck), 23u);
+  ScopedEnv inline_templates("SGXB_IR_JIT_HELPER_ONLY", "0");
+  EXPECT_EQ(jit::CompileDecodedFunction(mpx).helper_ops,
+            mpx.CountUOp(UOp::kAllocaNativeMpx));
+  // The two sizes without a template.
+  EXPECT_EQ(jit::CompileDecodedFunction(asan).helper_ops, 2u);
 }
 
 #if defined(__linux__)

@@ -18,6 +18,19 @@
 namespace sgxb {
 namespace {
 
+// An IrInstr with no symbol (the fields in declaration order).
+IrInstr Instr(ValueId id, IrOp op, IrType type, std::vector<ValueId> args, int64_t imm = 0,
+              int64_t imm2 = 0) {
+  IrInstr in;
+  in.id = id;
+  in.op = op;
+  in.type = type;
+  in.args = std::move(args);
+  in.imm = imm;
+  in.imm2 = imm2;
+  return in;
+}
+
 // --- dominator tree ---------------------------------------------------------
 
 // entry -> {left, right} -> join, plus an unreachable block 4.
@@ -26,19 +39,19 @@ IrFunction BuildDiamond() {
   fn.name = "diamond";
   fn.num_values = 2;
   IrBlock entry;
-  entry.instrs.push_back({1, IrOp::kConst, IrType::kI64, {}, 1});
-  entry.instrs.push_back({0, IrOp::kCondBr, IrType::kI64, {1}, 1, 2});
+  entry.instrs.push_back(Instr(1, IrOp::kConst, IrType::kI64, {}, 1));
+  entry.instrs.push_back(Instr(0, IrOp::kCondBr, IrType::kI64, {1}, 1, 2));
   IrBlock left;
   left.preds = {0};
-  left.instrs.push_back({0, IrOp::kBr, IrType::kI64, {}, 3});
+  left.instrs.push_back(Instr(0, IrOp::kBr, IrType::kI64, {}, 3));
   IrBlock right;
   right.preds = {0};
-  right.instrs.push_back({0, IrOp::kBr, IrType::kI64, {}, 3});
+  right.instrs.push_back(Instr(0, IrOp::kBr, IrType::kI64, {}, 3));
   IrBlock join;
   join.preds = {1, 2};
-  join.instrs.push_back({0, IrOp::kRet, IrType::kI64, {1}});
+  join.instrs.push_back(Instr(0, IrOp::kRet, IrType::kI64, {1}));
   IrBlock dead;
-  dead.instrs.push_back({0, IrOp::kRet, IrType::kI64, {1}});
+  dead.instrs.push_back(Instr(0, IrOp::kRet, IrType::kI64, {1}));
   fn.blocks = {entry, left, right, join, dead};
   return fn;
 }
@@ -92,25 +105,25 @@ TEST(RedundantChecks, DominatedEqualOrNarrowerDeletedAcrossBlocks) {
   fn.name = "rce";
   fn.num_values = 4;
   IrBlock entry;
-  entry.instrs.push_back({1, IrOp::kConst, IrType::kI64, {}, 100});  // p
-  entry.instrs.push_back({2, IrOp::kConst, IrType::kI64, {}, 200});  // q
-  entry.instrs.push_back({3, IrOp::kConst, IrType::kI64, {}, 1});
+  entry.instrs.push_back(Instr(1, IrOp::kConst, IrType::kI64, {}, 100));  // p
+  entry.instrs.push_back(Instr(2, IrOp::kConst, IrType::kI64, {}, 200));  // q
+  entry.instrs.push_back(Instr(3, IrOp::kConst, IrType::kI64, {}, 1));
   entry.instrs.push_back(Check(1, 8));
-  entry.instrs.push_back({0, IrOp::kCondBr, IrType::kI64, {3}, 1, 2});
+  entry.instrs.push_back(Instr(0, IrOp::kCondBr, IrType::kI64, {3}, 1, 2));
   IrBlock b1;
   b1.preds = {0};
   b1.instrs.push_back(Check(1, 8));
   b1.instrs.push_back(Check(1, 4));
   b1.instrs.push_back(Check(1, 16));
   b1.instrs.push_back(Check(2, 8));
-  b1.instrs.push_back({0, IrOp::kBr, IrType::kI64, {}, 3});
+  b1.instrs.push_back(Instr(0, IrOp::kBr, IrType::kI64, {}, 3));
   IrBlock b2;
   b2.preds = {0};
-  b2.instrs.push_back({0, IrOp::kBr, IrType::kI64, {}, 3});
+  b2.instrs.push_back(Instr(0, IrOp::kBr, IrType::kI64, {}, 3));
   IrBlock b3;
   b3.preds = {1, 2};
   b3.instrs.push_back(Check(1, 8));
-  b3.instrs.push_back({0, IrOp::kRet, IrType::kI64, {3}});
+  b3.instrs.push_back(Instr(0, IrOp::kRet, IrType::kI64, {3}));
   fn.blocks = {entry, b1, b2, b3};
 
   EXPECT_EQ(CountChecks(fn), 6u);
@@ -125,21 +138,21 @@ TEST(RedundantChecks, NonDominatingCheckDoesNotLicenseDeletion) {
   fn.name = "rce_neg";
   fn.num_values = 3;
   IrBlock entry;
-  entry.instrs.push_back({1, IrOp::kConst, IrType::kI64, {}, 100});
-  entry.instrs.push_back({2, IrOp::kConst, IrType::kI64, {}, 1});
-  entry.instrs.push_back({0, IrOp::kCondBr, IrType::kI64, {2}, 1, 2});
+  entry.instrs.push_back(Instr(1, IrOp::kConst, IrType::kI64, {}, 100));
+  entry.instrs.push_back(Instr(2, IrOp::kConst, IrType::kI64, {}, 1));
+  entry.instrs.push_back(Instr(0, IrOp::kCondBr, IrType::kI64, {2}, 1, 2));
   IrBlock b1;
   b1.preds = {0};
   b1.instrs.push_back(Check(1, 8));
-  b1.instrs.push_back({0, IrOp::kBr, IrType::kI64, {}, 3});
+  b1.instrs.push_back(Instr(0, IrOp::kBr, IrType::kI64, {}, 3));
   IrBlock b2;
   b2.preds = {0};
   b2.instrs.push_back(Check(1, 8));
-  b2.instrs.push_back({0, IrOp::kBr, IrType::kI64, {}, 3});
+  b2.instrs.push_back(Instr(0, IrOp::kBr, IrType::kI64, {}, 3));
   IrBlock b3;
   b3.preds = {1, 2};
   b3.instrs.push_back(Check(1, 8));
-  b3.instrs.push_back({0, IrOp::kRet, IrType::kI64, {2}});
+  b3.instrs.push_back(Instr(0, IrOp::kRet, IrType::kI64, {2}));
   fn.blocks = {entry, b1, b2, b3};
 
   EXPECT_EQ(EliminateRedundantChecks(fn, IrOp::kSchemeCheck), 0u);

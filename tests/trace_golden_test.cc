@@ -6,8 +6,7 @@
 //
 // If the change is intentional (new encoding, deliberate behaviour change),
 // regenerate with:
-//   trace_tool record --workload=kmeans --size=XS --policy=sgxbounds \
-//     --event_limit=2048 --out=tests/golden/kmeans_xs_sgxbounds.sgxtrace
+//   trace_tool record --workload=kmeans --size=XS --policy=sgxbounds --event_limit=2048 --out=tests/golden/kmeans_xs_sgxbounds.sgxtrace
 // and say so in the commit message.
 
 #include <gtest/gtest.h>
