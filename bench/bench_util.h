@@ -336,19 +336,16 @@ inline std::vector<RunResult> RunBenchJobs(const std::vector<BenchJob>& jobs,
   if (SelftimeFlag()) {
     std::fprintf(stderr, "[selftime] %s total: %.1f ms (%u host threads)\n", tag,
                  jobs.size() > 0 ? total_ms : 0.0, threads);
-    // Decode/compile cache statistics for the IR execution engines, when any
+    // Decodes and JIT compiles of the IR execution engines, when any
     // interpreter ran in this batch (process-wide, cumulative).
     const IrExecStatsSnapshot ir = SnapshotIrExecStats();
-    if (ir.decode_hits + ir.decode_misses > 0) {
-      std::fprintf(stderr,
-                   "[selftime] ir-exec caches: decode %llu hits / %llu misses",
-                   static_cast<unsigned long long>(ir.decode_hits),
+    if (ir.decode_misses > 0) {
+      std::fprintf(stderr, "[selftime] ir-exec: %llu decodes",
                    static_cast<unsigned long long>(ir.decode_misses));
-      if (ir.jit_hits + ir.jit_compiles + ir.jit_noexec_fallbacks > 0) {
+      if (ir.jit_compiles + ir.jit_noexec_fallbacks > 0) {
         std::fprintf(stderr,
-                     "; jit %llu hits / %llu compiles (%llu bytes, %.2f ms, "
+                     "; %llu jit compiles (%llu bytes, %.2f ms, "
                      "%llu noexec fallbacks)",
-                     static_cast<unsigned long long>(ir.jit_hits),
                      static_cast<unsigned long long>(ir.jit_compiles),
                      static_cast<unsigned long long>(ir.jit_compiled_bytes),
                      ir.jit_compile_ns / 1e6,

@@ -138,11 +138,13 @@ BENCHMARK(BM_LatencyHistogramQuantile);
 //
 // Pure-ALU counted loop (no memory traffic): isolates per-instruction
 // dispatch, the cost the threaded engine attacks. Same kernel, same
-// simulated cycles - only host time differs between the two rows.
+// simulated cycles - only host time differs between the two rows. Every
+// Run decodes the kernel afresh; 64 Ki iterations (~0.9 M simulated
+// instructions) make that decode noise in the per-Run time.
 
 IrFunction BuildDispatchKernel() {
   IrBuilder b("dispatch");
-  auto loop = b.BeginCountedLoop(b.Const(0), b.Const(2048), 1);
+  auto loop = b.BeginCountedLoop(b.Const(0), b.Const(65536), 1);
   ValueId x = b.Mul(loop.iv, b.Const(0x9e3779b9));
   x = b.Bin(IrOp::kXor, x, b.Bin(IrOp::kLShr, x, b.Const(13)));
   x = b.Add(x, loop.iv);

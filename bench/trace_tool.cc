@@ -207,28 +207,6 @@ int Replay(const std::string& path, FlagParser& parser, int argc, char** argv) {
   return 0;
 }
 
-const char* EventKindName(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kAccess:
-      return "access";
-    case TraceEventKind::kAccessRun:
-      return "access_run";
-    case TraceEventKind::kCpuDelta:
-      return "cpu_delta";
-    case TraceEventKind::kCommit:
-      return "commit";
-    case TraceEventKind::kDecommit:
-      return "decommit";
-    case TraceEventKind::kParallel:
-      return "parallel";
-    case TraceEventKind::kMarker:
-      return "marker";
-    case TraceEventKind::kControl:
-      return "control";
-  }
-  return "?";
-}
-
 // Per-kind histogram of the encoded stream: counts, encoded bytes (via
 // TraceReader::byte_offset deltas), and how many individual memory accesses
 // each kind expands to — the run/loop encodings are where the compression
@@ -273,7 +251,7 @@ void PrintEventMix(const Trace& trace) {
     total_events += counts[k];
     total_bytes += bytes[k];
     total_accesses += expanded[k];
-    mix.AddRow({EventKindName(static_cast<TraceEventKind>(k)), std::to_string(counts[k]),
+    mix.AddRow({TraceEventKindName(static_cast<TraceEventKind>(k)), std::to_string(counts[k]),
                 std::to_string(bytes[k]),
                 FormatDouble(static_cast<double>(bytes[k]) / counts[k], 1),
                 std::to_string(expanded[k])});

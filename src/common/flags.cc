@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -35,15 +36,17 @@ std::string DefaultToString(FlagParser* unused, const void* target, int kind_ind
   return os.str();
 }
 
-// An unsigned value must be all number and in range: strtoull reads "" as
-// 0, wraps "-1" to 2^64-1 and saturates out-of-range values.
-bool ParseUnsigned(const std::string& value, uint64_t* out) {
-  if (value.empty() || value.find('-') != std::string::npos) {
+}  // namespace
+
+// strtoull alone is not strict enough: it reads "" as 0, skips leading
+// whitespace, wraps "-1" to 2^64-1 and saturates out-of-range values.
+bool ParseUnsigned(const std::string& text, uint64_t* out, int base) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
     return false;
   }
   char* end = nullptr;
   errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
+  const unsigned long long v = std::strtoull(text.c_str(), &end, base);
   if (*end != '\0' || errno == ERANGE) {
     return false;
   }
@@ -51,7 +54,14 @@ bool ParseUnsigned(const std::string& value, uint64_t* out) {
   return true;
 }
 
-}  // namespace
+std::string Trimmed(const std::string& text) {
+  const size_t lo = text.find_first_not_of(" \t");
+  if (lo == std::string::npos) {
+    return "";
+  }
+  const size_t hi = text.find_last_not_of(" \t");
+  return text.substr(lo, hi - lo + 1);
+}
 
 void FlagParser::AddInt(const std::string& name, int64_t* target, const std::string& help) {
   flags_.push_back(

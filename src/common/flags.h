@@ -61,6 +61,15 @@ class FlagParser {
   std::vector<Flag> flags_;
 };
 
+// Parses an unsigned integer that is all number: it starts with a digit (no
+// sign, no whitespace), ends at the last character and fits 64 bits. Base 0
+// is the unsigned flags' rule (0x... hex, 0... octal, else decimal); base 10
+// is decimal only. Returns false on anything else, leaving *out unchanged.
+bool ParseUnsigned(const std::string& text, uint64_t* out, int base = 0);
+
+// `text` without its leading and trailing spaces and tabs.
+std::string Trimmed(const std::string& text);
+
 // Parses a comma-separated list of unsigned integers for --`flag` (fig08's
 // --epc_mibs, fig15's --shards, fig16's --fault_rates, ...). Each item
 // follows FlagParser's unsigned rules (all number, no sign, no overflow) and

@@ -41,9 +41,12 @@ bool ParseIrEngine(const std::string& text, IrEngine* out);
 
 const char* IrEngineName(IrEngine engine);
 
-// Process-wide decode/compile cache statistics, aggregated across every
-// Interpreter instance (each holds its own caches, but --selftime wants one
-// per-run summary). Atomics: bench drivers run jobs host-parallel.
+// Process-wide decode/compile statistics, aggregated across every
+// Interpreter instance (--selftime and hostbench want one per-run summary).
+// Every Interpreter::Run of a non-reference engine decodes, and a jit Run
+// also compiles: decode_misses counts decodes and jit_compiles compiles.
+// Nothing is cached, so decode_hits and jit_hits always read 0; they stay
+// because reports print them. Atomics: bench drivers run jobs host-parallel.
 struct IrExecStats {
   std::atomic<uint64_t> decode_hits{0};
   std::atomic<uint64_t> decode_misses{0};

@@ -17,13 +17,4 @@ AddressSpace::AddressSpace(uint64_t size_bytes) : size_bytes_(size_bytes) {
 
 AddressSpace::~AddressSpace() { ::munmap(base_, size_bytes_); }
 
-void AddressSpace::ReleaseHostPages(uint32_t addr, uint64_t bytes) {
-  const uint64_t start = AlignUp64(addr, kPageSize);
-  const uint64_t end = (static_cast<uint64_t>(addr) + bytes) & ~static_cast<uint64_t>(kPageSize - 1);
-  if (end <= start) {
-    return;
-  }
-  ::madvise(base_ + start, end - start, MADV_DONTNEED);
-}
-
 }  // namespace sgxb

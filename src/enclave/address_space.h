@@ -28,9 +28,6 @@ class AddressSpace {
   uint8_t* HostPtr(uint32_t addr) { return base_ + addr; }
   const uint8_t* HostPtr(uint32_t addr) const { return base_ + addr; }
 
-  // Returns host pages in [addr, addr+bytes) to the OS and re-zeroes them.
-  void ReleaseHostPages(uint32_t addr, uint64_t bytes);
-
   uint64_t size_bytes() const { return size_bytes_; }
 
  private:

@@ -10,26 +10,24 @@ namespace sgxb {
 
 namespace {
 
-size_t CheckedPageCount(uint64_t space_bytes) {
-  CHECK_GT(space_bytes, 2 * kPageSize);
-  CHECK_LE(space_bytes, 4 * kGiB);
-  return static_cast<size_t>(space_bytes / kPageSize);
-}
+// Every 32-bit guest address has an entry in the per-page tables.
+constexpr size_t kGuestPages = (4 * kGiB) / kPageSize;
 
 }  // namespace
 
 PageManager::PageManager(uint64_t space_bytes, MemorySystem* memory)
     : space_bytes_(space_bytes),
       memory_(memory),
-      committed_(CheckedPageCount(space_bytes)),
-      guard_(committed_.size()),
-      addressable_(committed_.size()),
-      accounting_(committed_.size()) {
-  const uint64_t pages = committed_.size();
-  // Page 0 (NULL) and the top page (SS4.4 loop-hoisting precaution) are
-  // permanent guards.
+      committed_(kGuestPages),
+      guard_(kGuestPages),
+      addressable_(kGuestPages),
+      accounting_(kGuestPages) {
+  CHECK_GT(space_bytes, 2 * kPageSize);
+  CHECK_LE(space_bytes, 4 * kGiB);
+  // Page 0 (NULL) and the top page of the space (SS4.4 loop-hoisting
+  // precaution) are permanent guards.
   guard_[0] = 1;
-  guard_[pages - 1] = 1;
+  guard_[space_bytes / kPageSize - 1] = 1;
   high_cursor_ = space_bytes - kPageSize;
 }
 
@@ -75,6 +73,10 @@ uint32_t PageManager::ReserveHigh(uint64_t bytes, const std::string& tag,
 }
 
 void PageManager::CommitSlow(Cpu* cpu, uint32_t first, uint32_t last) {
+  if (last >= space_bytes_ / kPageSize) {
+    throw SimTrap(TrapKind::kSegFault, last << kPageShift,
+                  "commit of a page past the enclave address space");
+  }
   // Jump between uncommitted pages with memchr: large ranges that are already
   // (mostly) committed — heap blocks recycled every iteration, hot shadow
   // regions — skip at memory-scan speed instead of testing page by page.
@@ -138,7 +140,7 @@ void PageManager::Decommit(uint32_t addr, uint64_t bytes) {
 }
 
 void PageManager::SetGuardPage(uint32_t page) {
-  CHECK_LT(page, guard_.size());
+  CHECK_LT(page, space_bytes_ / kPageSize);
   guard_[page] = 1;
   addressable_[page] = 0;
 }

@@ -17,11 +17,14 @@
 //     grows with use.
 //
 // The four per-page tables (committed, guard, addressable, accounting) span
-// the whole space, 2^20 entries for 4 GiB, but live in ZeroedTables: building
-// a PageManager writes only its two permanent guard entries, and host memory
-// follows the pages a run actually reserves or commits. Every table therefore
-// reads 0 for a page never touched, which is why VmAccounting's kOnCommit is
-// the zero value.
+// the whole 32-bit guest range, 2^20 entries, whatever the space's size, so
+// any guest address indexes them in bounds. They live in ZeroedTables:
+// building a PageManager writes only its two permanent guard entries, and
+// host memory follows the pages a run actually reserves or commits. Every
+// table therefore reads 0 for a page never touched, which is why
+// VmAccounting's kOnCommit is the zero value, and a page past the space reads
+// uncommitted and unaddressable: an access there traps, and so does a Commit
+// (CommitSlow).
 
 #ifndef SGXBOUNDS_SRC_ENCLAVE_PAGE_MANAGER_H_
 #define SGXBOUNDS_SRC_ENCLAVE_PAGE_MANAGER_H_
@@ -58,7 +61,8 @@ class PageManager {
 
   // Commits pages covering [addr, addr+bytes). Newly committed pages are
   // zeroed and charged as minor faults on `cpu` (pass nullptr to skip cycle
-  // charging, e.g. during machine setup). Already-committed single-page
+  // charging, e.g. during machine setup). A page at or past the end of the
+  // space traps with kSegFault before anything is committed. Already-committed single-page
   // ranges (the overwhelmingly common case: metadata writes from hardening
   // runtimes re-committing hot shadow pages) return without the page walk.
   void Commit(Cpu* cpu, uint32_t addr, uint64_t bytes) {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "src/common/check.h"
+#include "src/common/flags.h"
 #include "src/enclave/enclave.h"
 #include "src/runtime/heap.h"
 
@@ -28,28 +29,6 @@ struct InjectScope {
   ~InjectScope() { *flag_ = false; }
   bool* flag_;
 };
-
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-std::string Trimmed(const std::string& text) {
-  size_t lo = text.find_first_not_of(" \t");
-  if (lo == std::string::npos) {
-    return "";
-  }
-  size_t hi = text.find_last_not_of(" \t");
-  return text.substr(lo, hi - lo + 1);
-}
 
 }  // namespace
 
@@ -120,7 +99,7 @@ bool FaultPlan::Parse(const std::string& spec, FaultPlan* out, std::string* erro
       continue;
     }
     if (token.rfind("seed=", 0) == 0) {
-      if (!ParseU64(token.substr(5), &plan.seed)) {
+      if (!ParseUnsigned(token.substr(5), &plan.seed, 10)) {
         if (error != nullptr) {
           *error = "bad fault seed '" + token + "' (want seed=N)";
         }
@@ -166,7 +145,7 @@ bool FaultPlan::Parse(const std::string& spec, FaultPlan* out, std::string* erro
     std::string point_text = Trimmed(token.substr(colon + 1));
     const size_t plus = point_text.find('+');
     if (plus != std::string::npos) {
-      if (!ParseU64(point_text.substr(plus + 1), &event.period) || event.period == 0) {
+      if (!ParseUnsigned(point_text.substr(plus + 1), &event.period, 10) || event.period == 0) {
         if (error != nullptr) {
           *error = "bad fault period in '" + token + "'";
         }
@@ -177,7 +156,7 @@ bool FaultPlan::Parse(const std::string& spec, FaultPlan* out, std::string* erro
     const size_t star = point_text.find('*');
     if (star != std::string::npos) {
       uint64_t count = 0;
-      if (!ParseU64(point_text.substr(star + 1), &count) || count == 0 ||
+      if (!ParseUnsigned(point_text.substr(star + 1), &count, 10) || count == 0 ||
           count > 0xffffffffull) {
         if (error != nullptr) {
           *error = "bad fault count in '" + token + "'";
@@ -187,7 +166,7 @@ bool FaultPlan::Parse(const std::string& spec, FaultPlan* out, std::string* erro
       event.count = static_cast<uint32_t>(count);
       point_text = point_text.substr(0, star);
     }
-    if (!ParseU64(point_text, &event.at) || event.at == 0) {
+    if (!ParseUnsigned(point_text, &event.at, 10) || event.at == 0) {
       if (error != nullptr) {
         *error = "bad fault trigger point in '" + token + "' (want a positive integer)";
       }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/common/flags.h"
 #include "src/common/rng.h"
 
 namespace sgxb {
@@ -18,28 +19,6 @@ constexpr const char* kKindNames[kShardFaultKindCount] = {
 };
 
 constexpr const char* kKindChoices = "crash|hang|epc_storm|poison";
-
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-std::string Trimmed(const std::string& text) {
-  const size_t lo = text.find_first_not_of(" \t");
-  if (lo == std::string::npos) {
-    return "";
-  }
-  const size_t hi = text.find_last_not_of(" \t");
-  return text.substr(lo, hi - lo + 1);
-}
 
 }  // namespace
 
@@ -91,7 +70,7 @@ bool ShardFaultPlan::Parse(const std::string& spec, ShardFaultPlan* out,
       continue;
     }
     if (token.rfind("seed=", 0) == 0) {
-      if (!ParseU64(token.substr(5), &plan.seed)) {
+      if (!ParseUnsigned(token.substr(5), &plan.seed, 10)) {
         if (error != nullptr) {
           *error = "bad shard-fault seed '" + token + "' (want seed=N)";
         }
@@ -120,7 +99,7 @@ bool ShardFaultPlan::Parse(const std::string& spec, ShardFaultPlan* out,
       return false;
     }
     uint64_t shard = 0;
-    if (!ParseU64(Trimmed(token.substr(at_sign + 1, colon - at_sign - 1)), &shard) ||
+    if (!ParseUnsigned(Trimmed(token.substr(at_sign + 1, colon - at_sign - 1)), &shard, 10) ||
         shard > 0xffffffffull) {
       if (error != nullptr) {
         *error = "bad shard index in '" + token + "' (want KIND@SHARD:REQUEST)";
@@ -128,7 +107,7 @@ bool ShardFaultPlan::Parse(const std::string& spec, ShardFaultPlan* out,
       return false;
     }
     event.shard = static_cast<uint32_t>(shard);
-    if (!ParseU64(Trimmed(token.substr(colon + 1)), &event.at_request) ||
+    if (!ParseUnsigned(Trimmed(token.substr(colon + 1)), &event.at_request, 10) ||
         event.at_request == 0) {
       if (error != nullptr) {
         *error = "bad request trigger in '" + token + "' (want a positive integer)";

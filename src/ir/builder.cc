@@ -111,15 +111,6 @@ void IrBuilder::Store(IrType type, ValueId value, ValueId ptr) {
   Append(std::move(instr));
 }
 
-ValueId IrBuilder::Call(const std::string& symbol, std::vector<ValueId> args) {
-  IrInstr instr;
-  instr.id = NextId();
-  instr.op = IrOp::kCall;
-  instr.args = std::move(args);
-  instr.symbol = symbol;
-  return Append(std::move(instr)).id;
-}
-
 uint32_t IrBuilder::NewBlock() {
   fn_.blocks.emplace_back();
   return static_cast<uint32_t>(fn_.blocks.size() - 1);

@@ -37,7 +37,6 @@ class IrBuilder {
   ValueId Gep(ValueId base, ValueId index, uint32_t scale, uint32_t offset = 0);
   ValueId Load(IrType type, ValueId ptr);
   void Store(IrType type, ValueId value, ValueId ptr);
-  ValueId Call(const std::string& symbol, std::vector<ValueId> args = {});
 
   // --- control flow -------------------------------------------------------------
   uint32_t NewBlock();

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/digest.h"
+#include "src/common/ir_engine.h"
 
 namespace sgxb {
 
@@ -30,7 +30,7 @@ struct Move {
 
 class Decoder {
  public:
-  Decoder(const IrFunction& fn, const DecodeOptions& options) : fn_(fn), options_(options) {}
+  Decoder(const IrFunction& fn, bool track_mpx) : fn_(fn), track_mpx_(track_mpx) {}
 
   DecodedFunction Run() {
     CHECK(!fn_.blocks.empty());
@@ -42,7 +42,7 @@ class Decoder {
     ResolveEdges();
     df_.num_slots = fn_.num_values + max_stub_temps_;
     df_.entry = block_entry_[0];
-    df_.track_mpx = options_.track_mpx;
+    df_.track_mpx = track_mpx_;
     return std::move(df_);
   }
 
@@ -127,7 +127,7 @@ class Decoder {
   // carry no MPX bounds, so the fusion is safe under bounds tracking.
   bool MatchXorShiftImm(const std::vector<IrInstr>& instrs, size_t i, size_t end,
                         UOp* fused) const {
-    if (!options_.fuse || i + 1 >= end) {
+    if (i + 1 >= end) {
       return false;
     }
     const IrInstr& s = instrs[i];
@@ -156,7 +156,7 @@ class Decoder {
   // imm field can carry them packed.
   bool MatchGepMaskAccess(const std::vector<IrInstr>& instrs, size_t i, size_t end,
                           UOp* fused, size_t* consumed) const {
-    if (!options_.fuse || options_.track_mpx || i + 2 >= end) {
+    if (track_mpx_ || i + 2 >= end) {
       return false;
     }
     const IrInstr& gep = instrs[i];
@@ -236,7 +236,7 @@ class Decoder {
         if (consumed == 4) {
           u.flag = bb.instrs[i + 2].imm2 != 0 ? 1 : 0;
         }
-        ++df_.fused_superinstructions;
+        ++df_.superinstructions;
         i += consumed - 1;
         continue;
       }
@@ -248,7 +248,7 @@ class Decoder {
         u.a = s.args[0];
         u.c = s.id;
         u.imm = static_cast<int64_t>(const_val_[s.args[1]] & 63);
-        ++df_.fused_superinstructions;
+        ++df_.superinstructions;
         i += 1;
         continue;
       }
@@ -280,14 +280,14 @@ class Decoder {
         // producing the branch condition. kCmpBr reads slot operands; a
         // folded kICmpImm keeps its rhs const slot in `b` (the const's slot
         // is always materialized), so the conversion is uniform.
-        if (options_.fuse && !df_.code.empty() && !term.args.empty()) {
+        if (!df_.code.empty() && !term.args.empty()) {
           MicroOp& last = df_.code.back();
           if ((last.op == UOp::kICmp || last.op == UOp::kICmpImm) &&
               last.dst == term.args[0]) {
             last.op = UOp::kCmpBr;
             last.imm = 0;
             last.imm2 = 0;
-            ++df_.fused_superinstructions;
+            ++df_.superinstructions;
             fixups_.push_back({df_.code.size() - 1, false, block,
                                static_cast<uint32_t>(term.imm)});
             fixups_.push_back({df_.code.size() - 1, true, block,
@@ -333,7 +333,7 @@ class Decoder {
       case IrOp::kShl:
       case IrOp::kLShr: {
         const UOp imm_form = ImmForm(in.op);
-        if (options_.fuse && imm_form != UOp::kCount && is_const_[in.args[1]]) {
+        if (imm_form != UOp::kCount && is_const_[in.args[1]]) {
           MicroOp& u = Emit(imm_form);
           u.dst = in.id;
           u.a = in.args[0];
@@ -351,7 +351,7 @@ class Decoder {
         break;
       }
       case IrOp::kICmp: {
-        if (options_.fuse && is_const_[in.args[1]]) {
+        if (is_const_[in.args[1]]) {
           MicroOp& u = Emit(UOp::kICmpImm);
           u.dst = in.id;
           u.a = in.args[0];
@@ -372,7 +372,7 @@ class Decoder {
         UOp op = UOp::kAllocaNative;
         if (in.symbol == kSchemeAllocSymbol) {
           op = UOp::kAllocaScheme;
-        } else if (options_.track_mpx) {
+        } else if (track_mpx_) {
           op = UOp::kAllocaNativeMpx;
         }
         MicroOp& u = Emit(op);
@@ -384,7 +384,7 @@ class Decoder {
         UOp op = UOp::kMallocNative;
         if (in.symbol == kSchemeAllocSymbol) {
           op = UOp::kMallocScheme;
-        } else if (options_.track_mpx) {
+        } else if (track_mpx_) {
           op = UOp::kMallocNativeMpx;
         }
         MicroOp& u = Emit(op);
@@ -398,7 +398,7 @@ class Decoder {
         break;
       }
       case IrOp::kGep: {
-        MicroOp& u = Emit(options_.track_mpx ? UOp::kGepMpx : UOp::kGep);
+        MicroOp& u = Emit(track_mpx_ ? UOp::kGepMpx : UOp::kGep);
         u.dst = in.id;
         u.a = in.args[0];
         u.b = in.args[1];
@@ -460,17 +460,6 @@ class Decoder {
         u.b = in.args[1];
         break;
       }
-      case IrOp::kCall: {
-        if (in.symbol == "abs64" && !in.args.empty()) {
-          MicroOp& u = Emit(UOp::kCallAbs64);
-          u.dst = in.id;
-          u.a = in.args[0];
-        } else {
-          MicroOp& u = Emit(UOp::kCallNop);
-          u.dst = in.id;
-        }
-        break;
-      }
       case IrOp::kPhi:
       case IrOp::kBr:
       case IrOp::kCondBr:
@@ -516,7 +505,7 @@ class Decoder {
     for (size_t i = 0; i < n_phis; ++i) {
       const IrInstr& phi = bb.instrs[i];
       const uint32_t src = phi.args[pred_index];
-      if (options_.track_mpx) {
+      if (track_mpx_) {
         MicroOp& u = Emit(UOp::kBoundsCopy);
         u.dst = phi.id;
         u.a = src;
@@ -591,7 +580,7 @@ class Decoder {
   }
 
   const IrFunction& fn_;
-  const DecodeOptions options_;
+  const bool track_mpx_;
   DecodedFunction df_;
   std::vector<uint32_t> block_entry_;
   std::vector<Fixup> fixups_;
@@ -603,39 +592,9 @@ class Decoder {
 
 }  // namespace
 
-DecodedFunction DecodeFunction(const IrFunction& fn, const DecodeOptions& options) {
-  return Decoder(fn, options).Run();
-}
-
-uint64_t HashIrFunction(const IrFunction& fn) {
-  uint64_t h = kFnvOffset;
-  const auto mix = [&h](uint64_t v) { h = FnvMix(h, v); };
-  mix(fn.num_args);
-  mix(fn.num_values);
-  mix(fn.blocks.size());
-  for (const IrBlock& bb : fn.blocks) {
-    mix(bb.preds.size());
-    for (const uint32_t p : bb.preds) {
-      mix(p);
-    }
-    mix(bb.instrs.size());
-    for (const IrInstr& in : bb.instrs) {
-      mix(in.id);
-      mix(static_cast<uint64_t>(in.op));
-      mix(static_cast<uint64_t>(in.type));
-      mix(in.args.size());
-      for (const ValueId a : in.args) {
-        mix(a);
-      }
-      mix(static_cast<uint64_t>(in.imm));
-      mix(static_cast<uint64_t>(in.imm2));
-      mix(in.symbol.size());
-      for (const char c : in.symbol) {
-        mix(static_cast<uint64_t>(static_cast<unsigned char>(c)));
-      }
-    }
-  }
-  return h;
+DecodedFunction DecodeFunction(const IrFunction& fn, bool track_mpx) {
+  GlobalIrExecStats().decode_misses.fetch_add(1, std::memory_order_relaxed);
+  return Decoder(fn, track_mpx).Run();
 }
 
 const char* UOpName(UOp op) {

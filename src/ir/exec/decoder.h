@@ -11,13 +11,12 @@ namespace sgxb {
 // One-shot lowering: resolves operands to slots, compiles phis into edge
 // copies, fuses superinstructions. FATALs on structurally invalid functions
 // (missing terminator, non-leading phi) - the same programs the reference
-// interpreter FATALs/CHECKs on.
-DecodedFunction DecodeFunction(const IrFunction& fn, const DecodeOptions& options = {});
-
-// Structural FNV-1a hash over the function body; the decode-cache key. Two
-// differently-instrumented copies of the same source hash differently, so a
-// (function, policy-instrumentation) pair decodes exactly once.
-uint64_t HashIrFunction(const IrFunction& fn);
+// interpreter FATALs/CHECKs on. `track_mpx` decodes for an attached
+// MpxRuntime: phi/gep/alloca/malloc then propagate bounds in the side table
+// as the reference does, and the gep+maskptr access shapes do not fuse
+// (their fused forms do not carry bounds through the gep). Counted in
+// GlobalIrExecStats().decode_misses.
+DecodedFunction DecodeFunction(const IrFunction& fn, bool track_mpx = false);
 
 }  // namespace sgxb
 

@@ -2,11 +2,10 @@
 // loop (RunDecoded) and the wrapper around JIT-compiled code (RunJit). Both
 // run on one JitFrame, opened and closed the same way.
 //
-// Threaded dispatch is a computed goto on GCC/Clang (one indirect jump per
-// micro-op, no bounds check, no loop); define SGXB_IR_FORCE_SWITCH to fall
-// back to a portable for(;;)+switch loop with identical semantics. Every
-// non-control op runs its shared body from ops.h (the JIT's thunks run the
-// same bodies); only control flow is implemented here. Every simulated
+// Threaded dispatch is a computed goto (a GNU extension; the repo builds
+// with g++ only): one indirect jump per micro-op, no bounds check, no loop.
+// Every non-control op runs its shared body from ops.h (the JIT's thunks run
+// the same bodies); only control flow is implemented here. Every simulated
 // effect - step accounting, Cpu charges, memory traffic, runtime calls,
 // traps - replicates the reference interpreter bit-for-bit; see uop.h.
 
@@ -14,29 +13,23 @@
 
 #include "src/common/check.h"
 #include "src/ir/eval.h"
-#include "src/ir/exec/jit/jit_cache.h"
 #include "src/ir/exec/jit/jit_frame.h"
 #include "src/ir/exec/ops.h"
 #include "src/ir/exec/uop.h"
 #include "src/ir/interp.h"
 
-#if defined(__GNUC__) && !defined(SGXB_IR_FORCE_SWITCH)
-#define SGXB_IR_COMPUTED_GOTO 1
-#else
-#define SGXB_IR_COMPUTED_GOTO 0
-#endif
-
 namespace sgxb {
 
 // Forced inline: RunDecoded's frame must never have its address taken.
-SGXB_OP_INLINE JitFrame Interpreter::OpenFrame(uint32_t num_slots, bool track_mpx,
-                                               Cpu& cpu, const std::vector<uint64_t>& args,
+SGXB_OP_INLINE JitFrame Interpreter::OpenFrame(const DecodedFunction& df, Cpu& cpu,
+                                               const std::vector<uint64_t>& args,
                                                uint64_t max_steps) {
-  values_.assign(num_slots, 0);
+  const bool track_mpx = df.track_mpx;
+  values_.assign(df.num_slots, 0);
   if (track_mpx) {
     CHECK(mpx_ != nullptr);
-    mpx_bounds_.assign(num_slots, MpxBounds{});
-    mpx_valid_.assign(num_slots, 0);
+    mpx_bounds_.assign(df.num_slots, MpxBounds{});
+    mpx_valid_.assign(df.num_slots, 0);
   }
   JitFrame f;
   f.v = values_.data();
@@ -47,6 +40,7 @@ SGXB_OP_INLINE JitFrame Interpreter::OpenFrame(uint32_t num_slots, bool track_mp
   f.checks = stats_.checks;
   f.args = args.data();
   f.nargs = args.size();
+  f.code = df.code.data();
   f.cpu = &cpu;
   f.enclave = enclave_;
   f.heap = heap_;
@@ -86,14 +80,13 @@ uint64_t Interpreter::RunDecoded(const DecodedFunction& df, Cpu& cpu,
                                  const std::vector<uint64_t>& args, uint64_t max_steps) {
   // The frame is a local whose address never escapes (every op body is
   // forced inline), so the compiler keeps its hot fields in registers.
-  JitFrame f = OpenFrame(df.num_slots, df.track_mpx, cpu, args, max_steps);
+  JitFrame f = OpenFrame(df, cpu, args, max_steps);
   const uint32_t frame = stack_->PushFrame();
   uint64_t* const v = f.v;
   const MicroOp* const code = df.code.data();
   const MicroOp* pc = code + df.entry;
 
   try {
-#if SGXB_IR_COMPUTED_GOTO
 #define SGXB_UOP_LABEL(name, text) &&L_##name,
     static const void* const kLabels[] = {SGXB_UOP_LIST(SGXB_UOP_LABEL, SGXB_UOP_LABEL)};
 #undef SGXB_UOP_LABEL
@@ -112,21 +105,6 @@ uint64_t Interpreter::RunDecoded(const DecodedFunction& df, Cpu& cpu,
     goto* kLabels[static_cast<uint8_t>(pc->op)];        \
   } while (0)
     goto* kLabels[static_cast<uint8_t>(pc->op)];
-#else
-#define VMCASE(name) case UOp::name:
-#define VMNEXT()                                        \
-  {                                                     \
-    ++pc;                                               \
-    break;                                              \
-  }
-#define VMJUMP(target)                                  \
-  {                                                     \
-    pc = code + (target);                               \
-    break;                                              \
-  }
-    for (;;) {
-      switch (pc->op) {
-#endif
 
 #define SGXB_UOP_BODY_CASE(name, text) \
   VMCASE(name) { ops::ExecOp<UOp::name>(f, *pc); }  \
@@ -163,13 +141,6 @@ uint64_t Interpreter::RunDecoded(const DecodedFunction& df, Cpu& cpu,
       return f.ret;
     }
     VMCASE(kJump) { VMJUMP(pc->imm); }
-
-#if !SGXB_IR_COMPUTED_GOTO
-        case UOp::kCount:
-          FATAL("invalid micro-op");
-      }
-    }
-#endif
 #undef VMCASE
 #undef VMNEXT
 #undef VMJUMP
@@ -183,12 +154,11 @@ uint64_t Interpreter::RunDecoded(const DecodedFunction& df, Cpu& cpu,
 // Native execution: generated code never unwinds, so a trapping op body
 // parks its exception in the frame and the program returns kJitStatusBail;
 // the three exits mirror RunDecoded's (return, rethrow, step-limit trap).
-uint64_t Interpreter::RunJit(const jit::JitProgram& jp, Cpu& cpu,
+uint64_t Interpreter::RunJit(const DecodedFunction& df, const jit::JitProgram& jp, Cpu& cpu,
                              const std::vector<uint64_t>& args, uint64_t max_steps) {
-  JitFrame f = OpenFrame(jp.num_slots, jp.track_mpx, cpu, args, max_steps);
+  JitFrame f = OpenFrame(df, cpu, args, max_steps);
   const uint32_t frame = stack_->PushFrame();
   std::exception_ptr pending_exception;
-  f.code = jp.code.data();
   f.ex_slot = &pending_exception;
 
   jp.entry(&f);

@@ -253,7 +253,6 @@ class X64Assembler {
   }
   void ShlRegImm8(Reg reg, uint8_t n) { ShiftImm(4, reg, n); }
   void ShrRegImm8(Reg reg, uint8_t n) { ShiftImm(5, reg, n); }
-  void SarRegImm8(Reg reg, uint8_t n) { ShiftImm(7, reg, n); }
   void ShlRegCl(Reg reg) { ShiftCl(4, reg); }
   void ShrRegCl(Reg reg) { ShiftCl(5, reg); }
   // test a, b (sets flags from a & b)

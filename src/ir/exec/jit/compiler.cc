@@ -259,17 +259,14 @@ class Compiler {
     way1_.back().resume = a_.size();
   }
 
-  // ops::FlushPending, inline: the pending ALU/branch/call counts into the
-  // Cpu's account, then zeroed. Leaves the account pointer in RDX.
+  // ops::FlushPending, inline: the pending ALU/branch counts into the Cpu's
+  // account, then zeroed. Leaves the account pointer in RDX.
   void EmitFlushInline() {
     a_.MovRegMem(RDX, kFrame, SGXB_JIT_OFF(events));
     a_.AddMemReg(RDX, SGXB_JIT_EV(alu_ops), kPendAlu);
     a_.AddMemReg(RDX, SGXB_JIT_EV(branches), kPendBranch);
-    a_.MovRegMem(RAX, kFrame, SGXB_JIT_OFF(pend_call));
-    a_.AddMemReg(RDX, SGXB_JIT_EV(calls), RAX);
     a_.ZeroReg(kPendAlu);
     a_.ZeroReg(kPendBranch);
-    a_.MovMemImm32(kFrame, SGXB_JIT_OFF(pend_call), 0);
   }
 
   // kLoad, kStore, kGepMaskLoad, kGepMaskStore. The decoder sets the width
@@ -838,27 +835,6 @@ class Compiler {
         StoreSlot(u.dst, RAX);
         break;
 
-      case UOp::kCallAbs64:
-        Step();
-        a_.IncMem(kFrame, SGXB_JIT_OFF(pend_call));
-        LoadSlot(RAX, u.a);
-        // Branch-free |x|: sar mask, xor, sub (INT64_MIN wraps to itself,
-        // matching the interpreters' two's-complement negation).
-        a_.MovRegReg(RCX, RAX);
-        a_.SarRegImm8(RCX, 63);
-        a_.AluRegReg(0x33, RAX, RCX);
-        a_.AluRegReg(0x2B, RAX, RCX);
-        StoreSlot(u.dst, RAX);
-        break;
-      case UOp::kCallNop:
-        Step();
-        a_.IncMem(kFrame, SGXB_JIT_OFF(pend_call));
-        if (u.dst != 0) {
-          a_.ZeroReg(RAX);
-          StoreSlot(u.dst, RAX);
-        }
-        break;
-
       case UOp::kLoad:
       case UOp::kStore:
       case UOp::kGepMaskLoad:
@@ -928,9 +904,6 @@ class Compiler {
 JitProgram CompileDecodedFunction(const DecodedFunction& df) {
   const auto start = std::chrono::steady_clock::now();
   JitProgram program;
-  program.code = df.code;
-  program.num_slots = df.num_slots;
-  program.track_mpx = df.track_mpx;
 
   Compiler compiler(df, &program);
   compiler.Compile();

@@ -14,7 +14,6 @@
 #define SGXBOUNDS_SRC_IR_EXEC_JIT_COMPILER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/ir/exec/jit/code_buffer.h"
 #include "src/ir/exec/jit/jit_frame.h"
@@ -26,14 +25,9 @@ namespace jit {
 struct JitProgram {
   using EntryFn = void (*)(JitFrame*);
 
-  // Private copy of the micro-op stream: generated code embeds op indices
-  // for the slow-path thunk, and slow ops read their operands from here. The
-  // copy pins the lifetime to the program (a DecodeCache entry could in
-  // principle be evicted independently).
-  std::vector<MicroOp> code;
-  uint32_t num_slots = 0;
-  bool track_mpx = false;
-
+  // Generated code embeds micro-op indices for the slow-path thunks, which
+  // read their operands from the DecodedFunction the program was compiled
+  // from (JitFrame::code): run the program with that function's code.
   ExecCodeBuffer buffer;
   EntryFn entry = nullptr;
   // Compile statistics, surfaced through --selftime.

@@ -2,7 +2,7 @@
 //
 // Compiled code receives one argument: a JitFrame*. The frame is plain data
 // (standard layout - the compiler bakes offsetof() constants into generated
-// instructions), holding the slot array, the original micro-op stream (for
+// instructions), holding the slot array, the decoded micro-op stream (for
 // helper bail-outs), the hot counters, and every host object the slow paths
 // need.
 //
@@ -16,7 +16,7 @@
 //   rbp  pend_branch
 //   r15  max_steps
 //
-// pend_call and the loads/stores/checks counters live in frame memory (cold).
+// The loads/stores/checks counters live in frame memory (cold).
 //
 // Tier 2: loads, stores and the unchecked gep+maskptr access quads are
 // inline. They read the guest-access fields at the end of the frame
@@ -91,7 +91,6 @@ struct JitFrame {
   uint64_t pend_branch = 0;
   uint64_t max_steps = 0;
   // Frame-resident state.
-  uint64_t pend_call = 0;
   uint64_t loads = 0;
   uint64_t stores = 0;
   uint64_t checks = 0;
@@ -113,9 +112,9 @@ struct JitFrame {
   IrSchemeKind scheme_kind{};  // which runtime `scheme` is (ops::WithScheme)
   // Tier-2 inline loads and stores (compiler.cc), from
   // Enclave::InlineAccessFor(*cpu) in OpenFrame. Generated code reads these
-  // at run time and never bakes them in, because JitCache shares one
-  // compiled program across enclaves. inline_mem == 0 (a trace recorder or
-  // fault hooks attached) sends every access to its thunk.
+  // at run time and never bakes them in, so a compiled program does not
+  // depend on the enclave or Cpu it runs on. inline_mem == 0 (a trace
+  // recorder or fault hooks attached) sends every access to its thunk.
   uint64_t inline_mem = 0;
   const uint8_t* addressable = nullptr;  // per-page addressable bytes
   uint8_t* host_base = nullptr;          // host address of enclave byte 0

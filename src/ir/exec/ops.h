@@ -46,7 +46,7 @@ namespace ops {
   throw SimTrap(TrapKind::kIllegalInstruction, 0, "interpreter step limit exceeded");
 }
 
-// Pure compute events (Alu/Branch/Call) are commutative counts that
+// Pure compute events (Alu/Branch) are commutative counts that
 // nothing observes between two observable points (memory access, runtime
 // call, trap, return), so they accumulate in the frame and flush just before
 // each observable. Every cycle stamp the simulation can record is therefore
@@ -56,10 +56,8 @@ SGXB_OP_INLINE void FlushPending(Frame& f) {
   Cpu& cpu = *f.cpu;
   cpu.Alu(f.pend_alu);
   cpu.Branch(f.pend_branch);
-  cpu.Call(f.pend_call);
   f.pend_alu = 0;
   f.pend_branch = 0;
-  f.pend_call = 0;
 }
 
 // One simulated instruction; the reference checks max_steps at each.
@@ -347,23 +345,6 @@ SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
       return GepMaskAccess<true, false>(f, u);
     case UOp::kGepMaskSchemeCheckStore:
       return GepMaskAccess<true, true>(f, u);
-
-    case UOp::kCallAbs64: {
-      Step(f);
-      ++f.pend_call;
-      // Unsigned negate: -INT64_MIN is signed-overflow UB; 0 - ux wraps to
-      // the same bit pattern the JIT's branch-free abs yields.
-      const uint64_t ux = v[u.a];
-      v[u.dst] = static_cast<int64_t>(ux) < 0 ? 0 - ux : ux;
-      return;
-    }
-    case UOp::kCallNop:
-      Step(f);
-      ++f.pend_call;
-      if (u.dst != 0) {
-        v[u.dst] = 0;
-      }
-      return;
 
     case UOp::kBr:
     case UOp::kCondBr:

@@ -8,8 +8,8 @@
 //   * branch targets are micro-op offsets - no block lookup, no phi scan;
 //   * phi nodes are compiled away into parallel-copy stubs materialized on
 //     each control-flow edge (kCopy/kBoundsCopy sequences);
-//   * symbol dispatch (the "scheme" allocation symbol, builtin call names)
-//     is resolved at decode time into distinct opcodes;
+//   * symbol dispatch (the "scheme" allocation symbol) is resolved at
+//     decode time into distinct opcodes;
 //   * the patterns the instrumentation passes emit are fused into
 //     superinstructions (gep+maskptr[+check]+load/store, icmp+condbr,
 //     xorshift pairs, const-operand ALU forms).
@@ -73,7 +73,6 @@ namespace sgxb {
 //                   ops (allocation, checks, quads) call the attached
 //                   IrSchemeRuntime through ops::WithScheme, so one
 //                   decoded program runs under any scheme runtime.
-//   calls           call.abs64: dst, a; call.nop: dst (0 = no result)
 //   gep+mask quads  the shape the tagged-pointer lowering (SGXBounds,
 //                   l4ptr, shadow) emits:
 //                   the gep result is re-tagged through a maskptr, so the
@@ -132,8 +131,6 @@ namespace sgxb {
   BODY(kMpxStx, "mpxstx")                                         \
   BODY(kGepMaskLoad, "gep+mask+load")                             \
   BODY(kGepMaskStore, "gep+mask+store")                           \
-  BODY(kCallAbs64, "call.abs64")                                  \
-  BODY(kCallNop, "call.nop")                                      \
   BODY(kAllocaScheme, "alloca.scheme")                            \
   BODY(kMallocScheme, "malloc.scheme")                            \
   BODY(kFreeScheme, "free.scheme")                                \
@@ -152,7 +149,7 @@ enum class UOp : uint8_t {
 const char* UOpName(UOp op);
 
 struct MicroOp {
-  UOp op = UOp::kCallNop;
+  UOp op = UOp::kCount;
   IrType type = IrType::kI64;
   uint8_t aux = 0;   // access byte size / IrCmp predicate
   uint8_t flag = 0;  // is-write for checks
@@ -164,16 +161,6 @@ struct MicroOp {
   int64_t imm2 = 0;
 };
 
-struct DecodeOptions {
-  // Track the MPX side table alongside values (required when an MpxRuntime
-  // is attached: phi/gep/alloca/malloc propagate bounds in the reference).
-  bool track_mpx = false;
-  // Enable superinstruction fusion (disabled automatically for the SGX
-  // access patterns when track_mpx is set: the fused forms do not propagate
-  // bounds through the gep).
-  bool fuse = true;
-};
-
 // The decoded, directly executable form of one IrFunction.
 struct DecodedFunction {
   std::vector<MicroOp> code;
@@ -181,7 +168,7 @@ struct DecodedFunction {
   uint32_t entry = 0;      // offset of the first executed micro-op
   bool track_mpx = false;
   // Decoder statistics (asserted by tests, printed by benches).
-  uint32_t fused_superinstructions = 0;
+  uint32_t superinstructions = 0;
   uint32_t edge_stubs = 0;
   uint32_t phi_cycle_temps = 0;
 

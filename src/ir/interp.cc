@@ -59,13 +59,13 @@ uint64_t Interpreter::Run(const IrFunction& fn, Cpu& cpu, const std::vector<uint
   if (engine == IrEngine::kReference) {
     return RunReference(fn, cpu, args, max_steps);
   }
-  const DecodeOptions opts{/*track_mpx=*/mpx_ != nullptr, /*fuse=*/true};
-  const DecodedFunction& df = cache_.Get(fn, opts);
+  const DecodedFunction df = DecodeFunction(fn, /*track_mpx=*/mpx_ != nullptr);
   if (engine == IrEngine::kJit) {
-    const jit::JitProgram* jp =
-        jit::JitExecutableAvailable() ? jit_cache_.Get(fn, df, opts) : nullptr;
-    if (jp != nullptr) {
-      return RunJit(*jp, cpu, args, max_steps);
+    if (jit::JitExecutableAvailable()) {
+      const jit::JitProgram jp = jit::CompileDecodedFunction(df);
+      if (jp.ok()) {
+        return RunJit(df, jp, cpu, args, max_steps);
+      }
     }
     // JIT unavailable (non-x86-64 host, sandbox denying PROT_EXEC,
     // SGXB_IR_FORCE_NOEXEC, mmap failure): degrade to the threaded engine -
@@ -319,20 +319,6 @@ uint64_t Interpreter::RunReference(const IrFunction& fn, Cpu& cpu,
           case IrOp::kMpxStx: {
             mpx_->BndStx(cpu, addr_of(values[in.args[1]]), addr_of(values[in.args[0]]),
                          bounds_or_init(in.args[0]));
-            break;
-          }
-          case IrOp::kCall: {
-            cpu.Call();
-            // Builtin runtime symbols; unknown symbols are no-ops returning 0
-            // (external functions are out of scope for the mini IR).
-            if (in.symbol == "abs64" && !in.args.empty()) {
-              // Unsigned negate: -INT64_MIN is signed-overflow UB; 0 - ux
-              // wraps to the same bit pattern the other engines produce.
-              const uint64_t ux = values[in.args[0]];
-              values[in.id] = static_cast<int64_t>(ux) < 0 ? 0 - ux : ux;
-            } else if (in.id != 0) {
-              values[in.id] = 0;
-            }
             break;
           }
           case IrOp::kPhi:

@@ -15,13 +15,16 @@
 //
 //   * reference - the original per-instruction switch over IrInstr vectors
 //     (RunReference); kept as the differential-testing oracle;
-//   * threaded  - functions are pre-decoded once into a flat micro-op stream
-//     (src/ir/exec/) and executed with direct-threaded dispatch; decoded
-//     programs are cached per (function, instrumentation) pair;
-//   * jit       - decoded streams are template-compiled to native x86-64
-//     (src/ir/exec/jit/) and cached under the same key; where executable
-//     memory is unavailable, jit falls back to threaded with a one-time
-//     warning (SGXB_IR_FORCE_NOEXEC forces that path).
+//   * threaded  - each Run decodes the function into a flat micro-op stream
+//     (src/ir/exec/) and executes it with direct-threaded dispatch;
+//   * jit       - each Run also template-compiles the decoded stream to
+//     native x86-64 (src/ir/exec/jit/); where executable memory is
+//     unavailable, jit falls back to threaded with a one-time warning
+//     (SGXB_IR_FORCE_NOEXEC forces that path).
+//
+// Nothing is cached across Run calls: every production caller builds an
+// interpreter per program and runs it once (RunIrFunction,
+// src/workloads/run_ir.h).
 //
 // Run() routes according to set_engine(); the default follows the process
 // default (--ir_engine flag; threaded unless overridden).
@@ -33,8 +36,8 @@
 
 #include "src/asan/asan_runtime.h"
 #include "src/common/ir_engine.h"
-#include "src/ir/exec/decode_cache.h"
-#include "src/ir/exec/jit/jit_cache.h"
+#include "src/ir/exec/decoder.h"
+#include "src/ir/exec/jit/compiler.h"
 #include "src/ir/ir.h"
 #include "src/ir/scheme_rt.h"
 #include "src/mpx/mpx_runtime.h"
@@ -83,20 +86,18 @@ class Interpreter {
                         uint64_t max_steps = 200 * 1000 * 1000);
 
   const InterpStats& stats() const { return stats_; }
-  const DecodeCache& decode_cache() const { return cache_; }
-  const JitCache& jit_cache() const { return jit_cache_; }
 
  private:
   // Direct-threaded execution of a decoded program (src/ir/exec/engine.cc).
   uint64_t RunDecoded(const DecodedFunction& df, Cpu& cpu,
                       const std::vector<uint64_t>& args, uint64_t max_steps);
-  // Native execution of a compiled program (src/ir/exec/engine.cc).
-  uint64_t RunJit(const jit::JitProgram& jp, Cpu& cpu,
+  // Native execution of `jp`, compiled from `df` (src/ir/exec/engine.cc).
+  uint64_t RunJit(const DecodedFunction& df, const jit::JitProgram& jp, Cpu& cpu,
                   const std::vector<uint64_t>& args, uint64_t max_steps);
   // The frame both engines run on: OpenFrame sizes the slot array and MPX
-  // side table and seeds the hot counters from stats_; CloseFrame flushes
-  // pending charges, writes the counters back and pops `stack_frame`.
-  JitFrame OpenFrame(uint32_t num_slots, bool track_mpx, Cpu& cpu,
+  // side table for `df` and seeds the hot counters from stats_; CloseFrame
+  // flushes pending charges, writes the counters back and pops `stack_frame`.
+  JitFrame OpenFrame(const DecodedFunction& df, Cpu& cpu,
                      const std::vector<uint64_t>& args, uint64_t max_steps);
   void CloseFrame(JitFrame& f, uint32_t stack_frame);
   void Attach(IrSchemeRuntime* rt, IrSchemeKind kind);
@@ -114,8 +115,6 @@ class Interpreter {
   uint32_t asan_shadow_base_ = 0;
   InterpStats stats_;
   IrEngine engine_ = IrEngine::kDefault;
-  DecodeCache cache_;
-  JitCache jit_cache_;
 
   // Scratch buffers reused across Run() calls (sized to fn.num_values each
   // call; capacity persists so steady-state runs allocate nothing). The MPX

@@ -95,8 +95,6 @@ const char* IrOpName(IrOp op) {
       return "scheme.check";
     case IrOp::kSchemeCheckRange:
       return "scheme.check.range";
-    case IrOp::kCall:
-      return "call";
   }
   return "?";
 }
@@ -179,14 +177,6 @@ std::string IrFunction::Verify() const {
     }
   }
   return "";
-}
-
-size_t IrFunction::InstrCount() const {
-  size_t n = 0;
-  for (const auto& block : blocks) {
-    n += block.instrs.size();
-  }
-  return n;
 }
 
 size_t IrFunction::CountOp(IrOp op) const {

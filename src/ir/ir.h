@@ -71,8 +71,6 @@ enum class IrOp : uint8_t {
   // checks read bounds from a per-SSA side table.
   kSchemeCheck,       // args: ptr; imm = access size, imm2 = is-write
   kSchemeCheckRange,  // args: ptr, extent-in-bytes  (hoisted loop check)
-  // Misc.
-  kCall,  // symbol = runtime function; args passed through (see interp)
 };
 
 const char* IrOpName(IrOp op);
@@ -114,9 +112,6 @@ struct IrFunction {
   // dominance is NOT checked (builder discipline), returns problem text or
   // empty string.
   std::string Verify() const;
-
-  // Total instruction count (for instrumentation-blowup assertions).
-  size_t InstrCount() const;
   size_t CountOp(IrOp op) const;
 };
 

@@ -47,10 +47,6 @@ LibcError FortifiedLibc::Memcpy(Cpu& cpu, TaggedPtr dst, TaggedPtr src, uint32_t
   return LibcError::kOk;
 }
 
-LibcError FortifiedLibc::Memmove(Cpu& cpu, TaggedPtr dst, TaggedPtr src, uint32_t n) {
-  return Memcpy(cpu, dst, src, n);
-}
-
 LibcError FortifiedLibc::Memset(Cpu& cpu, TaggedPtr dst, uint8_t value, uint32_t n) {
   cpu.Charge(kWrapperCycles);
   if (n == 0) {

@@ -34,7 +34,6 @@ class FortifiedLibc {
 
   LibcError Memcpy(Cpu& cpu, TaggedPtr dst, TaggedPtr src, uint32_t n);
   LibcError Memset(Cpu& cpu, TaggedPtr dst, uint8_t value, uint32_t n);
-  LibcError Memmove(Cpu& cpu, TaggedPtr dst, TaggedPtr src, uint32_t n);
   // memcmp result via out-param so bounds errors are distinguishable.
   LibcError Memcmp(Cpu& cpu, TaggedPtr a, TaggedPtr b, uint32_t n, int* result);
 

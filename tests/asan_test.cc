@@ -40,6 +40,22 @@ TEST_F(Fixture, InBoundsAccessPasses) {
   EXPECT_TRUE(asan->CheckAccess(cpu, p + 99, 1, true));
 }
 
+// A check whose shadow byte lies past a 64 MiB space traps instead of
+// reading host memory past the page tables.
+TEST(AsanSmallSpace, CheckPastTheSpaceTraps) {
+  EnclaveConfig cfg;
+  cfg.space_bytes = 64 * kMiB;
+  Enclave enclave(cfg);
+  Heap heap(&enclave, 16 * kMiB);
+  AsanRuntime asan(&enclave, &heap);
+  try {
+    asan.CheckAccess(enclave.main_cpu(), 0xF0000000, 1, /*is_write=*/false);
+    ADD_FAILURE() << "expected a trap";
+  } catch (const SimTrap& t) {
+    EXPECT_EQ(t.kind(), TrapKind::kSegFault);
+  }
+}
+
 TEST_F(Fixture, RedzoneHitReports) {
   Cpu& cpu = enclave->main_cpu();
   const uint32_t p = asan->Malloc(cpu, 100);

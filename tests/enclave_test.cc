@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/enclave/enclave.h"
 
 namespace sgxb {
@@ -49,6 +51,35 @@ TEST(EnclaveTest, TopPageIsGuard) {
   Cpu& cpu = e.main_cpu();
   const uint32_t top = static_cast<uint32_t>(e.config().space_bytes - 8);
   EXPECT_THROW(e.Load<uint32_t>(cpu, top), SimTrap);
+}
+
+// An address far past a small space indexes the per-page tables in bounds
+// (they span the whole 32-bit range) and reads unaddressable: every access
+// traps as a segfault with a message, and so does committing that page.
+TEST(EnclaveTest, AddressPastTheSpaceTraps) {
+  Enclave e(SmallConfig());
+  Cpu& cpu = e.main_cpu();
+  constexpr uint32_t kPast = 0xF0000000;
+  const auto expect_segfault = [](const auto& access, const char* what) {
+    try {
+      access();
+      ADD_FAILURE() << what << ": expected a trap";
+    } catch (const SimTrap& t) {
+      EXPECT_EQ(t.kind(), TrapKind::kSegFault) << what;
+      EXPECT_NE(std::string(t.what()), "") << what;
+    }
+  };
+  expect_segfault([&] { e.Load<uint8_t>(cpu, kPast); }, "load");
+  expect_segfault([&] { e.Store<uint32_t>(cpu, kPast, 1); }, "store");
+  uint8_t buf[16];
+  expect_segfault([&] { e.LoadBytes(cpu, kPast, buf, sizeof(buf)); }, "LoadBytes");
+  expect_segfault([&] { e.pages().Commit(&cpu, kPast, 1); }, "commit");
+  // The first page past the space, and a range that runs into it.
+  const uint32_t end = static_cast<uint32_t>(e.config().space_bytes);
+  expect_segfault([&] { e.pages().Commit(&cpu, end, 1); }, "commit at the end");
+  expect_segfault([&] { e.pages().Commit(&cpu, end - kPageSize, 2 * kPageSize); },
+                  "commit across the end");
+  EXPECT_FALSE(e.pages().Committed(end - kPageSize));
 }
 
 TEST(EnclaveTest, AccessSpanningGuardPageTraps) {

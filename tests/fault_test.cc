@@ -10,6 +10,7 @@
 
 #include "src/apps/contained_service.h"
 #include "src/fault/fault.h"
+#include "src/fault/shard_fault.h"
 #include "src/policy/registry.h"
 #include "src/trace/trace_recorder.h"
 #include "src/trace/trace_replay.h"
@@ -60,6 +61,37 @@ TEST(FaultPlan, RejectsBadSpecsNamingValidChoices) {
   EXPECT_FALSE(FaultPlan::Parse("alloc_fail@alloc:x", &plan, &error));
   EXPECT_FALSE(FaultPlan::Parse("alloc_fail:5", &plan, &error));
   EXPECT_FALSE(FaultPlan::Parse("seed=abc", &plan, &error));
+}
+
+// A number in a fault spec is decimal digits that fit 64 bits: a sign, an
+// overflow or a hex prefix is an error with a message, never a value that
+// wrapped or saturated into a fault that silently never fires.
+TEST(FaultPlan, RejectsSignedAndOverflowingNumbers) {
+  for (const char* spec :
+       {"alloc_fail@alloc:-1", "alloc_fail@alloc:5+-1", "alloc_fail@alloc:5*-1",
+        "alloc_fail@alloc:99999999999999999999999", "alloc_fail@alloc:+5",
+        "alloc_fail@alloc:0x10", "alloc_fail@alloc:5* 2", "seed=-1",
+        "seed=18446744073709551616"}) {
+    FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(FaultPlan::Parse(spec, &plan, &error)) << spec;
+    EXPECT_EQ(error.rfind("bad fault ", 0), 0u) << spec << ": " << error;
+  }
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(FaultPlan::Parse(" alloc_fail @ alloc : 18446744073709551615 ", &plan, &error))
+      << error;
+  EXPECT_EQ(plan.events[0].at, 18446744073709551615ull);
+}
+
+TEST(ShardFaultPlan, RejectsSignedAndOverflowingNumbers) {
+  for (const char* spec : {"crash@-1:500", "crash@1:-1", "crash@1:99999999999999999999999",
+                           "crash@+1:500", "seed=-1"}) {
+    ShardFaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(ShardFaultPlan::Parse(spec, &plan, &error)) << spec;
+    EXPECT_EQ(error.rfind("bad ", 0), 0u) << spec << ": " << error;
+  }
 }
 
 TEST(FaultPlan, ToSpecRoundTrips) {

@@ -125,7 +125,7 @@ TEST(IrExec, PhiSwapCycleMatchesReference) {
 
   // The back edge's parallel copy is a cycle: the decoder must have parked
   // one destination in a temporary and routed the stub through a free jump.
-  const DecodedFunction df = DecodeFunction(fn, DecodeOptions{});
+  const DecodedFunction df = DecodeFunction(fn);
   EXPECT_GE(df.phi_cycle_temps, 1u);
   EXPECT_GT(df.edge_stubs, 0u);
   EXPECT_GT(df.CountUOp(UOp::kJump), 0u);
@@ -207,45 +207,22 @@ TEST(IrExec, StepLimitTrapsIdenticallyIncludingMidFusedOp) {
   }
 }
 
-TEST(IrExec, DecodeCacheReusesDecodedPrograms) {
-  Rig rig;
-  rig.interp->set_engine(IrEngine::kThreaded);
-  const IrFunction fn = BuildFusedKernel(8);
-  const uint64_t first = rig.interp->Run(fn, rig.enclave->main_cpu());
-  const uint64_t second = rig.interp->Run(fn, rig.enclave->main_cpu());
-  const uint64_t third = rig.interp->Run(fn, rig.enclave->main_cpu());
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(second, third);
-  EXPECT_EQ(rig.interp->decode_cache().misses(), 1u);
-  EXPECT_EQ(rig.interp->decode_cache().hits(), 2u);
-  EXPECT_EQ(rig.interp->decode_cache().size(), 1u);
-}
-
 TEST(IrExec, DecoderFusesInstrumentationPatterns) {
   IrFunction fn = BuildFusedKernel(8);
   // Uninstrumented: xorshift pairs and the compare-branch latch fuse.
   {
-    const DecodedFunction df = DecodeFunction(fn, DecodeOptions{});
+    const DecodedFunction df = DecodeFunction(fn);
     EXPECT_GT(df.CountUOp(UOp::kXorShlImm), 0u);
     EXPECT_GT(df.CountUOp(UOp::kXorLShrImm), 0u);
     EXPECT_GT(df.CountUOp(UOp::kCmpBr), 0u);
-    EXPECT_GT(df.fused_superinstructions, 0u);
-  }
-  // fuse=false: no superinstructions at all.
-  {
-    DecodeOptions opts;
-    opts.fuse = false;
-    const DecodedFunction df = DecodeFunction(fn, opts);
-    EXPECT_EQ(df.CountUOp(UOp::kXorShlImm), 0u);
-    EXPECT_EQ(df.CountUOp(UOp::kCmpBr), 0u);
-    EXPECT_EQ(df.fused_superinstructions, 0u);
+    EXPECT_GT(df.superinstructions, 0u);
   }
   // SGXBounds-instrumented with the optimizations on: loop checks hoist to
   // the preheader, leaving gep+maskptr+access triples in the body.
   {
     IrFunction hardened = BuildFusedKernel(8);
     RunCheckPipeline(hardened, TaggedSchemeCheckLowering(0), {});
-    const DecodedFunction df = DecodeFunction(hardened, DecodeOptions{});
+    const DecodedFunction df = DecodeFunction(hardened);
     EXPECT_GT(df.CountUOp(UOp::kGepMaskLoad) + df.CountUOp(UOp::kGepMaskStore), 0u);
   }
   // With hoisting and elision off, every access keeps its check and the full
@@ -253,7 +230,7 @@ TEST(IrExec, DecoderFusesInstrumentationPatterns) {
   RunCheckPipeline(fn, TaggedSchemeCheckLowering(0),
                    CheckPassConfig{/*elide_safe=*/false, /*hoist_loops=*/false});
   {
-    const DecodedFunction df = DecodeFunction(fn, DecodeOptions{});
+    const DecodedFunction df = DecodeFunction(fn);
     EXPECT_GT(df.CountUOp(UOp::kGepMaskSchemeCheckLoad) +
                   df.CountUOp(UOp::kGepMaskSchemeCheckStore),
               0u);
@@ -261,9 +238,7 @@ TEST(IrExec, DecoderFusesInstrumentationPatterns) {
   // MPX tracking on the same function: no gep-fused form at all (bounds must
   // flow through the gep), and geps lower to their bounds-propagating form.
   {
-    DecodeOptions opts;
-    opts.track_mpx = true;
-    const DecodedFunction df = DecodeFunction(fn, opts);
+    const DecodedFunction df = DecodeFunction(fn, /*track_mpx=*/true);
     size_t gep_fused = 0;
     for (const UOp op : {UOp::kGepMaskLoad, UOp::kGepMaskStore,
                          UOp::kGepMaskSchemeCheckLoad, UOp::kGepMaskSchemeCheckStore}) {

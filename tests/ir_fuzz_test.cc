@@ -12,6 +12,7 @@
 
 #include "src/common/rng.h"
 #include "src/ir/builder.h"
+#include "src/ir/exec/decoder.h"
 #include "src/ir/interp.h"
 #include "src/ir/opt/pipeline.h"
 #include "src/policy/l4ptr/l4ptr_runtime.h"
@@ -102,6 +103,41 @@ void Instrument(IrFunction& fn, Hardening hardening) {
   }
 }
 
+// Folds `w` and the loaded value `v` (loop counter `iv`) through every
+// compute micro-op the decoder emits: each ALU op with a slot and with a
+// constant right operand (udiv and urem by nonzero divisors only, shifts
+// both plain and in the fused xorshift pairs) and compares that feed no
+// branch. Pure arithmetic, so the passes leave it alone and only the
+// engines' compute templates and bodies are under test.
+ValueId MixAllComputeOps(IrBuilder& b, Rng& rng, ValueId w, ValueId v, ValueId iv) {
+  const auto k = [&](uint64_t bound) {
+    return b.Const(static_cast<int64_t>(1 + rng.NextBounded(bound)));
+  };
+  const ValueId d = b.Bin(IrOp::kOr, v, b.Const(1));  // a nonzero divisor
+  ValueId m = b.Bin(IrOp::kSub, w, k(1000));
+  m = b.Bin(IrOp::kSub, m, iv);
+  m = b.Bin(IrOp::kAnd, m, b.Const(0xfffffff));
+  m = b.Bin(IrOp::kOr, m, d);
+  m = b.Bin(IrOp::kAnd, m, w);
+  m = b.Bin(IrOp::kOr, m, k(255));
+  m = b.Bin(IrOp::kXor, m, b.Const(0x5bd1e995));
+  m = b.Bin(IrOp::kXor, m, v);
+  m = b.Mul(m, v);
+  m = b.Bin(IrOp::kUDiv, m, d);
+  m = b.Bin(IrOp::kUDiv, m, k(7));
+  m = b.Bin(IrOp::kURem, m, k(100000));
+  m = b.Add(m, b.Bin(IrOp::kURem, w, d));
+  m = b.Bin(IrOp::kShl, m, k(20));
+  m = b.Bin(IrOp::kLShr, m, k(10));
+  m = b.Bin(IrOp::kShl, m, iv);
+  m = b.Bin(IrOp::kLShr, m, v);
+  m = b.Bin(IrOp::kXor, m, b.Bin(IrOp::kShl, m, b.Const(13)));
+  m = b.Bin(IrOp::kXor, m, b.Bin(IrOp::kLShr, m, b.Const(7)));
+  const ValueId below = b.Cmp(IrCmp::kULt, m, v);
+  const ValueId equal = b.Cmp(IrCmp::kEq, iv, b.Const(3));
+  return b.Add(m, b.Add(below, equal));
+}
+
 // Generates a random program of `n_arrays` arrays, a few counted loops doing
 // stores/loads/arithmetic at safe indices, returning a checksum. With
 // `overflow`, one loop bound exceeds its array by one element.
@@ -140,8 +176,9 @@ IrFunction GenerateProgram(uint64_t seed, bool overflow) {
     const ValueId v = b.Load(IrType::kI64, b.Gep(arrays[src], loop.iv, 8));
     const ValueId w = b.Add(v, b.Const(static_cast<int64_t>(rng.NextBounded(97))));
     b.Store(IrType::kI64, w, b.Gep(arrays[dst], loop.iv, 8));
+    const ValueId mix = MixAllComputeOps(b, rng, w, v, loop.iv);
     const ValueId old = b.Load(IrType::kI64, acc);
-    b.Store(IrType::kI64, b.Add(old, w), acc);
+    b.Store(IrType::kI64, b.Add(old, mix), acc);
     b.EndLoop(loop);
   }
   (void)acc_cell;
@@ -150,6 +187,21 @@ IrFunction GenerateProgram(uint64_t seed, bool overflow) {
 }
 
 class IrFuzz : public ::testing::TestWithParam<int> {};
+
+// Every compute micro-op (add through icmp.i in the UOp list) is in every
+// generated program, so the three-engine differential below covers each
+// one's JIT template and shared body.
+TEST_P(IrFuzz, ProgramsDecodeEveryComputeMicroOp) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 3;
+  for (const bool overflow : {false, true}) {
+    const DecodedFunction df = DecodeFunction(GenerateProgram(seed, overflow));
+    for (uint8_t op = static_cast<uint8_t>(UOp::kAdd);
+         op <= static_cast<uint8_t>(UOp::kICmpImm); ++op) {
+      EXPECT_GT(df.CountUOp(static_cast<UOp>(op)), 0u)
+          << UOpName(static_cast<UOp>(op)) << " seed " << seed;
+    }
+  }
+}
 
 TEST_P(IrFuzz, PassesPreserveSemanticsOnSafePrograms) {
   const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 3;

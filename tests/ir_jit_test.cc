@@ -1,10 +1,9 @@
 // Directed tests for the template JIT tier (src/ir/exec/jit/): the pieces
 // the engine-differential fuzzer cannot reach - the PROT_EXEC fallback path
 // (forced via SGXB_IR_FORCE_NOEXEC), the helper-only cross-check mode
-// (SGXB_IR_JIT_HELPER_ONLY), the per-function code cache, the W^X
-// discipline of the installed code mappings, and the guards of the inline
-// (tier-2) loads and stores and (tier-3) MPX and ASan checks against the
-// reference and threaded engines.
+// (SGXB_IR_JIT_HELPER_ONLY), the W^X discipline of the installed code
+// mappings, and the guards of the inline (tier-2) loads and stores and
+// (tier-3) MPX and ASan checks against the reference and threaded engines.
 
 #include <gtest/gtest.h>
 
@@ -148,9 +147,9 @@ TEST(IrJit, FallsBackToThreadedWhenExecUnavailable) {
   EXPECT_EQ(result, ref.result);
   EXPECT_EQ(rig.interp->stats().steps, ref.steps);
   EXPECT_TRUE(rig.enclave->main_cpu().counters() == ref.counters);
-  // The fallback ran the threaded engine: nothing was compiled or cached.
-  EXPECT_EQ(rig.interp->jit_cache().size(), 0u);
+  // The fallback ran the threaded engine: nothing was compiled.
   const IrExecStatsSnapshot after = SnapshotIrExecStats();
+  EXPECT_EQ(after.jit_compiles, before.jit_compiles);
   EXPECT_GT(after.jit_noexec_fallbacks, before.jit_noexec_fallbacks);
 }
 
@@ -167,28 +166,6 @@ TEST(IrJit, HelperOnlyModeIsBitIdentical) {
     EXPECT_EQ(jit.steps, ref.steps) << "instrument " << instrument;
     EXPECT_TRUE(jit.counters == ref.counters) << "instrument " << instrument;
   }
-}
-
-TEST(IrJit, CodeCacheReusesCompiledPrograms) {
-  if (!jit::JitExecutableAvailable()) {
-    GTEST_SKIP() << "no executable memory in this sandbox";
-  }
-  Rig rig;
-  rig.interp->set_engine(IrEngine::kJit);
-  const IrFunction fn = BuildKernel(8, /*instrument=*/false);
-  const uint64_t first = rig.interp->Run(fn, rig.enclave->main_cpu());
-  const uint64_t second = rig.interp->Run(fn, rig.enclave->main_cpu());
-  const uint64_t third = rig.interp->Run(fn, rig.enclave->main_cpu());
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(second, third);
-  EXPECT_EQ(rig.interp->jit_cache().misses(), 1u);
-  EXPECT_EQ(rig.interp->jit_cache().hits(), 2u);
-  EXPECT_EQ(rig.interp->jit_cache().size(), 1u);
-  EXPECT_GT(rig.interp->jit_cache().compiled_bytes(), 0u);
-  // Instrumenting changes the function hash: a separate cache entry.
-  const IrFunction hardened = BuildKernel(8, /*instrument=*/true);
-  rig.interp->Run(hardened, rig.enclave->main_cpu());
-  EXPECT_EQ(rig.interp->jit_cache().size(), 2u);
 }
 
 // --- tier 2: inline guest loads and stores --------------------------------
@@ -487,7 +464,7 @@ TEST(IrJitTier2, AccessShapesMatchEveryEngine) {
 // Every plain load, store and no-check quad has an inline template; the
 // helper-only knob still routes all of them through their thunks.
 TEST(IrJitTier2, AccessesCompileInline) {
-  const DecodedFunction df = DecodeFunction(BuildAccessShapes(), DecodeOptions{});
+  const DecodedFunction df = DecodeFunction(BuildAccessShapes());
   ASSERT_GT(df.CountUOp(UOp::kGepMaskLoad), 0u);
   ASSERT_GT(df.CountUOp(UOp::kGepMaskStore), 0u);
   ASSERT_GT(df.CountUOp(UOp::kLoad), 0u);
@@ -532,6 +509,34 @@ TEST(IrJitTier2, GuardPageTrapsMatchEveryEngine) {
       ASSERT_TRUE(ref.trapped);
       EXPECT_EQ(ref.kind, TrapKind::kSegFault);
       ExpectEnginesAgree(fn, "trap at " + std::to_string(c.off) + (quad ? " quad" : ""));
+    }
+  }
+}
+
+// A load or store far past the 64 MiB space traps as a segfault on every
+// engine: the inline guard and the shared body read the page's addressable
+// byte in bounds, because the page tables span the whole 32-bit range.
+constexpr uint32_t kPastSpace = 0xF0000000;
+
+TEST(IrJitTier2, AccessPastTheSpaceTrapsOnEveryEngine) {
+  Rig probe;
+  const int64_t off = int64_t{kPastSpace} - SetUpProbe(probe);
+  for (const bool quad : {false, true}) {
+    for (const bool store : {false, true}) {
+      AccessProgram p;
+      p.Load(IrType::kI64, 256, quad);
+      if (store) {
+        p.Store(IrType::kI8, off, 1, quad);
+      } else {
+        p.Load(IrType::kI8, off, quad);
+      }
+      const IrFunction fn = p.Finish();
+      const Observed ref = Observe(IrEngine::kReference, fn);
+      const std::string label =
+          std::string(store ? "store" : "load") + " past the space" + (quad ? " quad" : "");
+      ASSERT_TRUE(ref.trapped) << label;
+      EXPECT_EQ(ref.kind, TrapKind::kSegFault) << label;
+      ExpectEnginesAgree(fn, label);
     }
   }
 }
@@ -755,6 +760,23 @@ TEST(IrJitTier3, AsanReportsTrapOnEveryEngine) {
   }
 }
 
+// An ASan check at an address whose shadow byte lies past the 64 MiB space
+// traps as a segfault on every engine, in the shadow commit.
+TEST(IrJitTier3, AsanCheckPastTheSpaceTrapsOnEveryEngine) {
+  Rig probe(RigScheme::kAsan);
+  const int64_t off = int64_t{kPastSpace} - SetUpProbe(probe);
+  AccessProgram p;
+  p.SchemeCheck(0x100, 8);
+  p.SchemeCheck(off, 1);
+  const IrFunction fn = p.Finish();
+  const ObserveOptions opts = Under(RigScheme::kAsan);
+  const Observed ref = Observe(IrEngine::kReference, fn, opts);
+  ASSERT_TRUE(ref.trapped);
+  EXPECT_EQ(ref.kind, TrapKind::kSegFault);
+  EXPECT_EQ(ref.asan[5], 0u);  // reports
+  ExpectEnginesAgree(fn, "asan check past the space", opts);
+}
+
 // The step limit trips at every step, on inline checks included.
 TEST(IrJitTier3, StepLimitOnEveryCheckMatchesEveryEngine) {
   AccessProgram mpx;
@@ -795,9 +817,9 @@ TEST(IrJitTier3, TraceAndFaultHooksSeeEveryCheck) {
 // Both checks have inline templates; everything else in these programs
 // does too, except MPX's alloca.
 TEST(IrJitTier3, ChecksCompileInline) {
-  const DecodedFunction mpx = DecodeFunction(BuildMpxChecks(), DecodeOptions{true, true});
+  const DecodedFunction mpx = DecodeFunction(BuildMpxChecks(), /*track_mpx=*/true);
   ASSERT_EQ(mpx.CountUOp(UOp::kMpxCheck), 7u);
-  const DecodedFunction asan = DecodeFunction(BuildAsanChecks(), DecodeOptions{});
+  const DecodedFunction asan = DecodeFunction(BuildAsanChecks());
   ASSERT_EQ(asan.CountUOp(UOp::kSchemeCheck), 23u);
   ScopedEnv inline_templates("SGXB_IR_JIT_HELPER_ONLY", "0");
   EXPECT_EQ(jit::CompileDecodedFunction(mpx).helper_ops,
@@ -812,7 +834,7 @@ TEST(IrJit, InstalledCodeIsWriteXorExecute) {
     GTEST_SKIP() << "no executable memory in this sandbox";
   }
   const IrFunction fn = BuildKernel(8, /*instrument=*/false);
-  const DecodedFunction df = DecodeFunction(fn, DecodeOptions{});
+  const DecodedFunction df = DecodeFunction(fn);
   jit::JitProgram jp = jit::CompileDecodedFunction(df);
   ASSERT_TRUE(jp.ok());
   const uintptr_t entry = reinterpret_cast<uintptr_t>(jp.entry);
