@@ -64,6 +64,10 @@ void AsanRuntime::WriteShadow(Cpu& cpu, uint32_t addr, uint32_t size, uint8_t va
   }
 }
 
+void AsanRuntime::IrCheckRange(Cpu&, uint64_t, uint64_t) {
+  FATAL("asan: the IR lowering emits no range checks");
+}
+
 void AsanRuntime::PoisonRegion(Cpu& cpu, uint32_t addr, uint32_t size, uint8_t magic) {
   WriteShadow(cpu, addr, size, magic);
 }

@@ -119,9 +119,9 @@ class AsanRuntime final : public IrSchemeRuntime {
   }
 
   // ASan's lowering checks every access in place; it never hoists a range.
-  void IrCheckRange(Cpu&, uint64_t, uint64_t) override {
-    FATAL("asan: the IR lowering emits no range checks");
-  }
+  // Out of line: the FATAL's message would be built inline in the threaded
+  // engine's dispatch loop, which is kept free of SSE code.
+  void IrCheckRange(Cpu&, uint64_t, uint64_t) override;
 
   // --- shadow primitives (used by interceptors and tests) ---------------------
 

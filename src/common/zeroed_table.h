@@ -14,13 +14,19 @@
 //
 // T must be trivially copyable and must mean "empty" when all-zero; callers
 // encode their sentinels so that holds (see EpcSim's XOR-ed links).
+//
+// The entries end exactly where a PROT_NONE guard page begins, so an index
+// one past the end (or a little further) faults in every build. Sanitizers
+// cannot see such an overrun, because the table is not heap memory.
 
 #ifndef SGXBOUNDS_SRC_COMMON_ZEROED_TABLE_H_
 #define SGXBOUNDS_SRC_COMMON_ZEROED_TABLE_H_
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 
 #include "src/common/check.h"
@@ -34,12 +40,18 @@ class ZeroedTable {
  public:
   explicit ZeroedTable(size_t size) : size_(size) {
     CHECK_GT(size, 0u);
-    void* mem = ::mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
+    void* mem = ::mmap(nullptr, DataBytes() + Page(), PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     CHECK(mem != MAP_FAILED);
-    data_ = static_cast<T*>(mem);
+    uint8_t* const guard = static_cast<uint8_t*>(mem) + DataBytes();
+    CHECK(::mprotect(guard, Page(), PROT_NONE) == 0);
+    // The page size is a multiple of alignof(T), which divides sizeof(T).
+    data_ = reinterpret_cast<T*>(guard - size_ * sizeof(T));
   }
-  ~ZeroedTable() { ::munmap(data_, bytes()); }
+  ~ZeroedTable() {
+    uint8_t* const guard = reinterpret_cast<uint8_t*>(data_ + size_);
+    ::munmap(guard - DataBytes(), DataBytes() + Page());
+  }
 
   ZeroedTable(const ZeroedTable&) = delete;
   ZeroedTable& operator=(const ZeroedTable&) = delete;
@@ -51,7 +63,9 @@ class ZeroedTable {
   size_t size() const { return size_; }
 
  private:
-  size_t bytes() const { return size_ * sizeof(T); }
+  static size_t Page() { return static_cast<size_t>(::sysconf(_SC_PAGESIZE)); }
+  // The entries rounded up to whole pages; the guard page follows.
+  size_t DataBytes() const { return (size_ * sizeof(T) + Page() - 1) / Page() * Page(); }
 
   size_t size_;
   T* data_;

@@ -6,7 +6,9 @@
 // host mmap region, so enclave address 0 is simply offset 0.
 //
 // The full 4 GiB is reserved lazily (anonymous mmap); pages cost host memory
-// only when the guest actually commits and touches them.
+// only when the guest actually commits and touches them. A PROT_NONE guard
+// page follows the space, so a host access running past its end faults in
+// every build instead of reading whatever is mapped next.
 
 #ifndef SGXBOUNDS_SRC_ENCLAVE_ADDRESS_SPACE_H_
 #define SGXBOUNDS_SRC_ENCLAVE_ADDRESS_SPACE_H_

@@ -7,10 +7,11 @@
 // carry both correct values and a faithful cost account. Every access path
 // is inline: the typed Load<T>/Store<T> of the workload bodies and the
 // runtime-size LoadBytes/StoreBytes of the IR engines both compile to one
-// addressable test and one L1-MRU test before the move. The one exception
-// is JIT-compiled IR, which makes the same tests in generated code from the
-// raw pointers of InlineAccessFor (taking L1 way 1 as well as the MRU way)
-// and calls LoadBytes/StoreBytes whenever one fails.
+// addressable test and one L1-MRU test before the move. The exception is
+// decoded IR (the threaded engine and JIT-compiled code), which makes the
+// same tests from the raw pointers of InlineAccessFor (taking L1 way 1 as
+// well as the MRU way; src/ir/exec/ops.h) and calls LoadBytes/StoreBytes
+// whenever one fails.
 //
 // Typical wiring:
 //
@@ -99,7 +100,8 @@ class Enclave {
   }
 
   // Runtime-size forms, for IR loads/stores and copies. Forced inline so an
-  // IR access compiles to the same addressable + L1-MRU test as Load<T>; the
+  // IR access (the reference interpreter's, and the decoded engines' bail
+  // path) compiles to the same addressable + L1-MRU test as Load<T>; the
   // size is almost always 1, 2, 4 or 8 (CopyGuestBytes).
   [[gnu::always_inline]] void LoadBytes(Cpu& cpu, uint32_t addr, void* dst, uint32_t n,
                                         AccessClass klass = AccessClass::kAppLoad) {
@@ -127,12 +129,13 @@ class Enclave {
     }
   }
 
-  // What an access needs to be made without a call: JIT tier-2 loads and
-  // stores (src/ir/exec/jit/compiler.cc) test the addressable table and
-  // ways 0 and 1 of `cpu`'s L1 set, copy through host_base, count in `cpu`'s
-  // account, and take LoadBytes/StoreBytes whenever a test fails. `enabled`
-  // is false when every access must take that path: `cpu` records a trace,
-  // or this enclave has fault hooks.
+  // What an access needs to be made without a call: decoded IR loads and
+  // stores (ops::GuestAccessSet in src/ir/exec/ops.h, and JIT tier 2, which
+  // mirrors it) test the addressable table and ways 0 and 1 of `cpu`'s L1
+  // set, copy through host_base, count in `cpu`'s account, and take
+  // LoadBytes/StoreBytes whenever a test fails. `enabled` is false when
+  // every access must take that path: `cpu` records a trace, or this
+  // enclave has fault hooks.
   struct InlineAccess {
     bool enabled = false;
     const uint8_t* addressable = nullptr;  // PageManager, one byte per page

@@ -2,17 +2,21 @@
 // resilience.h). Its queue is EventMerge below: per-shard completion FIFOs,
 // deadline and hedge FIFOs and two small heaps, merged by their heads. Each
 // source is sorted under EventAfter (completions: a shard's free_at never
-// falls within an epoch; deadlines and hedges: pushed at t + const as t
-// advances), and a shard's FIFO is emptied whenever its epoch moves, because
-// a stale completion pops as a no-op. DESIGN.md §13 gives the full argument.
+// falls within one incarnation; deadlines and hedges: pushed at t + const as
+// t advances). A crash or restart empties the shard's FIFO, since the work
+// it held died with the old incarnation, so every completion that pops is
+// live. DESIGN.md §13 gives the full argument.
 
 #include "src/farm/resilience.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <queue>
 
 #include "src/common/check.h"
 #include "src/common/digest.h"
+#include "src/common/zeroed_table.h"
 
 namespace sgxb {
 
@@ -57,36 +61,42 @@ struct EventAfter {
   }
 };
 
-// A FIFO of events in one power-of-two ring, doubled when full. One buffer
-// per source, freed with the pass, goes back to the system; a queue of small
-// blocks (std::deque) leaves thousands of freed blocks in the allocator after
-// every pass, which raised hostbench's peak RSS by ~3 MB.
+// The pass's large arrays (request and attempt state, each FIFO's ring) are
+// ZeroedTables: mappings that go back to the system whole when the pass
+// ends. From the malloc heap, these few-MB blocks, allocated and freed once
+// per pass, moved glibc's dynamic mmap threshold with their sizes and left
+// the heap fragmented: hostbench's ir_sweep_farm peak RSS swung by 3-5 MB
+// when the attempt record's size changed. A queue of small blocks
+// (std::deque) was worse still (~3 MB of freed blocks left per pass).
+
+// A FIFO of events in one power-of-two ring, doubled when full.
 class EventFifo {
  public:
   bool empty() const { return head_ == tail_; }
-  const Event& front() const { return ring_[head_ & mask_]; }
+  const Event& front() const { return (*ring_)[head_ & mask_]; }
   void push_back(const Event& ev) {
-    if (tail_ - head_ == ring_.size()) {
+    if (ring_ == nullptr || tail_ - head_ == ring_->size()) {
       Grow();
     }
-    ring_[tail_++ & mask_] = ev;
+    (*ring_)[tail_++ & mask_] = ev;
   }
   void pop_front() { ++head_; }
   void clear() { head_ = tail_ = 0; }
 
  private:
   void Grow() {
-    std::vector<Event> bigger(std::max<size_t>(64, 2 * ring_.size()));
+    const size_t size = ring_ == nullptr ? 128 : 2 * ring_->size();  // a power of two
+    auto bigger = std::make_unique<ZeroedTable<Event>>(size);
     for (size_t i = head_; i != tail_; ++i) {
-      bigger[i - head_] = ring_[i & mask_];
+      (*bigger)[i - head_] = (*ring_)[i & mask_];
     }
     tail_ -= head_;
     head_ = 0;
-    ring_.swap(bigger);
-    mask_ = ring_.size() - 1;
+    ring_ = std::move(bigger);
+    mask_ = size - 1;
   }
 
-  std::vector<Event> ring_;
+  std::unique_ptr<ZeroedTable<Event>> ring_;
   size_t mask_ = 0;
   size_t head_ = 0;  // head_ and tail_ only grow; slots are taken mod size
   size_t tail_ = 0;
@@ -123,8 +133,7 @@ class EventMerge {
     }
   }
 
-  // Only when every pending completion of `shard` is stale (its epoch moved):
-  // a stale kDone pops as a no-op, so dropping it early changes nothing.
+  // When `shard`'s incarnation ends: its pending completions never happen.
   void DropCompletions(uint32_t shard) { fifo_[kShardFifo + shard].clear(); }
 
   bool Pop(Event* out) {
@@ -174,23 +183,44 @@ struct ShardState {
   uint64_t free_at = 0;      // FCFS queue tail
   uint64_t last_change = 0;  // for up/down-time integration
   uint32_t consec = 0;       // consecutive suspect drops (conviction counter)
-  uint32_t epoch = 0;        // bumped on crash/restart: invalidates in-flight work
   bool in_ring = true;
 };
 
 struct AttemptState {
   uint32_t req = 0;
   uint32_t shard = 0;
-  uint32_t epoch = 0;      // shard epoch at dispatch
-  uint64_t demand = 0;     // charged service cycles (hang slowdown applied)
   bool hedge = false;
-  bool ended = false;      // client-side: completed or abandoned at deadline
+  bool hung = false;   // served by a hung shard: demand is svc x hang_slowdown
+  bool ended = false;  // client-side: completed or abandoned at deadline
+};
+
+// The pass's attempts in dispatch order, doubled in a new table when full.
+class AttemptLog {
+ public:
+  explicit AttemptLog(size_t capacity)
+      : table_(std::make_unique<ZeroedTable<AttemptState>>(capacity)) {}
+  size_t size() const { return size_; }
+  AttemptState& operator[](size_t i) { return (*table_)[i]; }
+  void push_back(const AttemptState& at) {
+    if (size_ == table_->size()) {
+      auto bigger = std::make_unique<ZeroedTable<AttemptState>>(2 * size_);
+      std::memcpy(bigger->data(), table_->data(), size_ * sizeof(AttemptState));
+      table_ = std::move(bigger);
+    }
+    (*table_)[size_++] = at;
+  }
+
+ private:
+  std::unique_ptr<ZeroedTable<AttemptState>> table_;
+  size_t size_ = 0;
 };
 
 struct ReqState {
   uint64_t issue = 0;
   uint32_t chain = 0;  // primary-chain attempts dispatched (first + retries)
   uint32_t live = 0;   // attempts not yet ended
+  uint32_t route = 0;  // ring.Route(key), valid while route_ring == ring_version
+  uint32_t route_ring = 0;
   bool resolved = false;
   bool degraded = false;      // any in-ring shard unhealthy at issue time
   bool hedge_pending = false; // kHedge scheduled and not yet fired
@@ -239,13 +269,15 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
   rep.shards.resize(nshards);
 
   std::vector<ShardState> shard(nshards);
-  std::vector<ReqState> rstate(reqs.size());
-  std::vector<AttemptState> attempts;
-  attempts.reserve(reqs.size() + reqs.size() / 4);
+  ZeroedTable<ReqState> rstate(std::max<size_t>(1, reqs.size()));
+  AttemptLog attempts(std::max<size_t>(64, reqs.size() + reqs.size() / 4));
 
   // Count of in-ring shards that are not kAlive: classifies each request's
   // dispatch window as healthy/degraded.
   uint32_t unhealthy = 0;
+  // Bumped whenever the ring loses a shard; starts at 1 so that a request's
+  // route_ring of 0 means "never routed".
+  uint32_t ring_version = 1;
 
   EventMerge events(nshards);
   uint64_t seq = 0;
@@ -282,11 +314,13 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
 
   // Removes `s` from the serving set (ring points + health accounting).
   // False when the ring refuses (last live shard, or already removed). The
-  // epoch stays: a removed shard that is still up completes its queue.
+  // completion FIFO stays: a removed shard that is still up completes its
+  // queue.
   auto remove_from_ring = [&](uint32_t s) {
     if (!ring.RemoveShard(s)) {
       return false;
     }
+    ++ring_version;
     ShardState& sh = shard[s];
     if (sh.in_ring && sh.st != SState::kAlive) {
       --unhealthy;
@@ -308,20 +342,13 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     return outcome[r];
   };
 
-  // Crash or restart: queued and executing work dies with the old
-  // incarnation, so its pending completions are stale and go now.
-  auto end_incarnation = [&](uint32_t s) {
-    ++shard[s].epoch;
-    events.DropCompletions(s);
-  };
-
   // The supervisor repairs shard `s` at time `t` (watchdog detection or
   // consecutive-failure conviction). No-op under failstop.
   auto repair = [&](uint32_t s, uint64_t t) {
     ShardState& sh = shard[s];
     if (rc.mode == RecoveryMode::kRestart) {
       set_state(s, SState::kRestarting, t);
-      end_incarnation(s);
+      events.DropCompletions(s);  // queued and running work dies with it
       sh.consec = 0;
       push(t + warmup, Event::kRestartDone, s);
     } else {
@@ -329,21 +356,32 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     }
   };
 
+  // Service cycles an attempt charges its shard.
+  auto demand = [&](const AttemptState& at) {
+    return at.hung ? svc[at.req] * rc.hang_slowdown : svc[at.req];
+  };
+
+  // A primary-chain attempt reuses its request's route until the ring
+  // changes; a hedge routes to the owner's successor.
   auto dispatch = [&](uint32_t r, uint64_t t, bool hedge) {
-    const uint32_t s = hedge ? ring.RouteSecond(reqs[r].key) : ring.Route(reqs[r].key);
+    ReqState& rq = rstate[r];
+    if (!hedge && rq.route_ring != ring_version) {
+      rq.route = ring.Route(reqs[r].key);
+      rq.route_ring = ring_version;
+    }
+    const uint32_t s = hedge ? ring.RouteSecond(reqs[r].key) : rq.route;
     AttemptState at;
     at.req = r;
     at.shard = s;
     at.hedge = hedge;
     ShardState& sh = shard[s];
-    at.epoch = sh.epoch;
     ++rep.attempts;
-    ++rstate[r].live;
+    ++rq.live;
     const uint32_t id = static_cast<uint32_t>(attempts.size());
     if (sh.st == SState::kAlive || sh.st == SState::kHung) {
-      at.demand = sh.st == SState::kHung ? svc[r] * rc.hang_slowdown : svc[r];
+      at.hung = sh.st == SState::kHung;
       const uint64_t start = std::max(t, sh.free_at);
-      sh.free_at = start + at.demand;
+      sh.free_at = start + demand(at);
       // kDone before kTimeout: a completion exactly at the deadline wins.
       push(sh.free_at, Event::kDone, id, s);
     }
@@ -433,7 +471,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
         return;  // already down
       }
       set_state(ev.shard, SState::kDead, t);
-      end_incarnation(ev.shard);
+      events.DropCompletions(ev.shard);  // queued and running work dies with it
       ++rep.shards[ev.shard].crashes;
       if (supervised) {
         push(t + rc.watchdog_cycles, Event::kDetect, ev.shard);
@@ -478,9 +516,6 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
       case Event::kDone: {
         AttemptState& at = attempts[ev.id];
         ShardState& sh = shard[at.shard];
-        if (at.epoch != sh.epoch) {
-          break;  // the shard died under this attempt; it never completes
-        }
         end_time = std::max(end_time, t);
         const uint8_t oc = outcome_on(at.req, at.shard);
         // The supervisor watches responses: suspect drops accumulate toward
@@ -498,7 +533,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
         if (at.ended || rq.resolved) {
           // The client gave up, or a duplicate already answered: the shard's
           // work was wasted.
-          rep.wasted_cycles += at.demand;
+          rep.wasted_cycles += demand(at);
           if (!at.ended) {
             at.ended = true;
             --rq.live;

@@ -34,13 +34,14 @@
 // (so a completion beats its own deadline), then arrivals by client id
 // (closed loop) or request index (open loop). Events pop from a merge of
 // sources each already sorted under that rule: one completion FIFO per
-// shard (free_at never falls within an epoch; a crash or restart empties
-// it, since all it holds is then stale), a deadline FIFO and a hedge FIFO
-// (pushed at t + const), a heap of arrivals, and a heap of the rest
-// (jittered retries, detections, restarts). The least head is the event a
-// single heap would pop, so results match it byte for byte. Fair weather is
-// the pass's fault-free case: failstop, an empty plan and kNoDeadline leave
-// plain FCFS queueing per shard, which RunFarm runs when resilience is off.
+// shard (free_at never falls within one incarnation; a crash or restart
+// empties it, since its work dies with the incarnation), a deadline FIFO
+// and a hedge FIFO (pushed at t + const), a heap of arrivals, and a heap of
+// the rest (jittered retries, detections, restarts). The least head is the
+// event a single heap would pop, so results match it byte for byte. Fair
+// weather is the pass's fault-free case: failstop, an empty plan and
+// kNoDeadline leave plain FCFS queueing per shard, which RunFarm runs when
+// resilience is off.
 //
 // The supervisor has a second, request-count conviction path: contained
 // traps whose ShardImpact (src/policy/recovery.h) is kSuspectShard bump a

@@ -5,6 +5,9 @@
 // (tier 2) and MPX and ASan checks (tier 3) reproduce it only on the path
 // their guard admits and call the body for everything else: a guard tests
 // and changes nothing, so the body runs the op from the start (DESIGN §12).
+// Tier 2's guard and commit are defined once, in C++, by ops.h
+// (GuestAccessSet, CommitGuestAccess), which the threaded engine runs; the
+// templates below mirror them.
 // Run with SGXB_IR_JIT_HELPER_ONLY=1 to route every op through those bodies
 // instead and cross-check the templates against them.
 
@@ -203,15 +206,16 @@ class Compiler {
 
   // --- tier 2: inline guest loads and stores -------------------------------
   //
-  // Guard, then commit. The guard reads the op's address from its slots and
-  // tests, changing nothing: the frame allows inline access, the access lies
-  // in one cache line (so in one page), that page is addressable, and the
-  // line is on way 0 or 1 of its L1 set - exactly the case in which the
-  // shared body (Enclave::LoadBytes/StoreBytes, Cpu::MemAccess) counts one
-  // L1 access, moves the bytes and, for way 1, swaps the two ways, with no
-  // other effect. Any failed test jumps to a cold stub that runs the op's
-  // thunk from the start, so nothing is done twice. The commit then replays
-  // the body's effects in its order.
+  // Guard, then commit: ops::GuestAccessSet and ops::CommitGuestAccess
+  // (exec/ops.h) in generated code, test for test. The guard reads the op's
+  // address from its slots and tests, changing nothing: the frame allows
+  // inline access, the access lies in one cache line (so in one page), that
+  // page is addressable, and the line is on way 0 or 1 of its L1 set. The
+  // commit counts the access and the L1 access, promotes a way-1 line and
+  // moves the bytes. Any failed test jumps to a cold stub that runs the op's
+  // thunk from the start, so nothing is done twice; the thunk's body skips
+  // the guard that just failed and calls Enclave::LoadBytes/StoreBytes. The
+  // commit here also replays the body's step and flush, in its order.
 
   // Guard on the 32-bit guest address in ECX for `bytes` bytes; each failed
   // test branches to a jcc appended to `cold`. Clobbers RAX, RDX, RSI.

@@ -24,6 +24,9 @@
 // events), which OpenFrame fills from Enclave::InlineAccessFor, test that
 // the access is addressable, in one cache line and on way 0 or 1 of its L1
 // set, and otherwise call the op's thunk as below (compiler.cc, DESIGN §12).
+// That guard and its commit are defined once, in C++, by ops::GuestAccessSet
+// and ops::CommitGuestAccess (exec/ops.h): the threaded engine runs them on
+// its own frame, and the templates mirror them.
 //
 // Tier 3: MPX's kMpxCheck and ASan's kSchemeCheck are inline too, in the
 // same guard-then-commit shape. The MPX guard reads the pointer's bounds

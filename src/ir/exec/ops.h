@@ -17,9 +17,11 @@
 #define SGXBOUNDS_SRC_IR_EXEC_OPS_H_
 
 #include <cstdint>
+#include <cstring>
 
 #include "src/asan/asan_runtime.h"
 #include "src/common/check.h"
+#include "src/common/units.h"
 #include "src/enclave/enclave.h"
 #include "src/ir/eval.h"
 #include "src/ir/exec/uop.h"
@@ -28,6 +30,7 @@
 #include "src/runtime/heap.h"
 #include "src/runtime/stack.h"
 #include "src/sgxbounds/bounds_runtime.h"
+#include "src/sim/perf_counters.h"
 
 // The threaded engine keeps its frame in registers only if no body takes the
 // frame's address out of line, so every helper here is forced inline.
@@ -87,17 +90,142 @@ inline AccessType AccessOf(const MicroOp& u) {
   return u.flag != 0 ? AccessType::kWrite : AccessType::kRead;
 }
 
+// --- Guest loads and stores: guard, then commit ----------------------------
+//
+// The one definition of the inline access path. JIT tier 2 emits the same
+// guard and commit in generated code (jit/compiler.cc, EmitGuestGuard and
+// EmitGuestAccess) and mirrors this C++; the threaded engine runs it as
+// written. The guard reads the frame's guest-access fields (OpenFrame fills
+// them from Enclave::InlineAccessFor) and changes nothing. It admits an
+// access when the frame allows inline access (no trace recorder, no fault
+// hooks), the access lies in one cache line (so in one page), that page is
+// addressable, and the line is on way 0 or 1 of its L1 set. In exactly that
+// case Enclave::LoadBytes/StoreBytes count one app access and one L1 access,
+// promote a way-1 line to way 0 (Cache::Access), move the bytes, and do
+// nothing else; the commit does that. Every other access takes
+// LoadBytes/StoreBytes, out of line, which also raise every trap.
+
+// The L1 set of the access of `bytes` bytes at `addr` if the guard admits
+// it, else null.
 template <class Frame>
-SGXB_OP_INLINE void LoadInto(Frame& f, const MicroOp& u, uint64_t ptr) {
-  uint64_t raw = 0;
-  f.enclave->LoadBytes(*f.cpu, static_cast<uint32_t>(ptr), &raw, u.aux);
-  f.v[u.dst] = TruncateToType(u.type, raw);
+SGXB_OP_INLINE uint32_t* GuestAccessSet(const Frame& f, uint32_t addr, uint32_t bytes) {
+  // One line: an access wrapping past 4 GiB sets bit 32 of `last` and fails.
+  const uint64_t last = uint64_t{addr} + bytes - 1;
+  if (f.inline_mem == 0 || ((last ^ addr) >> kCacheLineShift) != 0 ||
+      f.addressable[addr >> kPageShift] == 0) {
+    return nullptr;
+  }
+  const uint32_t line = addr >> kCacheLineShift;
+  uint32_t* const set = f.l1_sets + (line & f.l1_set_mask) * f.l1_ways;
+  return set[0] == line || set[1] == line ? set : nullptr;
 }
 
-template <class Frame>
+// Cpu::MemAccess's and Cache::Access's effects for an admitted access.
+template <bool kStore, class Frame>
+SGXB_OP_INLINE void CommitGuestAccess(Frame& f, uint32_t* set, uint32_t addr) {
+  PerfCounters& ev = *f.events;
+  ++(kStore ? ev.stores : ev.loads);
+  ++ev.l1_accesses;
+  const uint32_t line = addr >> kCacheLineShift;
+  if (set[0] != line) {
+    set[1] = set[0];
+    set[0] = line;
+  }
+}
+
+// The bail paths, out of line, for every access the guard turns away: a
+// line deeper than way 1 or not in L1, a line or page crossing, a trap, a
+// recorder or hooks attached.
+[[gnu::noinline]] inline uint64_t LoadGuestBytes(Enclave& enclave, Cpu& cpu, uint32_t addr,
+                                                 uint32_t bytes) {
+  uint64_t raw = 0;
+  enclave.LoadBytes(cpu, addr, &raw, bytes);
+  return raw;
+}
+[[gnu::noinline]] inline void StoreGuestBytes(Enclave& enclave, Cpu& cpu, uint32_t addr,
+                                              uint64_t raw, uint32_t bytes) {
+  enclave.StoreBytes(cpu, addr, &raw, bytes);
+}
+
+// Guest bytes at `host`, moved as one (possibly unaligned) scalar.
+template <typename T>
+SGXB_OP_INLINE uint64_t HostRead(const uint8_t* host) {
+  T x;
+  std::memcpy(&x, host, sizeof(T));
+  return x;
+}
+template <typename T>
+SGXB_OP_INLINE void HostWrite(uint8_t* host, uint64_t raw) {
+  const T x = static_cast<T>(raw);
+  std::memcpy(host, &x, sizeof(T));
+}
+
+// kGuard: make the guard here. The JIT's thunks for the ops it has a tier-2
+// template for pass false, because the generated code has just made the
+// same guard and failed it; they go straight to LoadBytes/StoreBytes,
+// inline. The decoder gives every access a width of 1, 2, 4 or 8 bytes, its
+// type's size, so the commit's move is TruncateToType as well; any other
+// width takes the bail path.
+template <bool kGuard, class Frame>
+SGXB_OP_INLINE void LoadInto(Frame& f, const MicroOp& u, uint64_t ptr) {
+  const uint32_t addr = static_cast<uint32_t>(ptr);
+  if constexpr (!kGuard) {
+    uint64_t raw = 0;
+    f.enclave->LoadBytes(*f.cpu, addr, &raw, u.aux);
+    f.v[u.dst] = TruncateToType(u.type, raw);
+    return;
+  }
+  uint32_t* const set = GuestAccessSet(f, addr, u.aux);
+  const uint8_t* const host = f.host_base + addr;
+  uint64_t raw;
+  switch (set != nullptr ? u.aux : 0) {
+    case 1:
+      raw = HostRead<uint8_t>(host);
+      break;
+    case 2:
+      raw = HostRead<uint16_t>(host);
+      break;
+    case 4:
+      raw = HostRead<uint32_t>(host);
+      break;
+    case 8:
+      raw = HostRead<uint64_t>(host);
+      break;
+    default:
+      f.v[u.dst] = TruncateToType(u.type, LoadGuestBytes(*f.enclave, *f.cpu, addr, u.aux));
+      return;
+  }
+  CommitGuestAccess<false>(f, set, addr);
+  f.v[u.dst] = raw;
+}
+
+template <bool kGuard, class Frame>
 SGXB_OP_INLINE void StoreTo(Frame& f, const MicroOp& u, uint64_t value, uint64_t ptr) {
-  const uint64_t raw = TruncateToType(u.type, value);
-  f.enclave->StoreBytes(*f.cpu, static_cast<uint32_t>(ptr), &raw, u.aux);
+  const uint32_t addr = static_cast<uint32_t>(ptr);
+  if constexpr (!kGuard) {
+    const uint64_t raw = TruncateToType(u.type, value);
+    f.enclave->StoreBytes(*f.cpu, addr, &raw, u.aux);
+    return;
+  }
+  uint32_t* const set = GuestAccessSet(f, addr, u.aux);
+  uint8_t* const host = f.host_base + addr;
+  switch (set != nullptr ? u.aux : 0) {
+    case 1:
+      HostWrite<uint8_t>(host, value);
+      break;
+    case 2:
+      HostWrite<uint16_t>(host, value);
+      break;
+    case 4:
+      HostWrite<uint32_t>(host, value);
+      break;
+    case 8:
+      HostWrite<uint64_t>(host, value);
+      break;
+    default:
+      return StoreGuestBytes(*f.enclave, *f.cpu, addr, TruncateToType(u.type, value), u.aux);
+  }
+  CommitGuestAccess<true>(f, set, addr);
 }
 
 // The MPX side table: bounds per SSA slot plus a validity byte.
@@ -140,7 +268,7 @@ SGXB_OP_INLINE void WithScheme(Frame& f, Fn&& fn) {
 // reference order; the gep result t and the re-tagged pointer p are both
 // written back before the access, so a store of either value (or a mid-quad
 // trap) observes exactly the reference's state.
-template <bool kCheck, bool kStore, class Frame>
+template <bool kCheck, bool kStore, bool kGuard, class Frame>
 SGXB_OP_INLINE void GepMaskAccess(Frame& f, const MicroOp& u) {
   uint64_t* const v = f.v;
   const uint64_t packed = static_cast<uint64_t>(u.imm);
@@ -164,16 +292,16 @@ SGXB_OP_INLINE void GepMaskAccess(Frame& f, const MicroOp& u) {
     FlushPending(f);  // a check already flushed; nothing is pending after it
   }
   if constexpr (kStore) {
-    StoreTo(f, u, v[u.dst], p);
+    StoreTo<kGuard>(f, u, v[u.dst], p);
   } else {
-    LoadInto(f, u, p);
+    LoadInto<kGuard>(f, u, p);
   }
 }
 
 // Executes the micro-op `u` (whose opcode is kOp) on frame `f`. Throws
 // SimTrap on a step-limit overrun or a runtime-detected violation; the
-// caller restores the interpreter invariants.
-template <UOp kOp, class Frame>
+// caller restores the interpreter invariants. kGuard: see LoadInto.
+template <UOp kOp, bool kGuard = true, class Frame>
 SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
   uint64_t* const v = f.v;
   Cpu& cpu = *f.cpu;
@@ -302,11 +430,11 @@ SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
     case UOp::kLoad:
       StepFlush(f);
       ++f.loads;
-      return LoadInto(f, u, v[u.a]);
+      return LoadInto<kGuard>(f, u, v[u.a]);
     case UOp::kStore:
       StepFlush(f);
       ++f.stores;
-      return StoreTo(f, u, v[u.a], v[u.b]);
+      return StoreTo<kGuard>(f, u, v[u.a], v[u.b]);
 
     case UOp::kMpxCheck:
       StepFlush(f);
@@ -338,13 +466,13 @@ SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
       });
 
     case UOp::kGepMaskLoad:
-      return GepMaskAccess<false, false>(f, u);
+      return GepMaskAccess<false, false, kGuard>(f, u);
     case UOp::kGepMaskStore:
-      return GepMaskAccess<false, true>(f, u);
+      return GepMaskAccess<false, true, kGuard>(f, u);
     case UOp::kGepMaskSchemeCheckLoad:
-      return GepMaskAccess<true, false>(f, u);
+      return GepMaskAccess<true, false, kGuard>(f, u);
     case UOp::kGepMaskSchemeCheckStore:
-      return GepMaskAccess<true, true>(f, u);
+      return GepMaskAccess<true, true, kGuard>(f, u);
 
     case UOp::kBr:
     case UOp::kCondBr:

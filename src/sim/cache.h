@@ -77,7 +77,7 @@ class Cache {
   uint32_t sets() const { return sets_; }
 
   // The raw recency array (sets() rows of ways() line ids, MRU first) and
-  // the set-index mask, for generated code that probes ways 0 and 1 inline
+  // the set-index mask, for decoded IR that probes ways 0 and 1 inline
   // (Enclave::InlineAccessFor). Out of line: defined here, two more inline
   // members changed GCC's inlining in the workload bodies (nm -S sizes).
   uint32_t* slot_array();

@@ -259,8 +259,8 @@ class Cpu {
   const PerfCounters& events() const { return events_; }
   MemorySystem* memory() { return memory_; }
 
-  // The L1 model and the live account, for generated code that counts an
-  // L1 way-0 or way-1 hit without calling MemAccess
+  // The L1 model and the live account, for decoded IR that counts an L1
+  // way-0 or way-1 hit without calling MemAccess
   // (Enclave::InlineAccessFor). Every other writer counts through the
   // methods above.
   Cache& l1() { return l1_; }

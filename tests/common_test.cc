@@ -1,11 +1,12 @@
 // Tests for src/common: PRNG determinism and distributions, statistics,
-// table rendering, flag parsing.
+// table rendering, flag parsing, the zero-filled page tables.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "src/common/digest.h"
@@ -14,6 +15,7 @@
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
+#include "src/common/zeroed_table.h"
 
 namespace sgxb {
 namespace {
@@ -327,6 +329,34 @@ TEST(UnitsTest, AlignAndPageHelpers) {
   EXPECT_EQ(PagesFor(kPageSize + 1), 2u);
   EXPECT_EQ(PageOf(kPageSize), 1u);
   EXPECT_EQ(LineOf(64), 1u);
+}
+
+// Entries start zero and keep what is written, up to the last one; one
+// past the end is the guard page, so the read faults in every build, not
+// only under a sanitizer. The sizes end a table on a page boundary (the
+// page manager's 2^20 bytes) and mid-page.
+TEST(ZeroedTableDeathTest, OnePastTheEndFaults) {
+  for (const size_t size : {size_t{1} << 20, size_t{100}}) {
+    ZeroedTable<uint8_t> table(size);
+    EXPECT_EQ(table[0], 0u);
+    EXPECT_EQ(table[size - 1], 0u);
+    table[size - 1] = 7;
+    EXPECT_EQ(table[size - 1], 7u);
+    EXPECT_DEATH(
+        {
+          const volatile uint8_t* past = table.data() + size;
+          std::printf("%u\n", static_cast<unsigned>(*past));
+        },
+        "")
+        << size;
+  }
+  ZeroedTable<uint64_t> wide(3);
+  EXPECT_DEATH(
+      {
+        const volatile uint64_t* past = wide.data() + 3;
+        std::printf("%llu\n", static_cast<unsigned long long>(*past));
+      },
+      "");
 }
 
 }  // namespace

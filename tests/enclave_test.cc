@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "src/enclave/enclave.h"
@@ -80,6 +81,20 @@ TEST(EnclaveTest, AddressPastTheSpaceTraps) {
   expect_segfault([&] { e.pages().Commit(&cpu, end - kPageSize, 2 * kPageSize); },
                   "commit across the end");
   EXPECT_FALSE(e.pages().Committed(end - kPageSize));
+}
+
+// The host mapping behind a space ends in a guard page: a host read of the
+// byte past the space faults, where it used to read whatever was mapped
+// next. The last byte of the space reads as usual.
+TEST(AddressSpaceDeathTest, HostReadPastTheSpaceFaults) {
+  AddressSpace space(64 * kMiB);
+  EXPECT_EQ(*space.HostPtr(64 * kMiB - 1), 0u);
+  EXPECT_DEATH(
+      {
+        const volatile uint8_t* past = space.HostPtr(64 * kMiB);
+        std::printf("%u\n", static_cast<unsigned>(*past));
+      },
+      "");
 }
 
 TEST(EnclaveTest, AccessSpanningGuardPageTraps) {
