@@ -10,7 +10,6 @@
 #include "src/farm/resilience.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <queue>
 
@@ -194,27 +193,6 @@ struct AttemptState {
   bool ended = false;  // client-side: completed or abandoned at deadline
 };
 
-// The pass's attempts in dispatch order, doubled in a new table when full.
-class AttemptLog {
- public:
-  explicit AttemptLog(size_t capacity)
-      : table_(std::make_unique<ZeroedTable<AttemptState>>(capacity)) {}
-  size_t size() const { return size_; }
-  AttemptState& operator[](size_t i) { return (*table_)[i]; }
-  void push_back(const AttemptState& at) {
-    if (size_ == table_->size()) {
-      auto bigger = std::make_unique<ZeroedTable<AttemptState>>(2 * size_);
-      std::memcpy(bigger->data(), table_->data(), size_ * sizeof(AttemptState));
-      table_ = std::move(bigger);
-    }
-    (*table_)[size_++] = at;
-  }
-
- private:
-  std::unique_ptr<ZeroedTable<AttemptState>> table_;
-  size_t size_ = 0;
-};
-
 struct ReqState {
   uint64_t issue = 0;
   uint32_t chain = 0;  // primary-chain attempts dispatched (first + retries)
@@ -270,7 +248,12 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
 
   std::vector<ShardState> shard(nshards);
   ZeroedTable<ReqState> rstate(std::max<size_t>(1, reqs.size()));
-  AttemptLog attempts(std::max<size_t>(64, reqs.size() + reqs.size() / 4));
+  // The pass's attempts in dispatch order. A request makes at most
+  // 1 + max_retries primary attempts and one hedge; pages never reached are
+  // never touched.
+  ZeroedTable<AttemptState> attempts(
+      std::max<size_t>(1, reqs.size() * (2 + size_t{rc.max_retries})));
+  size_t nattempts = 0;
 
   // Count of in-ring shards that are not kAlive: classifies each request's
   // dispatch window as healthy/degraded.
@@ -377,7 +360,8 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     ShardState& sh = shard[s];
     ++rep.attempts;
     ++rq.live;
-    const uint32_t id = static_cast<uint32_t>(attempts.size());
+    CHECK_LT(nattempts, attempts.size());
+    const uint32_t id = static_cast<uint32_t>(nattempts);
     if (sh.st == SState::kAlive || sh.st == SState::kHung) {
       at.hung = sh.st == SState::kHung;
       const uint64_t start = std::max(t, sh.free_at);
@@ -387,7 +371,7 @@ uint64_t ResilientTiming(const ResilientTimingInput& in, const ResilienceConfig&
     }
     // On a dead or restarting shard no kDone is scheduled: the attempt falls
     // on the floor and only the client's deadline notices.
-    attempts.push_back(at);
+    attempts[nattempts++] = at;
     if (rc.request_timeout_cycles != kNoDeadline) {
       push(t + rc.request_timeout_cycles, Event::kTimeout, id);
     }

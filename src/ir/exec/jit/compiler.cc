@@ -213,9 +213,9 @@ class Compiler {
   // page is addressable, and the line is on way 0 or 1 of its L1 set. The
   // commit counts the access and the L1 access, promotes a way-1 line and
   // moves the bytes. Any failed test jumps to a cold stub that runs the op's
-  // thunk from the start, so nothing is done twice; the thunk's body skips
-  // the guard that just failed and calls Enclave::LoadBytes/StoreBytes. The
-  // commit here also replays the body's step and flush, in its order.
+  // thunk from the start, so nothing is done twice; the thunk's body makes
+  // the same guard, fails it too, and bails to Enclave::LoadBytes/StoreBytes.
+  // The commit here also replays the body's step and flush, in its order.
 
   // Guard on the 32-bit guest address in ECX for `bytes` bytes; each failed
   // test branches to a jcc appended to `cold`. Clobbers RAX, RDX, RSI.

@@ -25,18 +25,10 @@ namespace sgxb {
 
 namespace {
 
-// The ops with a tier-2 template reach their thunk after the generated
-// guard failed (or under SGXB_IR_JIT_HELPER_ONLY), so the thunk does not
-// make the guard again.
-constexpr bool HasAccessTemplate(UOp op) {
-  return op == UOp::kLoad || op == UOp::kStore || op == UOp::kGepMaskLoad ||
-         op == UOp::kGepMaskStore;
-}
-
 template <UOp kOp>
 uint64_t SlowOpThunk(JitFrame* frame, uint64_t index) noexcept {
   try {
-    ops::ExecOp<kOp, !HasAccessTemplate(kOp)>(*frame, frame->code[index]);
+    ops::ExecOp<kOp>(*frame, frame->code[index]);
     return kJitContinue;
   } catch (...) {
     *static_cast<std::exception_ptr*>(frame->ex_slot) = std::current_exception();

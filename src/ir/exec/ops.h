@@ -160,21 +160,12 @@ SGXB_OP_INLINE void HostWrite(uint8_t* host, uint64_t raw) {
   std::memcpy(host, &x, sizeof(T));
 }
 
-// kGuard: make the guard here. The JIT's thunks for the ops it has a tier-2
-// template for pass false, because the generated code has just made the
-// same guard and failed it; they go straight to LoadBytes/StoreBytes,
-// inline. The decoder gives every access a width of 1, 2, 4 or 8 bytes, its
-// type's size, so the commit's move is TruncateToType as well; any other
-// width takes the bail path.
-template <bool kGuard, class Frame>
+// The decoder gives every access a width of 1, 2, 4 or 8 bytes, its type's
+// size, so the commit's move is TruncateToType as well; any other width
+// takes the bail path.
+template <class Frame>
 SGXB_OP_INLINE void LoadInto(Frame& f, const MicroOp& u, uint64_t ptr) {
   const uint32_t addr = static_cast<uint32_t>(ptr);
-  if constexpr (!kGuard) {
-    uint64_t raw = 0;
-    f.enclave->LoadBytes(*f.cpu, addr, &raw, u.aux);
-    f.v[u.dst] = TruncateToType(u.type, raw);
-    return;
-  }
   uint32_t* const set = GuestAccessSet(f, addr, u.aux);
   const uint8_t* const host = f.host_base + addr;
   uint64_t raw;
@@ -199,14 +190,9 @@ SGXB_OP_INLINE void LoadInto(Frame& f, const MicroOp& u, uint64_t ptr) {
   f.v[u.dst] = raw;
 }
 
-template <bool kGuard, class Frame>
+template <class Frame>
 SGXB_OP_INLINE void StoreTo(Frame& f, const MicroOp& u, uint64_t value, uint64_t ptr) {
   const uint32_t addr = static_cast<uint32_t>(ptr);
-  if constexpr (!kGuard) {
-    const uint64_t raw = TruncateToType(u.type, value);
-    f.enclave->StoreBytes(*f.cpu, addr, &raw, u.aux);
-    return;
-  }
   uint32_t* const set = GuestAccessSet(f, addr, u.aux);
   uint8_t* const host = f.host_base + addr;
   switch (set != nullptr ? u.aux : 0) {
@@ -268,7 +254,7 @@ SGXB_OP_INLINE void WithScheme(Frame& f, Fn&& fn) {
 // reference order; the gep result t and the re-tagged pointer p are both
 // written back before the access, so a store of either value (or a mid-quad
 // trap) observes exactly the reference's state.
-template <bool kCheck, bool kStore, bool kGuard, class Frame>
+template <bool kCheck, bool kStore, class Frame>
 SGXB_OP_INLINE void GepMaskAccess(Frame& f, const MicroOp& u) {
   uint64_t* const v = f.v;
   const uint64_t packed = static_cast<uint64_t>(u.imm);
@@ -292,16 +278,16 @@ SGXB_OP_INLINE void GepMaskAccess(Frame& f, const MicroOp& u) {
     FlushPending(f);  // a check already flushed; nothing is pending after it
   }
   if constexpr (kStore) {
-    StoreTo<kGuard>(f, u, v[u.dst], p);
+    StoreTo(f, u, v[u.dst], p);
   } else {
-    LoadInto<kGuard>(f, u, p);
+    LoadInto(f, u, p);
   }
 }
 
 // Executes the micro-op `u` (whose opcode is kOp) on frame `f`. Throws
 // SimTrap on a step-limit overrun or a runtime-detected violation; the
-// caller restores the interpreter invariants. kGuard: see LoadInto.
-template <UOp kOp, bool kGuard = true, class Frame>
+// caller restores the interpreter invariants.
+template <UOp kOp, class Frame>
 SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
   uint64_t* const v = f.v;
   Cpu& cpu = *f.cpu;
@@ -430,11 +416,11 @@ SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
     case UOp::kLoad:
       StepFlush(f);
       ++f.loads;
-      return LoadInto<kGuard>(f, u, v[u.a]);
+      return LoadInto(f, u, v[u.a]);
     case UOp::kStore:
       StepFlush(f);
       ++f.stores;
-      return StoreTo<kGuard>(f, u, v[u.a], v[u.b]);
+      return StoreTo(f, u, v[u.a], v[u.b]);
 
     case UOp::kMpxCheck:
       StepFlush(f);
@@ -466,13 +452,13 @@ SGXB_OP_INLINE void ExecOp(Frame& f, const MicroOp& u) {
       });
 
     case UOp::kGepMaskLoad:
-      return GepMaskAccess<false, false, kGuard>(f, u);
+      return GepMaskAccess<false, false>(f, u);
     case UOp::kGepMaskStore:
-      return GepMaskAccess<false, true, kGuard>(f, u);
+      return GepMaskAccess<false, true>(f, u);
     case UOp::kGepMaskSchemeCheckLoad:
-      return GepMaskAccess<true, false, kGuard>(f, u);
+      return GepMaskAccess<true, false>(f, u);
     case UOp::kGepMaskSchemeCheckStore:
-      return GepMaskAccess<true, true, kGuard>(f, u);
+      return GepMaskAccess<true, true>(f, u);
 
     case UOp::kBr:
     case UOp::kCondBr:
