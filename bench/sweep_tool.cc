@@ -22,7 +22,8 @@
 // counts; host timings go to stderr and, under --json, to BENCH_sweep.json.
 //
 // Traces either come from fresh recordings (--workloads x --policies) or
-// from saved files (--traces=a.sgxtrace,b.sgxtrace — mmap-loaded).
+// from saved files (--traces=a.sgxtrace,b.sgxtrace — mmap-loaded). A file
+// that does not load exits with status 2, as a bad flag does.
 
 #include <algorithm>
 #include <chrono>
@@ -195,7 +196,7 @@ int Main(int argc, char** argv) {
       std::string error;
       if (!mapped.Load(path, &error)) {
         std::fprintf(stderr, "%s\n", error.c_str());
-        return 1;
+        return 2;
       }
       NamedTrace t;
       t.label = mapped.header().workload + "/" +

@@ -10,6 +10,10 @@
 //       print header/summary and optionally the first decoded events
 //   trace_tool diff a.sgxtrace b.sgxtrace
 //       event-level comparison; prints the first diverging events
+//
+// A trace file that does not load (unreadable, corrupt, or a header
+// machine the cache and EPC models cannot build) exits with status 2, as
+// a bad flag does, after a message naming the cause.
 
 #include <cinttypes>
 #include <cstdio>
@@ -174,7 +178,7 @@ int Replay(const std::string& path, FlagParser& parser, int argc, char** argv) {
   std::string error;
   if (!LoadTrace(path, &trace, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+    return 2;
   }
   if (trace.summary.truncated) {
     std::fprintf(stderr,
@@ -285,7 +289,7 @@ int Info(const std::string& path, FlagParser& parser, int argc, char** argv) {
   std::string error;
   if (!LoadTrace(path, &trace, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+    return 2;
   }
   std::printf("file:          %s\n", path.c_str());
   PrintHeader(trace.header);
@@ -312,7 +316,7 @@ int Diff(const std::string& path_a, const std::string& path_b, FlagParser& parse
   std::string error;
   if (!LoadTrace(path_a, &a, &error) || !LoadTrace(path_b, &b, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+    return 2;
   }
   if (a.summary.stream_hash == b.summary.stream_hash &&
       a.summary.event_count == b.summary.event_count) {

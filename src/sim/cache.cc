@@ -5,11 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/units.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#define SGXB_CACHE_SSE2 1
-#endif
+#include "src/sim/cache_walk.h"
 
 namespace sgxb {
 
@@ -21,6 +17,7 @@ bool IsPowerOfTwo(uint32_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
 Cache::Cache(uint64_t size_bytes, uint32_t ways) : size_bytes_(size_bytes), ways_(ways) {
   CHECK_GT(ways, 0u);
+  CHECK_LE(ways, kMaxCacheWays);
   const uint64_t lines = size_bytes / kCacheLineSize;
   CHECK_EQ(lines % ways, 0u);
   const uint64_t sets = lines / ways;
@@ -38,40 +35,14 @@ Cache::Cache(uint64_t size_bytes, uint32_t ways) : size_bytes_(size_bytes), ways
 
 bool Cache::AccessSlow(uint32_t line, uint32_t* base) {
 #if SGXB_CACHE_SSE2
-  if (ways_ % 4 == 0) {
-    // kKeepAbove[k]: all-ones in the lanes above k, which a hit at lane k
-    // leaves in place.
-    alignas(16) static constexpr int32_t kKeepAbove[4][4] = {
-        {0, -1, -1, -1}, {0, 0, -1, -1}, {0, 0, 0, -1}, {0, 0, 0, 0}};
-    // One pass: each group slides up one way as it is probed, so when `line`
-    // turns up (or never does) every group before it is already promoted.
-    // Group 0 re-probes ways 0-1, which Access() saw miss; harmless. With
-    // ways a multiple of 4, every set starts a multiple of 16 bytes into the
-    // 64-byte-aligned slots, so each group is one aligned load and store.
-    const __m128i key = _mm_set1_epi32(static_cast<int>(line));
-    __m128i carry = _mm_cvtsi32_si128(static_cast<int>(line));
-    for (uint32_t g = 0; g < ways_; g += 4) {
-      __m128i* group = reinterpret_cast<__m128i*>(base + g);
-      const __m128i v = _mm_load_si128(group);
-      const __m128i shifted = _mm_or_si128(_mm_slli_si128(v, 4), carry);
-      // Line ids in a set are unique, so at most one lane matches.
-      const int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, key)));
-      if (mask != 0) {
-        const __m128i keep = _mm_load_si128(reinterpret_cast<const __m128i*>(
-            kKeepAbove[__builtin_ctz(static_cast<unsigned>(mask))]));
-        _mm_store_si128(group,
-                        _mm_or_si128(_mm_and_si128(keep, v), _mm_andnot_si128(keep, shifted)));
-        return true;
-      }
-      _mm_store_si128(group, shifted);
-      carry = _mm_srli_si128(v, 12);
-    }
-    // Miss: the slide pushed the LRU way out of the last group.
-    return false;
+  if (ways_ == 16) {
+    return SlideWalk<16>(base, line);
+  }
+  if (ways_ == 8) {
+    return SlideWalk<8>(base, line);
   }
 #endif
-  // Ways 0 and 1 were probed inline by Access().
-  for (uint32_t w = 2; w < ways_; ++w) {
+  for (uint32_t w = 0; w < ways_; ++w) {
     if (base[w] == line) {
       // Promote to MRU: slide [0, w) down one way.
       std::memmove(base + 1, base, w * sizeof(uint32_t));

@@ -13,16 +13,14 @@
 // Host-side layout of a lookup: callers that can test a line against its
 // set's MRU way first (IsMru; the Cpu does so inline for every L1 access)
 // skip the call entirely, since re-accessing the MRU line changes no
-// replacement state. Access() probes ways 0 and 1 inline. The rest of the
-// set goes to AccessSlow, which, when ways is a multiple of 4 and the host
-// has SSE2, walks the set once, 4 ways at a time: each group is loaded,
-// compared against the line (cmpeq + movemask) and stored back slid up one
-// way, its top way carried into the next group's lane 0. A match at lane k
-// blends the slid group with the lanes above k kept and stops; no match in
-// any group is a miss, and the slide has already dropped the LRU way and put
-// the line in way 0. Any other associativity takes a plain scalar scan. Both
-// orders are the same recency list, so the modeled outcome never depends on
-// the path.
+// replacement state. AccessFront() probes ways 0 and 1 and promotes a way-1
+// hit by swapping the two. The rest is Walk(), the one exact walk of a
+// whole set (src/sim/cache_walk.h, which only src/sim includes): for 8 and
+// 16 ways, the machine's geometries, an inline SSE2 slide with the way
+// count fixed at compile time; for any other associativity, or a host
+// without SSE2, the out-of-line AccessSlow with a scalar scan and memmove.
+// Both orders are the same recency list, so the modeled outcome never
+// depends on the path. Access() is AccessFront() then AccessSlow().
 //
 // A Cache keeps no hit/miss tallies: Access() returns the outcome and the
 // caller counts it (the Cpu's PerfCounters are the priced account).
@@ -38,25 +36,46 @@
 
 namespace sgxb {
 
+// The widest set a Cache takes. Any associativity but 8 and 16 walks with a
+// scalar scan and memmove, so a wider set (a 4 GiB single-set cache is
+// 2^26 ways) would move its whole row on every miss.
+inline constexpr uint32_t kMaxCacheWays = 32;
+
 class Cache {
  public:
-  // size_bytes must be a multiple of line_size * ways; the set count is
-  // derived and must be a power of two.
+  // ways is 1..kMaxCacheWays; size_bytes must be a multiple of line_size *
+  // ways; the set count is derived and must be a power of two.
   Cache(uint64_t size_bytes, uint32_t ways);
 
   // Looks up a line; on miss, inserts it (evicting LRU). Returns true on hit.
-  bool Access(uint32_t line) {
+  bool Access(uint32_t line) { return AccessFront(line) || AccessSlow(line, SetBase(line)); }
+
+  // Access() of a line found in way 0 or way 1 of its set: true, with a
+  // way-1 hit promoted (two lines alternating, as data+metadata
+  // interleavings do, swap the two ways). Otherwise false, changing
+  // nothing; the caller finishes with Walk().
+  bool AccessFront(uint32_t line) {
     uint32_t* base = SetBase(line);
-    if (base[0] == line) {  // MRU fast path: repeated hot-line access
+    if (base[0] == line) {
       return true;
     }
-    if (base[1] == line) {  // way-1 fast path: two lines alternating
-      base[1] = base[0];    // (data+metadata interleavings make this common)
+    if (base[1] == line) {
+      base[1] = base[0];
       base[0] = line;
       return true;
     }
-    return AccessSlow(line, base);
+    return false;
   }
+
+  // The row of `line`'s set: ways() line ids, MRU first, 64-byte aligned.
+  uint32_t* SetBase(uint32_t line) const {
+    return &slots_[static_cast<size_t>(line & set_mask_) * ways_];
+  }
+
+  // The exact walk of `line`'s set at `row` (SetBase): promote on hit,
+  // evict the LRU way on miss; true on a hit. Defined inline in
+  // src/sim/cache_walk.h.
+  inline bool Walk(uint32_t line, uint32_t* row);
 
   // True when `line` is its set's MRU line. Access() on such a line is a hit
   // that changes nothing, so a caller may count the hit and skip the call.
@@ -86,11 +105,8 @@ class Cache {
  private:
   static constexpr uint32_t kInvalidLine = 0xffffffffu;
 
-  uint32_t* SetBase(uint32_t line) const {
-    return &slots_[static_cast<size_t>(line & set_mask_) * ways_];
-  }
-  // Scan beyond ways 0-1 (probed inline); promote on hit, evict the LRU way
-  // on miss.
+  // Walk() out of line: every associativity, the scalar scan for those
+  // without a fixed-way slide.
   bool AccessSlow(uint32_t line, uint32_t* base);
 
   uint64_t size_bytes_;

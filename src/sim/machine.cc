@@ -1,6 +1,7 @@
 #include "src/sim/machine.h"
 
 #include "src/common/check.h"
+#include "src/sim/cache_walk.h"
 
 namespace sgxb {
 
@@ -41,6 +42,10 @@ bool ValidateCacheLevel(const char* name, uint64_t bytes, uint32_t ways, std::st
   const std::string level(name);
   if (ways == 0) {
     return Invalid(error, level + "_ways is 0");
+  }
+  if (ways > kMaxCacheWays) {
+    return Invalid(error, level + "_ways " + std::to_string(ways) + " exceeds " +
+                              std::to_string(kMaxCacheWays));
   }
   if (bytes > 4 * kGiB) {
     return Invalid(error, level + "_bytes " + std::to_string(bytes) + " exceeds 4 GiB");
@@ -87,6 +92,8 @@ Cpu::Cpu(MemorySystem* memory)
       l1_(memory->config().l1_bytes, memory->config().l1_ways),
       l2_(memory->config().l2_bytes, memory->config().l2_ways) {}
 
+const Cache& Cpu::l2() const { return l2_; }
+
 void Cpu::TapAccess(uint32_t addr, uint32_t size, AccessClass klass) {
   trace_->OnAccess(trace_id_, addr, size, static_cast<uint8_t>(klass));
 }
@@ -99,17 +106,30 @@ PerfCounters Cpu::counters() const {
 }
 
 void Cpu::AccessLine(uint32_t line) {
-  if (!l1_.Access(line)) {
-    MissLine(line);
+  if (l1_.AccessFront(line)) {
+    return;
   }
-}
-
-void Cpu::MissLine(uint32_t line) {
+  // Past ways 0 and 1 most lines miss L1, and an L1 miss nearly always
+  // walks every level, so the L2 and LLC rows are fetched before the L1
+  // walk rather than behind it. Prefetches model nothing.
+  Cache& l3 = memory_->l3();
+  uint32_t* const l2_row = l2_.SetBase(line);
+  uint32_t* const l3_row = l3.SetBase(line);
+  __builtin_prefetch(l2_row, 1);
+  __builtin_prefetch(l3_row, 1);
+  if (l1_.Walk(line, l1_.SetBase(line))) {
+    return;
+  }
   ++events_.l1_misses;
-  if (!l2_.Access(line)) {
-    ++events_.l2_misses;
-    memory_->ServiceL2Miss(line, events_);
+  if (l2_.Walk(line, l2_row)) {
+    return;
   }
+  ++events_.l2_misses;
+  ++events_.llc_accesses;
+  if (l3.Walk(line, l3_row)) {
+    return;
+  }
+  memory_->LlcMiss(line, events_);
 }
 
 void Cpu::MemAccessRun(uint32_t addr, uint32_t size, int64_t stride, uint64_t count,

@@ -60,11 +60,12 @@ inline bool operator==(const SimConfig& a, const SimConfig& b) {
 inline bool operator!=(const SimConfig& a, const SimConfig& b) { return !(a == b); }
 
 // Checks that `config` describes a machine the Cache and EpcSim constructors
-// accept: every cache level has ways > 0, a line count divisible by its ways
-// and a power-of-two set count; the EPC holds at least one page; and no
-// level or EPC is larger than the 4 GiB enclave space. Returns false and
-// fills *error (when non-null) naming the first bad field. For configs that
-// come from outside the program, such as a trace file's header.
+// accept: every cache level has 1..kMaxCacheWays ways, a line count
+// divisible by its ways and a power-of-two set count; the EPC holds at
+// least one page; and no level or EPC is larger than the 4 GiB enclave
+// space. Returns false and fills *error (when non-null) naming the first bad
+// field. For configs that come from outside the program, such as a trace
+// file's header.
 bool ValidateSimConfig(const SimConfig& config, std::string* error);
 
 // The one price list: cycles of every priced event category in `events`
@@ -84,13 +85,10 @@ class MemorySystem {
  public:
   explicit MemorySystem(const SimConfig& config);
 
-  // Services an L2 miss for `line`: updates the shared structures and
-  // counts the outcome (LLC hit or miss, EPC fault) in `events`.
-  void ServiceL2Miss(uint32_t line, PerfCounters& events) {
-    ++events.llc_accesses;
-    if (l3_.Access(line)) {
-      return;
-    }
+  // The tail of an LLC miss of `line`, the end of Cpu::AccessLine's walk:
+  // counts the miss in `events` and, in enclave mode, logs the line's EPC
+  // page and touches it, counting a fault.
+  void LlcMiss(uint32_t line, PerfCounters& events) {
     ++events.llc_misses;
     if (config_.enclave_mode) {
       const uint32_t page = line >> (kPageShift - kCacheLineShift);
@@ -191,6 +189,10 @@ class Cpu {
   // outcome: accesses contained in one line skip the span loop, and a line
   // that is already its L1 set's MRU way is a hit that changes no LRU state
   // (Cache::IsMru), so it is counted inline without a call into the cache.
+  // The way-1 hit, which decoded IR takes inline, stays in AccessLine here:
+  // inlined at every site it moved GCC's inlining of the workload bodies
+  // and cost ~4% of hostbench paper_live cpu_s (1 of 5 interleaved pairs
+  // better, x86-64, GCC 12 -O2).
   //
   // Forced inline: in the largest workload bodies GCC's growth limits
   // otherwise leave ~200 sites calling it out of line, which cost ~6% of
@@ -265,6 +267,10 @@ class Cpu {
   // methods above.
   Cache& l1() { return l1_; }
   PerfCounters* mutable_events() { return &events_; }
+  // The L2 model, read-only (tests compare its recency order). Out of line,
+  // like Cache's JIT accessors: inline members nothing hot calls still
+  // moved GCC's inlining in the workload bodies.
+  const Cache& l2() const;
 
   // Points this Cpu's taps at `trace` under trace cpu id `id`. Passing null
   // detaches (the hot paths revert to their single-pointer-test cost).
@@ -301,11 +307,11 @@ class Cpu {
   void TapAccess(uint32_t addr, uint32_t size, AccessClass klass);
 
   // Full lookup for a line that is not its L1 set's MRU way (l1_accesses
-  // already counted by the caller). Out of line, so the inline code at every
-  // Load/Store site stays the MRU test alone.
+  // already counted by the caller): the L1 way-1 probe, then one walk of
+  // L1, L2 and the LLC down to DRAM/EPC, counting where the line was
+  // served. Out of line, so the inline code at every Load/Store site stays
+  // the MRU test alone.
   void AccessLine(uint32_t line);
-  // L1 miss: walk L2 -> LLC -> DRAM/EPC and count where it was served.
-  void MissLine(uint32_t line);
   // Multi-line (cache-line-crossing) accesses.
   void MemAccessSpan(uint32_t first_line, uint32_t last_line);
 

@@ -70,11 +70,12 @@ inline ReplayResult ReplayTrace(const Trace& trace) {
 //   * EPC size: EpcSim::Touch only counts and charges — faults never alter
 //     cache behaviour, so the LLC-miss page stream is EPC-size-independent.
 //   * Cost table: prices only scale charges; every counter is price-blind.
-//   * Enclave mode: ServiceL2Miss routes misses identically; the mode only
-//     selects pricing (MEE/EPC surcharge, syscall exit cost). A capture
-//     taken with enclave mode ON carries the page stream needed for both
-//     modes; a capture taken with it OFF has no page stream and covers only
-//     out-of-enclave configs.
+//   * Enclave mode: Cpu::AccessLine walks the caches identically in both
+//     modes; the mode only adds the EPC touch of an LLC miss
+//     (MemorySystem::LlcMiss) and selects pricing (MEE/EPC surcharge,
+//     syscall exit cost). A capture taken with enclave mode ON carries the
+//     page stream needed for both modes; a capture taken with it OFF has no
+//     page stream and covers only out-of-enclave configs.
 //   * Cache geometry (l1/l2/l3 size or ways) changes hit/miss outcomes —
 //     NOT coverable; Covers() returns false and callers (the sweep engine)
 //     fall back to full replay.

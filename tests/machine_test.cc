@@ -257,6 +257,10 @@ class RefLru {
     return hit;
   }
 
+  // Set `set`'s lines, most recent first (Cache::SetOrder's order).
+  const std::vector<uint32_t>& Order(uint32_t set) const { return sets_[set]; }
+  uint32_t sets() const { return static_cast<uint32_t>(sets_.size()); }
+
  private:
   uint32_t ways_;
   std::vector<std::vector<uint32_t>> sets_;
@@ -278,6 +282,10 @@ class RefEpc {
     }
     pages_.push_front(page);
     return fault;
+  }
+
+  bool Resident(uint32_t page) const {
+    return std::find(pages_.begin(), pages_.end(), page) != pages_.end();
   }
 
  private:
@@ -319,84 +327,136 @@ struct RefHierarchy {
   PerfCounters events;
 };
 
-// One Cpu driven by a scrambled mix of single-line, line-straddling and
-// strided-run accesses must count exactly what a plain reference hierarchy
-// counts, at every step. Guards the Cpu's inline set-MRU test and the batched
-// MRU repeats of MemAccessRun, and the SSE2 (4- and 16-way) and scalar
-// (2-way) cache paths under them.
-TEST(MachineTest, HierarchyMatchesReferenceModelOnScrambledStream) {
-  SimConfig cfg;
-  cfg.l1_bytes = 2 * kKiB;  // 8 sets x 4 ways
-  cfg.l1_ways = 4;
-  cfg.l2_bytes = 4 * kKiB;  // 32 sets x 2 ways
-  cfg.l2_ways = 2;
-  cfg.l3_bytes = 16 * kKiB;  // 16 sets x 16 ways
-  cfg.l3_ways = 16;
-  cfg.epc_bytes = 12 * kPageSize;
-  MemorySystem mem(cfg);
-  Cpu cpu(&mem);
-  RefHierarchy ref(cfg);
-
-  constexpr uint32_t kBase = 0x10000;
-  constexpr uint32_t kSpan = 32 * kPageSize;  // 32 pages over a 12-page EPC
-  uint32_t x = 2024;
-  auto next = [&x] {
-    x = x * 1664525u + 1013904223u;
-    return x >> 8;
-  };
-  uint64_t accesses = 0;
-  uint32_t hot = kBase;
-  for (int step = 0; step < 20000; ++step) {
-    const uint32_t kind = next() % 8;
-    // Half the time near a hot address that drifts, so every level both
-    // hits and misses; otherwise anywhere in the span.
-    if (next() % 64 == 0) {
-      hot = kBase + next() % (kSpan - 4096);
+// Every set of `got` holds the lines of the same set of `want`, in the same
+// recency order. Line id s lies in set s, so SetOrder(s) names set s.
+::testing::AssertionResult SameSets(const char* level, const Cache& got, const RefLru& want) {
+  if (got.sets() != want.sets()) {
+    return ::testing::AssertionFailure() << level << ": " << got.sets() << " sets, want "
+                                         << want.sets();
+  }
+  for (uint32_t set = 0; set < got.sets(); ++set) {
+    if (got.SetOrder(set) != want.Order(set)) {
+      return ::testing::AssertionFailure() << level << " set " << set << " recency order differs";
     }
-    const uint32_t addr = next() % 2 == 0 ? hot + next() % 512 : kBase + next() % (kSpan - 4096);
-    const AccessClass klass = static_cast<AccessClass>(next() % 4);
-    if (kind < 4) {  // within one line, or empty
-      const uint32_t size = std::min<uint32_t>(1u << (next() % 4), kCacheLineSize - addr % 64);
-      const uint32_t n = kind == 0 && next() % 8 == 0 ? 0 : size;
-      cpu.MemAccess(addr, n, klass);
-      ref.Access(addr, n);
-      ++accesses;
-    } else if (kind < 6) {  // straddles one or more line boundaries
-      const uint32_t a = (addr | 63u) - next() % 8;
-      const uint32_t size = 9 + next() % 200;
-      cpu.MemAccess(a, size, klass);
-      ref.Access(a, size);
-      ++accesses;
-    } else {  // a strided run, forwards or backwards
-      static constexpr int64_t kStrides[] = {4, 8, 12, 64, 100, -8, -64, 0};
-      const int64_t stride = kStrides[next() % 8];
-      const uint32_t size = 1u << (next() % 4);
-      const uint64_t count = 1 + next() % 48;
-      const uint32_t start = addr + 2048;  // room for a backwards run
-      cpu.MemAccessRun(start, size, stride, count, klass);
-      int64_t a = start;
-      for (uint64_t i = 0; i < count; ++i, a += stride) {
-        ref.Access(static_cast<uint32_t>(a), size);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct HierarchyGeometry {
+  const char* name;
+  uint64_t l1_bytes;
+  uint32_t l1_ways;
+  uint64_t l2_bytes;
+  uint32_t l2_ways;
+  uint64_t l3_bytes;
+  uint32_t l3_ways;
+};
+
+// One Cpu per geometry, driven by a scrambled mix of single-line,
+// line-straddling and strided-run accesses, must match a plain reference
+// hierarchy at every step: every counter, all three levels' full recency
+// order and the EPC's resident set. Guards the Cpu's inline way-0/way-1
+// probe, the batched MRU repeats of MemAccessRun, the fused L1->L2->LLC walk
+// with its 8- and 16-way slides, and the scalar walk of every other
+// associativity.
+TEST(MachineTest, HierarchyMatchesReferenceModelOnScrambledStream) {
+  static constexpr HierarchyGeometry kGeometries[] = {
+      // The machine's 8/8/16 ways at small sizes: 8, 16 and 16 sets.
+      {"8/8/16", 4 * kKiB, 8, 8 * kKiB, 8, 16 * kKiB, 16},
+      // A 16-way L1 (4 sets) over the same L2 and LLC.
+      {"16/8/16", 4 * kKiB, 16, 8 * kKiB, 8, 16 * kKiB, 16},
+      // Direct-mapped L1, 3-way L2, 12-way LLC: 32 sets each, scalar walks.
+      {"1/3/12", 2 * kKiB, 1, 6 * kKiB, 3, 24 * kKiB, 12},
+      // 4-way L1 (8 sets), 2-way L2 (32 sets), 16-way LLC (16 sets).
+      {"4/2/16", 2 * kKiB, 4, 4 * kKiB, 2, 16 * kKiB, 16},
+  };
+  for (const HierarchyGeometry& g : kGeometries) {
+    SCOPED_TRACE(g.name);
+    SimConfig cfg;
+    cfg.l1_bytes = g.l1_bytes;
+    cfg.l1_ways = g.l1_ways;
+    cfg.l2_bytes = g.l2_bytes;
+    cfg.l2_ways = g.l2_ways;
+    cfg.l3_bytes = g.l3_bytes;
+    cfg.l3_ways = g.l3_ways;
+    cfg.epc_bytes = 12 * kPageSize;
+    MemorySystem mem(cfg);
+    Cpu cpu(&mem);
+    RefHierarchy ref(cfg);
+
+    constexpr uint32_t kBase = 0x10000;
+    constexpr uint32_t kSpan = 32 * kPageSize;  // 32 pages over a 12-page EPC
+    // Every page the stream can touch: the span plus the runs' reach (a
+    // backwards run from near kBase ends up to a page below it).
+    constexpr uint32_t kFirstPage = kBase / kPageSize - 1;
+    constexpr uint32_t kEndPage = kBase / kPageSize + kSpan / kPageSize + 2;
+    uint32_t x = 2024;
+    auto next = [&x] {
+      x = x * 1664525u + 1013904223u;
+      return x >> 8;
+    };
+    uint64_t accesses = 0;
+    uint32_t hot = kBase;
+    for (int step = 0; step < 20000; ++step) {
+      const uint32_t kind = next() % 8;
+      // Half the time near a hot address that drifts, so every level both
+      // hits and misses; otherwise anywhere in the span.
+      if (next() % 64 == 0) {
+        hot = kBase + next() % (kSpan - 4096);
       }
-      accesses += count;
+      const uint32_t addr =
+          next() % 2 == 0 ? hot + next() % 512 : kBase + next() % (kSpan - 4096);
+      const AccessClass klass = static_cast<AccessClass>(next() % 4);
+      if (kind < 4) {  // within one line, or empty
+        const uint32_t size = std::min<uint32_t>(1u << (next() % 4), kCacheLineSize - addr % 64);
+        const uint32_t n = kind == 0 && next() % 8 == 0 ? 0 : size;
+        cpu.MemAccess(addr, n, klass);
+        ref.Access(addr, n);
+        ++accesses;
+      } else if (kind < 6) {  // straddles one or more line boundaries
+        const uint32_t a = (addr | 63u) - next() % 8;
+        const uint32_t size = 9 + next() % 200;
+        cpu.MemAccess(a, size, klass);
+        ref.Access(a, size);
+        ++accesses;
+      } else {  // a strided run, forwards or backwards
+        static constexpr int64_t kStrides[] = {4, 8, 12, 64, 100, -8, -64, 0};
+        const int64_t stride = kStrides[next() % 8];
+        const uint32_t size = 1u << (next() % 4);
+        const uint64_t count = 1 + next() % 48;
+        const uint32_t start = addr + 2048;  // room for a backwards run
+        cpu.MemAccessRun(start, size, stride, count, klass);
+        int64_t a = start;
+        for (uint64_t i = 0; i < count; ++i, a += stride) {
+          ref.Access(static_cast<uint32_t>(a), size);
+        }
+        accesses += count;
+      }
+      const PerfCounters& got = cpu.events();
+      ASSERT_EQ(got.l1_accesses, ref.events.l1_accesses) << "step " << step;
+      ASSERT_EQ(got.l1_misses, ref.events.l1_misses) << "step " << step;
+      ASSERT_EQ(got.l2_misses, ref.events.l2_misses) << "step " << step;
+      ASSERT_EQ(got.llc_accesses, ref.events.llc_accesses) << "step " << step;
+      ASSERT_EQ(got.llc_misses, ref.events.llc_misses) << "step " << step;
+      ASSERT_EQ(got.epc_faults, ref.events.epc_faults) << "step " << step;
+      ASSERT_TRUE(SameSets("l1", cpu.l1(), ref.l1)) << "step " << step;
+      ASSERT_TRUE(SameSets("l2", cpu.l2(), ref.l2)) << "step " << step;
+      ASSERT_TRUE(SameSets("l3", mem.l3(), ref.l3)) << "step " << step;
+      for (uint32_t page = kFirstPage; page < kEndPage; ++page) {
+        ASSERT_EQ(mem.epc().Resident(page), ref.epc.Resident(page))
+            << "step " << step << " page " << page;
+      }
     }
     const PerfCounters& got = cpu.events();
-    ASSERT_EQ(got.l1_accesses, ref.events.l1_accesses) << "step " << step;
-    ASSERT_EQ(got.l1_misses, ref.events.l1_misses) << "step " << step;
-    ASSERT_EQ(got.l2_misses, ref.events.l2_misses) << "step " << step;
-    ASSERT_EQ(got.llc_accesses, ref.events.llc_accesses) << "step " << step;
-    ASSERT_EQ(got.llc_misses, ref.events.llc_misses) << "step " << step;
-    ASSERT_EQ(got.epc_faults, ref.events.epc_faults) << "step " << step;
+    EXPECT_EQ(got.loads + got.stores + got.metadata_loads + got.metadata_stores, accesses);
+    // Every outcome occurs often enough for the comparison to mean something.
+    const PerfCounters& e = ref.events;
+    EXPECT_GT(e.l1_accesses - e.l1_misses, 10000u);  // L1 hits
+    EXPECT_GT(e.l1_misses - e.l2_misses, 1000u);     // L2 hits
+    EXPECT_GT(e.llc_accesses - e.llc_misses, 1000u);  // LLC hits
+    EXPECT_GT(e.llc_misses - e.epc_faults, 1000u);   // DRAM, page resident
+    EXPECT_GT(e.epc_faults, 1000u);
   }
-  const PerfCounters& got = cpu.events();
-  EXPECT_EQ(got.loads + got.stores + got.metadata_loads + got.metadata_stores, accesses);
-  // Every outcome occurs often enough for the comparison to mean something.
-  const PerfCounters& e = ref.events;
-  EXPECT_GT(e.l1_accesses - e.l1_misses, 10000u);  // L1 hits
-  EXPECT_GT(e.l1_misses - e.l2_misses, 1000u);     // L2 hits
-  EXPECT_GT(e.llc_accesses - e.llc_misses, 1000u);  // LLC hits
-  EXPECT_GT(e.llc_misses - e.epc_faults, 1000u);   // DRAM, page resident
-  EXPECT_GT(e.epc_faults, 1000u);
 }
 
 // An access that wraps past 4 GiB would walk every line of the address space

@@ -212,6 +212,13 @@ TEST(TraceIo, RejectsHeaderMachineConfigsTheModelsCannotBuild) {
       {"l1_ways=3", [](TraceHeader* h) { h->l1_ways = 3; }, "l1_bytes"},
       {"epc_bytes=0", [](TraceHeader* h) { h->epc_bytes = 0; }, "epc_bytes"},
       {"l1_bytes=2^36", [](TraceHeader* h) { h->l1_bytes = uint64_t{1} << 36; }, "4 GiB"},
+      // One set of 2^26 ways: a whole-row memmove on every miss.
+      {"l1_ways=2^26",
+       [](TraceHeader* h) {
+         h->l1_bytes = 4 * kGiB;
+         h->l1_ways = 1u << 26;
+       },
+       "l1_ways"},
   };
   const std::string path = ::testing::TempDir() + "trace_bad_header.sgxtrace";
   for (const Case& c : cases) {
