@@ -23,7 +23,8 @@
 //
 // Traces either come from fresh recordings (--workloads x --policies) or
 // from saved files (--traces=a.sgxtrace,b.sgxtrace — mmap-loaded). A file
-// that does not load exits with status 2, as a bad flag does.
+// that does not load, or a complete trace whose event stream stops at a
+// corrupt event, exits with status 2, as a bad flag does.
 
 #include <algorithm>
 #include <chrono>
@@ -203,6 +204,13 @@ int Main(int argc, char** argv) {
                 PolicyName(static_cast<PolicyKind>(mapped.header().policy));
       t.decoded = DecodedTrace(mapped.header(), mapped.summary(), mapped.events_begin(),
                                mapped.events_end());
+      if (!t.decoded.whole()) {
+        std::fprintf(stderr,
+                     "corrupt event stream: decoding stopped after %" PRIu64 " of %" PRIu64
+                     " events, before the end marker: %s\n",
+                     t.decoded.event_count(), mapped.summary().event_count, path.c_str());
+        return 2;
+      }
       traces.push_back(std::move(t));
     }
   } else {

@@ -12,8 +12,9 @@
 //       event-level comparison; prints the first diverging events
 //
 // A trace file that does not load (unreadable, corrupt, or a header
-// machine the cache and EPC models cannot build) exits with status 2, as
-// a bad flag does, after a message naming the cause.
+// machine the cache and EPC models cannot build), or a complete trace whose
+// event stream stops at a corrupt event, exits with status 2, as a bad flag
+// does, after a message naming the cause.
 
 #include <cinttypes>
 #include <cstdio>
@@ -36,12 +37,23 @@ void PrintHeader(const TraceHeader& h) {
   std::printf("policy:        %s\n", PolicyName(static_cast<PolicyKind>(h.policy)));
   std::printf("machine:       enclave=%s epc=%" PRIu64 " MiB l1=%" PRIu64 "K/%uw l2=%" PRIu64
               "K/%uw l3=%" PRIu64 "M/%uw\n",
-              h.enclave_mode ? "on" : "off", h.epc_bytes / kMiB, h.l1_bytes / kKiB,
-              h.l1_ways, h.l2_bytes / kKiB, h.l2_ways, h.l3_bytes / kMiB, h.l3_ways);
+              h.sim.enclave_mode ? "on" : "off", h.sim.epc_bytes / kMiB,
+              h.sim.l1_bytes / kKiB, h.sim.l1_ways, h.sim.l2_bytes / kKiB, h.sim.l2_ways,
+              h.sim.l3_bytes / kMiB, h.sim.l3_ways);
   std::printf("run:           threads=%u seed=%" PRIu64 " space=%" PRIu64 " MiB heap=%" PRIu64
               " MiB\n",
               h.threads, h.seed, h.space_bytes / kMiB, h.heap_reserve / kMiB);
   std::printf("cost_table:    %016" PRIx64 " (version %u)\n", h.cost_table_id, h.version);
+}
+
+// The exit of a complete trace whose stream stopped after `decoded` events
+// at a corrupt one, short of its kEnd.
+int CorruptStream(const std::string& path, uint64_t decoded, const TraceSummary& s) {
+  std::fprintf(stderr,
+               "corrupt event stream: decoding stopped after %" PRIu64 " of %" PRIu64
+               " events, before the end marker: %s\n",
+               decoded, s.event_count, path.c_str());
+  return 2;
 }
 
 void PrintSummary(const TraceSummary& s, size_t byte_size) {
@@ -186,6 +198,10 @@ int Replay(const std::string& path, FlagParser& parser, int argc, char** argv) {
                  path.c_str());
     return 1;
   }
+  const DecodedTrace decoded(trace);
+  if (!decoded.whole()) {
+    return CorruptStream(path, decoded.event_count(), trace.summary);
+  }
   SimConfig config = SimConfigFromHeader(trace.header);
   if (epc_mib > 0) {
     config.epc_bytes = epc_mib * kMiB;
@@ -197,7 +213,7 @@ int Replay(const std::string& path, FlagParser& parser, int argc, char** argv) {
     std::fprintf(stderr, "--epc_mib: %s\n", error.c_str());
     return 2;
   }
-  const ReplayResult r = ReplayTrace(trace, config);
+  const ReplayResult r = ReplayDecoded(decoded, config);
   PrintHeader(trace.header);
   std::printf("replay config: enclave=%s epc=%" PRIu64 " MiB\n",
               config.enclave_mode ? "on" : "off", config.epc_bytes / kMiB);
@@ -211,19 +227,33 @@ int Replay(const std::string& path, FlagParser& parser, int argc, char** argv) {
   return 0;
 }
 
-// Per-kind histogram of the encoded stream: counts, encoded bytes (via
-// TraceReader::byte_offset deltas), and how many individual memory accesses
-// each kind expands to — the run/loop encodings are where the compression
-// comes from, and this table shows exactly how much each buys.
-void PrintEventMix(const Trace& trace) {
+int Info(const std::string& path, FlagParser& parser, int argc, char** argv) {
+  uint64_t events = 0;
+  parser.AddUint("events", &events, "also print the first N decoded events");
+  parser.Parse(argc, argv);
+
+  Trace trace;
+  std::string error;
+  if (!LoadTrace(path, &trace, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
+
+  // Per-kind histogram of the encoded stream: counts, encoded bytes (via
+  // TraceReader::byte_offset deltas), and how many individual memory
+  // accesses each kind expands to — the run/loop encodings are where the
+  // compression comes from, and this table shows exactly how much each buys.
+  // The same pass renders the first `events` events.
   constexpr size_t kKinds = 8;
   uint64_t counts[kKinds] = {};
   uint64_t bytes[kKinds] = {};
   uint64_t expanded[kKinds] = {};
+  std::vector<std::string> listing;
   TraceReader reader(trace);
-  TraceEvent ev;
+  DecodedEvent ev;
+  EventPayload payload;
   size_t prev = 0;
-  while (reader.Next(&ev)) {
+  for (payload.clear(); reader.Next(&ev, &payload); payload.clear()) {
     const size_t k = static_cast<size_t>(ev.kind) & (kKinds - 1);
     ++counts[k];
     bytes[k] += reader.byte_offset() - prev;
@@ -243,8 +273,17 @@ void PrintEventMix(const Trace& trace) {
       default:
         break;
     }
+    if (listing.size() < events) {
+      listing.push_back(FormatTraceEvent(ev, payload));
+    }
+  }
+  if (!reader.ReadWhole(trace.summary)) {
+    return CorruptStream(path, reader.position(), trace.summary);
   }
 
+  std::printf("file:          %s\n", path.c_str());
+  PrintHeader(trace.header);
+  PrintSummary(trace.summary, trace.events.size());
   std::printf("-- event mix --\n");
   Table mix({"kind", "events", "bytes", "b/event", "accesses"});
   uint64_t total_events = 0, total_bytes = 0, total_accesses = 0;
@@ -278,30 +317,8 @@ void PrintEventMix(const Trace& trace) {
                              1)
                     .c_str());
   }
-}
-
-int Info(const std::string& path, FlagParser& parser, int argc, char** argv) {
-  uint64_t events = 0;
-  parser.AddUint("events", &events, "also print the first N decoded events");
-  parser.Parse(argc, argv);
-
-  Trace trace;
-  std::string error;
-  if (!LoadTrace(path, &trace, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
-  std::printf("file:          %s\n", path.c_str());
-  PrintHeader(trace.header);
-  PrintSummary(trace.summary, trace.events.size());
-  PrintEventMix(trace);
-  if (events > 0) {
-    TraceReader reader(trace);
-    TraceEvent ev;
-    while (reader.position() < events && reader.Next(&ev)) {
-      std::printf("  %6" PRIu64 "  %s\n", reader.position() - 1,
-                  FormatTraceEvent(ev).c_str());
-    }
+  for (size_t i = 0; i < listing.size(); ++i) {
+    std::printf("  %6zu  %s\n", i, listing[i].c_str());
   }
   return 0;
 }
@@ -325,29 +342,32 @@ int Diff(const std::string& path_a, const std::string& path_b, FlagParser& parse
     return 0;
   }
 
-  TraceReader ra(a), rb(b);
-  TraceEvent ea, eb;
+  const DecodedTrace da(a), db(b);
+  if (!da.whole()) {
+    return CorruptStream(path_a, da.event_count(), a.summary);
+  }
+  if (!db.whole()) {
+    return CorruptStream(path_b, db.event_count(), b.summary);
+  }
   uint64_t shown = 0;
-  while (shown < limit) {
-    const bool ha = ra.Next(&ea);
-    const bool hb = rb.Next(&eb);
+  for (uint64_t i = 0; shown < limit; ++i) {
+    const bool ha = i < da.event_count();
+    const bool hb = i < db.event_count();
     if (!ha && !hb) {
       break;
     }
     if (!ha || !hb) {
-      std::printf("#%" PRIu64 ": %s ends, %s continues with: %s\n",
-                  (ha ? rb.position() : ra.position()) - 1, ha ? path_b.c_str() : path_a.c_str(),
-                  ha ? path_a.c_str() : path_b.c_str(),
-                  FormatTraceEvent(ha ? ea : eb).c_str());
+      const DecodedTrace& longer = ha ? da : db;
+      std::printf("#%" PRIu64 ": %s ends, %s continues with: %s\n", i,
+                  ha ? path_b.c_str() : path_a.c_str(), ha ? path_a.c_str() : path_b.c_str(),
+                  FormatTraceEvent(longer.events()[i], longer.payload()).c_str());
       ++shown;
-      if (!ha && !hb) {
-        break;
-      }
       continue;
     }
-    if (!(ea == eb)) {
-      std::printf("#%" PRIu64 ":\n  a: %s\n  b: %s\n", ra.position() - 1,
-                  FormatTraceEvent(ea).c_str(), FormatTraceEvent(eb).c_str());
+    if (!SameTraceEvent(da.events()[i], da.payload(), db.events()[i], db.payload())) {
+      std::printf("#%" PRIu64 ":\n  a: %s\n  b: %s\n", i,
+                  FormatTraceEvent(da.events()[i], da.payload()).c_str(),
+                  FormatTraceEvent(db.events()[i], db.payload()).c_str());
       ++shown;
     }
   }

@@ -130,23 +130,11 @@ RunResult RunWithPolicy(const MachineSpec& spec, const PolicyOptions& options, F
   if (spec.trace != nullptr) {
     TraceHeader machine;
     machine.policy = static_cast<uint8_t>(P::kKind);
-    machine.enclave_mode = spec.enclave_mode ? 1 : 0;
     machine.threads = spec.threads;
     machine.seed = spec.seed;
     machine.space_bytes = spec.space_bytes;
     machine.heap_reserve = spec.heap_reserve;
-    const SimConfig& sim = enclave.memsys().config();
-    machine.l1_bytes = sim.l1_bytes;
-    machine.l1_ways = sim.l1_ways;
-    machine.l2_bytes = sim.l2_bytes;
-    machine.l2_ways = sim.l2_ways;
-    machine.l3_bytes = sim.l3_bytes;
-    machine.l3_ways = sim.l3_ways;
-    machine.epc_bytes = sim.epc_bytes;
-    machine.costs = sim.costs;
-    if (sim.costs.TransitionsEnabled()) {
-      machine.version = kTraceVersionTransitions;
-    }
+    machine.sim = enclave.memsys().config();
     spec.trace->BeginRun(machine);
     enclave.AttachTrace(spec.trace);
   }

@@ -4,8 +4,13 @@
 // written wrappers: each extracts the raw pointers from tagged arguments,
 // checks them against bounds, and calls the real routine. Crucially, wrappers
 // do NOT fall back to boundless memory - they return an errno-style error so
-// servers can drop an offending request (SS5.1), which is exactly what the
-// Heartbleed/Nginx case studies exercise.
+// servers can drop an offending request (SS5.1).
+//
+// The one production caller is RIPE's libc-copy attacks, through
+// SgxBoundsScheme::LibcCopy (src/policy/sgxbounds/scheme.cc). The case
+// studies copy without these wrappers: the Heartbleed analogue's copy is an
+// instrumented in-app loop (src/apps/httpd.h), and Nginx copies through
+// CheckedPolicy::Memcpy (src/apps/nginx_app.h).
 //
 // Bulk routines check bounds once per call and then move data at memcpy cost
 // (charged as line-granular traffic), mirroring a real optimized libc.

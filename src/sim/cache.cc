@@ -33,15 +33,9 @@ Cache::Cache(uint64_t size_bytes, uint32_t ways) : size_bytes_(size_bytes), ways
   Flush();
 }
 
+bool Cache::Access(uint32_t line) { return AccessFront(line) || Walk(line, SetBase(line)); }
+
 bool Cache::AccessSlow(uint32_t line, uint32_t* base) {
-#if SGXB_CACHE_SSE2
-  if (ways_ == 16) {
-    return SlideWalk<16>(base, line);
-  }
-  if (ways_ == 8) {
-    return SlideWalk<8>(base, line);
-  }
-#endif
   for (uint32_t w = 0; w < ways_; ++w) {
     if (base[w] == line) {
       // Promote to MRU: slide [0, w) down one way.

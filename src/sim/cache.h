@@ -20,7 +20,7 @@
 // count fixed at compile time; for any other associativity, or a host
 // without SSE2, the out-of-line AccessSlow with a scalar scan and memmove.
 // Both orders are the same recency list, so the modeled outcome never
-// depends on the path. Access() is AccessFront() then AccessSlow().
+// depends on the path. Access() is AccessFront() then Walk().
 //
 // A Cache keeps no hit/miss tallies: Access() returns the outcome and the
 // caller counts it (the Cpu's PerfCounters are the priced account).
@@ -48,7 +48,9 @@ class Cache {
   Cache(uint64_t size_bytes, uint32_t ways);
 
   // Looks up a line; on miss, inserts it (evicting LRU). Returns true on hit.
-  bool Access(uint32_t line) { return AccessFront(line) || AccessSlow(line, SetBase(line)); }
+  // Out of line: only tests call it; the Cpu walks its levels itself
+  // (Cpu::AccessLine).
+  bool Access(uint32_t line);
 
   // Access() of a line found in way 0 or way 1 of its set: true, with a
   // way-1 hit promoted (two lines alternating, as data+metadata
@@ -105,8 +107,8 @@ class Cache {
  private:
   static constexpr uint32_t kInvalidLine = 0xffffffffu;
 
-  // Walk() out of line: every associativity, the scalar scan for those
-  // without a fixed-way slide.
+  // Walk() out of line for the associativities without a fixed-way slide:
+  // a scalar scan from way 0.
   bool AccessSlow(uint32_t line, uint32_t* base);
 
   uint64_t size_bytes_;

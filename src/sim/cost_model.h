@@ -78,7 +78,7 @@ struct CostModel {
   }
 };
 
-// Field-wise equality, used by the sweep engine's memoization key
+// Field-wise equality, used by the sweep engine's duplicate fold
 // (src/trace/sweep.h). Keep in sync with the field list above.
 inline bool operator==(const CostModel& a, const CostModel& b) {
   return a.alu == b.alu && a.branch == b.branch && a.fp == b.fp && a.call == b.call &&

@@ -9,10 +9,6 @@ DecodedTrace::DecodedTrace(const Trace& trace)
 DecodedTrace::DecodedTrace(const TraceHeader& header, const TraceSummary& summary,
                            const uint8_t* begin, const uint8_t* end)
     : header_(header), summary_(summary) {
-  Decode(begin, end);
-}
-
-void DecodedTrace::Decode(const uint8_t* begin, const uint8_t* end) {
   encoded_bytes_ = static_cast<size_t>(end - begin);
   stream_hash_ = summary_.truncated == 0 ? summary_.stream_hash
                                          : FnvUpdate(kFnvOffset, begin, encoded_bytes_);
@@ -20,34 +16,15 @@ void DecodedTrace::Decode(const uint8_t* begin, const uint8_t* end) {
   // reallocation off the decode path without overshooting much.
   events_.reserve(encoded_bytes_ / 2 + 16);
 
-  TraceReader reader(begin, end);
-  TraceEvent ev;
-  while (reader.Next(&ev)) {
-    DecodedEvent d;
-    d.kind = ev.kind;
-    d.sub = ev.sub;
-    d.klass = ev.klass;
-    d.cpu = ev.cpu;
-    d.addr = ev.addr;
-    d.size = ev.size;
-    d.page = ev.page;
-    d.stride = ev.stride;
-    d.count = ev.count;
-    d.value = ev.value;
-    if (ev.kind == TraceEventKind::kCpuDelta) {
-      d.aux = static_cast<uint32_t>(deltas_.size());
-      deltas_.push_back(ev.delta);
-    } else if (ev.kind == TraceEventKind::kControl &&
-               static_cast<ControlSub>(ev.sub) == ControlSub::kLoopRun) {
-      d.period = static_cast<uint8_t>(ev.period);
-      d.aux = static_cast<uint32_t>(phases_.size());
-      phases_.insert(phases_.end(), ev.phases, ev.phases + ev.period);
-    }
-    events_.push_back(d);
+  TraceReader reader(begin, end, summary_.cpu_count);
+  DecodedEvent ev;
+  while (reader.Next(&ev, &payload_)) {
+    events_.push_back(ev);
   }
+  whole_ = reader.ReadWhole(summary_);
   events_.shrink_to_fit();
-  deltas_.shrink_to_fit();
-  phases_.shrink_to_fit();
+  payload_.deltas.shrink_to_fit();
+  payload_.phases.shrink_to_fit();
 }
 
 }  // namespace sgxb

@@ -5,15 +5,15 @@
 // That makes a raw Trace cheap to store but expensive to replay repeatedly:
 // every ReplayTrace call re-pays the varint/zigzag decode. A DecodedTrace
 // front-loads that cost — one pass through TraceReader materializes a flat,
-// absolute-operand event array plus side tables for the two bulky payloads
+// absolute-operand DecodedEvent array plus the EventPayload side tables
 // (compute deltas, loop-run phases) — and is immutable afterwards, so any
 // number of replays, on any number of host threads, can iterate it
 // concurrently without re-parsing or synchronization. This is the shared
 // substrate of the parallel sweep engine (src/trace/sweep.h).
 //
-// The decode uses the one TraceReader implementation, so the decoded event
-// sequence is definitionally identical to what a streaming replay sees:
-// ReplayDecoded(DecodedTrace(t), cfg) == ReplayTrace(t, cfg) bit-for-bit.
+// The decode is the one TraceReader writing straight into these arrays, so
+// the decoded event sequence is definitionally what a streaming consumer
+// sees: ReplayDecoded(DecodedTrace(t), cfg) == ReplayTrace(t, cfg).
 
 #ifndef SGXBOUNDS_SRC_TRACE_DECODED_TRACE_H_
 #define SGXBOUNDS_SRC_TRACE_DECODED_TRACE_H_
@@ -25,25 +25,6 @@
 #include "src/trace/trace_reader.h"
 
 namespace sgxb {
-
-// One decoded event, compacted to 48 bytes: the two payloads that would
-// bloat every event (CpuDelta: 64 bytes, LoopPhase[8]: 320 bytes) live in
-// side tables indexed by `aux`, so a multi-million-event trace decodes to a
-// few tens of MB instead of hundreds.
-struct DecodedEvent {
-  TraceEventKind kind = TraceEventKind::kControl;
-  uint8_t sub = 0;     // ParallelSub / MarkerSub / ControlSub
-  uint8_t klass = 0;   // AccessClass for (run) accesses
-  uint8_t period = 0;  // kLoopRun phase count
-  uint32_t cpu = 0;    // post-switch semantics, as TraceEvent
-  uint32_t addr = 0;
-  uint32_t size = 0;
-  uint32_t page = 0;
-  uint32_t aux = 0;    // kCpuDelta: index into deltas(); kLoopRun: first phase
-  int64_t stride = 0;
-  uint64_t count = 0;
-  uint64_t value = 0;
-};
 
 class DecodedTrace {
  public:
@@ -62,26 +43,28 @@ class DecodedTrace {
   const TraceHeader& header() const { return header_; }
   const TraceSummary& summary() const { return summary_; }
   const std::vector<DecodedEvent>& events() const { return events_; }
-  const CpuDelta& delta(uint32_t aux) const { return deltas_[aux]; }
-  const LoopPhase* phases(uint32_t aux) const { return &phases_[aux]; }
+  const EventPayload& payload() const { return payload_; }
+  const CpuDelta& delta(uint32_t aux) const { return payload_.deltas[aux]; }
+  const LoopPhase* phases(uint32_t aux) const { return &payload_.phases[aux]; }
 
-  // FNV-1a of the encoded stream this was decoded from: the trace half of
-  // the sweep engine's memoization key. For complete traces this equals
-  // summary().stream_hash; truncated prefixes hash the retained bytes.
+  // FNV-1a of the encoded stream this was decoded from. For complete traces
+  // this equals summary().stream_hash; truncated prefixes hash the retained
+  // bytes.
   uint64_t stream_hash() const { return stream_hash_; }
   uint64_t event_count() const { return events_.size(); }
   size_t encoded_bytes() const { return encoded_bytes_; }
+  // TraceReader::ReadWhole of the decode: false when a complete trace's
+  // stream stopped at a corrupt event, short of its kEnd.
+  bool whole() const { return whole_; }
 
  private:
-  void Decode(const uint8_t* begin, const uint8_t* end);
-
   TraceHeader header_;
   TraceSummary summary_;
   std::vector<DecodedEvent> events_;
-  std::vector<CpuDelta> deltas_;
-  std::vector<LoopPhase> phases_;
+  EventPayload payload_;
   uint64_t stream_hash_ = 0;
   size_t encoded_bytes_ = 0;
+  bool whole_ = true;
 };
 
 }  // namespace sgxb

@@ -50,10 +50,6 @@ inline RunResult ToRunResult(const ReplayResult& replay, const TraceHeader& head
   return out;
 }
 
-inline RunResult ToRunResult(const ReplayResult& replay, const Trace& trace) {
-  return ToRunResult(replay, trace.header, trace.summary);
-}
-
 // DecodedTrace carries the same header/summary; used by the sweep-backed
 // figure modes (src/trace/sweep.h).
 inline RunResult ToRunResult(const ReplayResult& replay, const DecodedTrace& trace) {

@@ -2,12 +2,17 @@
 
 #include <map>
 #include <tuple>
+#include <unordered_map>
 
 #include "src/common/digest.h"
 #include "src/common/host_parallel.h"
 
 namespace sgxb {
 
+namespace {
+
+// FNV-1a over the SimConfig fields; the bucket-index half of the duplicate
+// fold's key (equality is decided by operator==, never by this hash).
 uint64_t SimConfigHash(const SimConfig& config) {
   uint64_t h = kFnvOffset;
   h = FnvMix(h, config.l1_bytes);
@@ -29,28 +34,37 @@ uint64_t SimConfigHash(const SimConfig& config) {
   return h;
 }
 
+// A request's identity for the duplicate fold.
+struct RequestKey {
+  uint64_t trace_hash = 0;
+  SimConfig config;
+  bool operator==(const RequestKey& other) const {
+    return trace_hash == other.trace_hash && config == other.config;
+  }
+};
+struct RequestKeyHash {
+  size_t operator()(const RequestKey& key) const {
+    return static_cast<size_t>(key.trace_hash ^ SimConfigHash(key.config));
+  }
+};
+
+}  // namespace
+
 SweepEngine::SweepEngine(const SweepOptions& options) : options_(options) {}
 
 std::vector<ReplayResult> SweepEngine::Run(const std::vector<SweepRequest>& requests) {
   std::vector<ReplayResult> out(requests.size());
   stats_.requests += requests.size();
 
-  // Phase A (serial): memo lookups, then fold in-batch duplicates onto one
-  // canonical request each. Doing all dedup before dispatch keeps SweepStats
-  // a pure function of the request sequence — no thread-count dependence.
+  // Phase A (serial): fold duplicates onto one canonical request each. Doing
+  // it before dispatch keeps SweepStats a pure function of the request
+  // sequence — no thread-count dependence.
   std::vector<size_t> canon;                       // canonical request indices
   std::vector<std::vector<size_t>> copies(requests.size());
-  std::unordered_map<MemoKey, size_t, MemoKeyHash> seen;
+  std::unordered_map<RequestKey, size_t, RequestKeyHash> seen;
   for (size_t i = 0; i < requests.size(); ++i) {
     const SweepRequest& r = requests[i];
-    const MemoKey key{r.trace->stream_hash(), r.config};
-    const auto hit = memo_.find(key);
-    if (hit != memo_.end()) {
-      out[i] = hit->second;
-      ++stats_.memo_hits;
-      continue;
-    }
-    const auto ins = seen.emplace(key, i);
+    const auto ins = seen.emplace(RequestKey{r.trace->stream_hash(), r.config}, i);
     if (!ins.second) {
       copies[ins.first->second].push_back(i);
       ++stats_.memo_hits;
@@ -133,14 +147,11 @@ std::vector<ReplayResult> SweepEngine::Run(const std::vector<SweepRequest>& requ
     }
   }
 
-  // Phase E (serial): fan results out to in-batch duplicates and publish to
-  // the memo for future Run() calls.
-  for (size_t k = 0; k < canon.size(); ++k) {
-    const size_t i = canon[k];
+  // Phase E (serial): fan results out to the duplicates.
+  for (const size_t i : canon) {
     for (size_t j : copies[i]) {
       out[j] = out[i];
     }
-    memo_.emplace(MemoKey{requests[i].trace->stream_hash(), requests[i].config}, out[i]);
   }
   return out;
 }

@@ -4,7 +4,9 @@
 // under one SimConfig. Run() answers a whole batch, choosing per request the
 // cheapest sound tier (see src/trace/trace_replay.h):
 //
-//   1. memo hit      — (stream hash, full SimConfig) already answered;
+//   1. duplicate     — a request equal to an earlier one of the same batch
+//                      (same stream hash, same full SimConfig) is answered
+//                      with that request's result;
 //   2. capture       — requests sharing a trace and a cache geometry are
 //                      grouped; one ConfigSweeper capture per group answers
 //                      every EPC-size / cost-table / enclave-mode variant by
@@ -18,29 +20,22 @@
 // every tier is bit-identical to a sequential full replay, so the output
 // (and anything printed from it) is byte-identical for any thread count.
 //
-// The memo key pairs the FNV-1a stream hash with the FULL SimConfig (not a
-// config hash): equal keys therefore guarantee equal results, and a hash
-// collision costs a bucket probe, never a wrong answer. The memo persists
-// across Run() calls; duplicates inside one batch are folded before
-// dispatch, which also keeps SweepStats independent of the thread count.
+// Duplicates are folded before dispatch, which keeps SweepStats independent
+// of the thread count. The fold compares the FULL SimConfig (not a config
+// hash): equal keys guarantee equal results, and a hash collision costs a
+// bucket probe, never a wrong answer. Nothing is kept between Run() calls:
+// every caller builds one engine per grid and runs it once.
 
 #ifndef SGXBOUNDS_SRC_TRACE_SWEEP_H_
 #define SGXBOUNDS_SRC_TRACE_SWEEP_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/trace/decoded_trace.h"
 #include "src/trace/trace_replay.h"
 
 namespace sgxb {
-
-// Stable FNV-1a over every SimConfig field; the bucket-index half of the
-// memo key (equality is decided by operator==, never by this hash).
-uint64_t SimConfigHash(const SimConfig& config);
 
 struct SweepRequest {
   const DecodedTrace* trace = nullptr;  // borrowed; must outlive Run()
@@ -55,7 +50,7 @@ struct SweepOptions {
 // regardless of the thread count.
 struct SweepStats {
   uint64_t requests = 0;         // total requests seen
-  uint64_t memo_hits = 0;        // answered from the memo (incl. in-batch dups)
+  uint64_t memo_hits = 0;        // in-batch duplicates answered by the fold
   uint64_t captures_built = 0;   // full replays spent building captures
   uint64_t capture_replays = 0;  // requests answered by capture re-pricing
   uint64_t full_replays = 0;     // requests answered by full replay
@@ -70,25 +65,9 @@ class SweepEngine {
   std::vector<ReplayResult> Run(const std::vector<SweepRequest>& requests);
 
   const SweepStats& stats() const { return stats_; }
-  size_t memo_size() const { return memo_.size(); }
-  void ClearMemo() { memo_.clear(); }
 
  private:
-  struct MemoKey {
-    uint64_t trace_hash = 0;
-    SimConfig config;
-    bool operator==(const MemoKey& other) const {
-      return trace_hash == other.trace_hash && config == other.config;
-    }
-  };
-  struct MemoKeyHash {
-    size_t operator()(const MemoKey& key) const {
-      return static_cast<size_t>(key.trace_hash ^ SimConfigHash(key.config));
-    }
-  };
-
   SweepOptions options_;
-  std::unordered_map<MemoKey, ReplayResult, MemoKeyHash> memo_;
   SweepStats stats_;
 };
 

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "src/common/digest.h"
-#include "src/sim/cost_model.h"
+#include "src/sim/sim_config.h"
 
 namespace sgxb {
 
@@ -135,6 +135,7 @@ struct CpuDelta {
     return (alu | branches | fp | calls | syscalls | bounds_checks | bounds_violations |
             raw_cycles) == 0;
   }
+  bool operator==(const CpuDelta&) const = default;
 };
 
 // --- varints ---
@@ -156,14 +157,17 @@ inline int64_t UnZigZag(uint64_t v) {
 
 inline void PutZigZag(std::vector<uint8_t>& out, int64_t v) { PutVarint(out, ZigZag(v)); }
 
-// Decode-side varint: advances *p; returns 0 and pins *p to end on overrun
-// (the caller detects truncation by position).
+// Decode-side varint: advances *p; pins *p to end on overrun (the caller
+// detects truncation by position). Bits past the 64th, which only an
+// over-long encoding carries, are dropped.
 inline uint64_t GetVarint(const uint8_t** p, const uint8_t* end) {
   uint64_t v = 0;
   uint32_t shift = 0;
   while (*p < end) {
     const uint8_t byte = *(*p)++;
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if (shift < 64) {
+      v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    }
     if ((byte & 0x80) == 0) {
       return v;
     }
@@ -212,20 +216,11 @@ inline uint64_t CostTableId(const CostModel& c) {
 struct TraceHeader {
   uint32_t version = kTraceVersion;
   uint8_t policy = 0;  // PolicyKind
-  uint8_t enclave_mode = 1;
   uint32_t threads = 1;
   uint64_t seed = 0;
   uint64_t space_bytes = 0;
   uint64_t heap_reserve = 0;
-  // SimConfig of the recording machine.
-  uint64_t l1_bytes = 0;
-  uint32_t l1_ways = 0;
-  uint64_t l2_bytes = 0;
-  uint32_t l2_ways = 0;
-  uint64_t l3_bytes = 0;
-  uint32_t l3_ways = 0;
-  uint64_t epc_bytes = 0;
-  CostModel costs;
+  SimConfig sim;  // the recording machine
   uint64_t cost_table_id = 0;
   // Identification (free-form; set by the recording driver).
   std::string workload;

@@ -4,15 +4,12 @@
 #include <cstring>
 #include <vector>
 
-#include "src/trace/trace_replay.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SGXB_TRACE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "src/sim/machine.h"
 
 namespace sgxb {
 
@@ -139,8 +136,7 @@ bool Fail(std::string* error, const std::string& message) {
 }
 
 // Parses a serialized trace image in place. On success *events_off /
-// *events_len locate the event blob inside `data` — nothing is copied, so
-// both the heap loader and the mmap loader share one parser.
+// *events_len locate the event blob inside `data`; nothing is copied.
 bool ParseTraceImage(const uint8_t* data, size_t size, const std::string& path,
                      TraceHeader* header, TraceSummary* summary, size_t* events_off,
                      size_t* events_len, std::string* error) {
@@ -160,19 +156,19 @@ bool ParseTraceImage(const uint8_t* data, size_t size, const std::string& path,
                            std::to_string(kTraceVersionTransitions) + ")");
   }
   h.policy = in.Get8();
-  h.enclave_mode = in.Get8();
+  h.sim.enclave_mode = in.Get8() != 0;
   h.threads = in.Get32();
   h.seed = in.Get64();
   h.space_bytes = in.Get64();
   h.heap_reserve = in.Get64();
-  h.l1_bytes = in.Get64();
-  h.l1_ways = in.Get32();
-  h.l2_bytes = in.Get64();
-  h.l2_ways = in.Get32();
-  h.l3_bytes = in.Get64();
-  h.l3_ways = in.Get32();
-  h.epc_bytes = in.Get64();
-  DeserializeCosts(in, &h.costs, h.version);
+  h.sim.l1_bytes = in.Get64();
+  h.sim.l1_ways = in.Get32();
+  h.sim.l2_bytes = in.Get64();
+  h.sim.l2_ways = in.Get32();
+  h.sim.l3_bytes = in.Get64();
+  h.sim.l3_ways = in.Get32();
+  h.sim.epc_bytes = in.Get64();
+  DeserializeCosts(in, &h.sim.costs, h.version);
   h.cost_table_id = in.Get64();
   h.workload = in.GetString();
   h.note = in.GetString();
@@ -184,7 +180,7 @@ bool ParseTraceImage(const uint8_t* data, size_t size, const std::string& path,
   // The header's machine is rebuilt on replay; reject one the cache and EPC
   // models would abort on (or allocate gigabytes for).
   std::string config_error;
-  if (!ValidateSimConfig(SimConfigFromHeader(h), &config_error)) {
+  if (!ValidateSimConfig(h.sim, &config_error)) {
     return Fail(error, "bad machine config in trace header (" + config_error + "): " + path);
   }
   *events_off = static_cast<size_t>(in.pos() - data);
@@ -230,19 +226,19 @@ bool SaveTrace(const Trace& trace, const std::string& path, std::string* error) 
 
   const TraceHeader& h = trace.header;
   out.push_back(h.policy);
-  out.push_back(h.enclave_mode);
+  out.push_back(h.sim.enclave_mode ? 1 : 0);
   Put32(out, h.threads);
   Put64(out, h.seed);
   Put64(out, h.space_bytes);
   Put64(out, h.heap_reserve);
-  Put64(out, h.l1_bytes);
-  Put32(out, h.l1_ways);
-  Put64(out, h.l2_bytes);
-  Put32(out, h.l2_ways);
-  Put64(out, h.l3_bytes);
-  Put32(out, h.l3_ways);
-  Put64(out, h.epc_bytes);
-  SerializeCosts(out, h.costs, trace.header.version);
+  Put64(out, h.sim.l1_bytes);
+  Put32(out, h.sim.l1_ways);
+  Put64(out, h.sim.l2_bytes);
+  Put32(out, h.sim.l2_ways);
+  Put64(out, h.sim.l3_bytes);
+  Put32(out, h.sim.l3_ways);
+  Put64(out, h.sim.epc_bytes);
+  SerializeCosts(out, h.sim.costs, trace.header.version);
   Put64(out, h.cost_table_id);
   PutString(out, h.workload);
   PutString(out, h.note);
@@ -276,50 +272,30 @@ bool SaveTrace(const Trace& trace, const std::string& path, std::string* error) 
 }
 
 bool LoadTrace(const std::string& path, Trace* trace, std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Fail(error, "cannot open: " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> raw(size > 0 ? static_cast<size_t>(size) : 0);
-  const size_t read = raw.empty() ? 0 : std::fread(raw.data(), 1, raw.size(), f);
-  std::fclose(f);
-  if (read != raw.size()) {
-    return Fail(error, "short read: " + path);
-  }
-
-  *trace = Trace{};
-  size_t events_off = 0, events_len = 0;
-  if (!ParseTraceImage(raw.data(), raw.size(), path, &trace->header, &trace->summary,
-                       &events_off, &events_len, error)) {
+  MappedTrace mapped;
+  if (!mapped.Load(path, error)) {
     return false;
   }
-  trace->events.assign(raw.data() + events_off, raw.data() + events_off + events_len);
+  trace->header = mapped.header();
+  trace->summary = mapped.summary();
+  trace->events.assign(mapped.events_begin(), mapped.events_end());
   return true;
 }
 
 MappedTrace::~MappedTrace() { Unmap(); }
 
 void MappedTrace::Unmap() {
-#if SGXB_TRACE_HAVE_MMAP
   if (map_base_ != nullptr) {
     munmap(map_base_, map_size_);
   }
-#endif
   map_base_ = nullptr;
   map_size_ = 0;
   events_begin_ = nullptr;
   events_size_ = 0;
-  fallback_.clear();
 }
 
 bool MappedTrace::Load(const std::string& path, std::string* error) {
   Unmap();
-  const uint8_t* data = nullptr;
-  size_t size = 0;
-#if SGXB_TRACE_HAVE_MMAP
   const int fd = open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Fail(error, "cannot open: " + path);
@@ -339,30 +315,10 @@ bool MappedTrace::Load(const std::string& path, std::string* error) {
     }
   }
   close(fd);
-  data = static_cast<const uint8_t*>(map_base_);
-  size = map_size_;
-#else
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Fail(error, "cannot open: " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long fsize = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  fallback_.resize(fsize > 0 ? static_cast<size_t>(fsize) : 0);
-  const size_t read =
-      fallback_.empty() ? 0 : std::fread(fallback_.data(), 1, fallback_.size(), f);
-  std::fclose(f);
-  if (read != fallback_.size()) {
-    Unmap();
-    return Fail(error, "short read: " + path);
-  }
-  data = fallback_.data();
-  size = fallback_.size();
-#endif
+  const uint8_t* data = static_cast<const uint8_t*>(map_base_);
 
   size_t events_off = 0, events_len = 0;
-  if (!ParseTraceImage(data, size, path, &header_, &summary_, &events_off, &events_len,
+  if (!ParseTraceImage(data, map_size_, path, &header_, &summary_, &events_off, &events_len,
                        error)) {
     Unmap();
     return false;

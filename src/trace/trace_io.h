@@ -17,7 +17,8 @@
 
 namespace sgxb {
 
-// Returns true on success; on failure fills *error.
+// Returns true on success; on failure fills *error. LoadTrace loads through
+// MappedTrace and copies the event view into trace->events.
 bool SaveTrace(const Trace& trace, const std::string& path, std::string* error);
 bool LoadTrace(const std::string& path, Trace* trace, std::string* error);
 
@@ -26,8 +27,7 @@ bool LoadTrace(const std::string& path, Trace* trace, std::string* error);
 // copy, so a multi-GB trace opens in microseconds and the pages fault in
 // lazily as the decoder walks them (integrity hashing still touches them
 // all once). The view is valid for the lifetime of this object; feed it
-// straight to DecodedTrace, which reads the bytes exactly once. Falls back
-// to a heap read on platforms without mmap.
+// straight to DecodedTrace, which reads the bytes exactly once.
 class MappedTrace {
  public:
   MappedTrace() = default;
@@ -52,9 +52,8 @@ class MappedTrace {
   TraceSummary summary_;
   const uint8_t* events_begin_ = nullptr;
   size_t events_size_ = 0;
-  void* map_base_ = nullptr;  // non-null only when backed by mmap
+  void* map_base_ = nullptr;  // null for an empty file
   size_t map_size_ = 0;
-  std::vector<uint8_t> fallback_;  // heap copy when mmap is unavailable
 };
 
 }  // namespace sgxb

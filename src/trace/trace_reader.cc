@@ -1,17 +1,33 @@
 #include "src/trace/trace_reader.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+
+#include "src/common/units.h"
 
 namespace sgxb {
 
 namespace {
 
-// True when [addr, addr + size) wraps past the top of the 32-bit address
-// space: no live run can produce one (the top guard page traps first), so
-// such an event marks a corrupt or hand-crafted stream.
-bool WrapsAddressSpace(uint32_t addr, uint32_t size) {
-  return static_cast<uint64_t>(addr) + size > (uint64_t{1} << 32);
+constexpr int64_t kAddressSpace = int64_t{1} << 32;
+constexpr uint32_t kPageSpace = static_cast<uint32_t>(kAddressSpace / kPageSize);
+
+// True when `count` accesses of `size` bytes, the first at `first` and the
+// rest `stride` bytes apart, all lie inside [0, 4 GiB). The elements are
+// evenly spaced, so checking the first and the last covers them all. No live
+// run can produce a wrapping access (the top guard page traps first), so one
+// marks a corrupt or hand-crafted stream; replayed, it would walk every
+// cache line of the address space.
+bool RunInAddressSpace(__int128 first, int64_t stride, uint64_t count, uint32_t size) {
+  const auto in_space = [size](__int128 addr) {
+    return addr >= 0 && addr < kAddressSpace && addr + size <= kAddressSpace;
+  };
+  if (count == 0) {
+    return true;
+  }
+  return in_space(first) &&
+         in_space(first + static_cast<__int128>(stride) * static_cast<__int128>(count - 1));
 }
 
 }  // namespace
@@ -30,27 +46,25 @@ const char* TraceEventKindName(TraceEventKind kind) {
   return "?";
 }
 
-bool TraceEvent::operator==(const TraceEvent& other) const {
-  if (kind != other.kind || sub != other.sub || klass != other.klass ||
-      cpu != other.cpu || addr != other.addr || size != other.size ||
-      stride != other.stride || count != other.count || page != other.page ||
-      value != other.value || period != other.period) {
+bool SameTraceEvent(const DecodedEvent& a, const EventPayload& a_payload,
+                    const DecodedEvent& b, const EventPayload& b_payload) {
+  if (a.kind != b.kind || a.sub != b.sub || a.klass != b.klass || a.period != b.period ||
+      a.cpu != b.cpu || a.addr != b.addr || a.size != b.size || a.page != b.page ||
+      a.stride != b.stride || a.count != b.count || a.value != b.value) {
     return false;
   }
-  for (uint32_t j = 0; j < period && j < kMaxLoopPeriod; ++j) {
-    if (!(phases[j] == other.phases[j])) {
+  if (a.kind == TraceEventKind::kCpuDelta) {
+    return a_payload.deltas[a.aux] == b_payload.deltas[b.aux];
+  }
+  for (uint32_t j = 0; j < a.period; ++j) {
+    if (!(a_payload.phases[a.aux + j] == b_payload.phases[b.aux + j])) {
       return false;
     }
   }
-  return delta.alu == other.delta.alu && delta.branches == other.delta.branches &&
-         delta.fp == other.delta.fp && delta.calls == other.delta.calls &&
-         delta.syscalls == other.delta.syscalls &&
-         delta.bounds_checks == other.delta.bounds_checks &&
-         delta.bounds_violations == other.delta.bounds_violations &&
-         delta.raw_cycles == other.delta.raw_cycles;
+  return true;
 }
 
-std::string FormatTraceEvent(const TraceEvent& ev) {
+std::string FormatTraceEvent(const DecodedEvent& ev, const EventPayload& payload) {
   static const char* kClassNames[4] = {"app-load", "app-store", "meta-load",
                                        "meta-store"};
   char buf[256];
@@ -66,15 +80,16 @@ std::string FormatTraceEvent(const TraceEvent& ev) {
                     ev.cpu, kClassNames[ev.klass & 3], ev.addr, ev.size, ev.stride,
                     ev.count);
       break;
-    case TraceEventKind::kCpuDelta:
+    case TraceEventKind::kCpuDelta: {
+      const CpuDelta& d = payload.deltas[ev.aux];
       std::snprintf(buf, sizeof buf,
                     "cpu-delta cpu=%u alu=%" PRIu64 " br=%" PRIu64 " fp=%" PRIu64
                     " call=%" PRIu64 " sys=%" PRIu64 " bc=%" PRIu64 " bv=%" PRIu64
                     " raw=%" PRIu64,
-                    ev.cpu, ev.delta.alu, ev.delta.branches, ev.delta.fp, ev.delta.calls,
-                    ev.delta.syscalls, ev.delta.bounds_checks, ev.delta.bounds_violations,
-                    ev.delta.raw_cycles);
+                    ev.cpu, d.alu, d.branches, d.fp, d.calls, d.syscalls, d.bounds_checks,
+                    d.bounds_violations, d.raw_cycles);
       break;
+    }
     case TraceEventKind::kCommit:
       std::snprintf(buf, sizeof buf, "commit cpu=%u page=%u count=%" PRIu64, ev.cpu,
                     ev.page, ev.count);
@@ -128,8 +143,8 @@ std::string FormatTraceEvent(const TraceEvent& ev) {
           std::snprintf(buf, sizeof buf, "loop-run cpu=%u period=%u iters=%" PRIu64,
                         ev.cpu, ev.period, ev.count);
           out = buf;
-          for (uint32_t j = 0; j < ev.period && j < kMaxLoopPeriod; ++j) {
-            const LoopPhase& ph = ev.phases[j];
+          for (uint32_t j = 0; j < ev.period; ++j) {
+            const LoopPhase& ph = payload.phases[ev.aux + j];
             std::snprintf(buf, sizeof buf,
                           " [%s addr=0x%08x size=%u step=%" PRId64 " stride=%" PRId64
                           " count=%" PRIu64 "]",
@@ -151,22 +166,34 @@ std::string FormatTraceEvent(const TraceEvent& ev) {
   return buf;
 }
 
-bool TraceReader::Next(TraceEvent* ev) {
+bool TraceReader::Next(DecodedEvent* ev, EventPayload* payload) {
   if (saw_end_ || p_ >= end_) {
     return false;
   }
   const uint8_t b0 = *p_++;
   const TraceEventKind kind = static_cast<TraceEventKind>(b0 & 7u);
-  *ev = TraceEvent{};
+  *ev = DecodedEvent{};
   ev->kind = kind;
   ev->cpu = current_cpu_;
+  // Makes `id` the current cpu; false when the id skips ahead or reaches the
+  // summary's cpu count.
+  const auto enter_cpu = [this, ev](uint64_t id) {
+    if (id > uint64_t{max_cpu_} + 1 || id >= cpu_count_) {
+      return false;
+    }
+    ev->cpu = static_cast<uint32_t>(id);
+    current_cpu_ = ev->cpu;
+    max_cpu_ = std::max(max_cpu_, ev->cpu);
+    return true;
+  };
+  // Address and page arithmetic wraps as uint32 / uint64, as the encoder's
+  // deltas do; corrupt operands may not overflow a signed type.
   switch (kind) {
     case TraceEventKind::kAccess:
     case TraceEventKind::kAccessRun: {
       ev->klass = (b0 >> 3) & 3u;
       const uint8_t tag = b0 >> 5;
-      const int64_t delta = UnZigZag(GetVarint(&p_, end_));
-      ev->addr = static_cast<uint32_t>(static_cast<int64_t>(last_addr_) + delta);
+      ev->addr = last_addr_ + static_cast<uint32_t>(UnZigZag(GetVarint(&p_, end_)));
       if (kind == TraceEventKind::kAccessRun) {
         ev->stride = UnZigZag(GetVarint(&p_, end_));
         ev->count = GetVarint(&p_, end_);
@@ -174,12 +201,11 @@ bool TraceReader::Next(TraceEvent* ev) {
         ev->count = 1;
       }
       ev->size = tag == 0 ? static_cast<uint32_t>(GetVarint(&p_, end_)) : SizeOfTag(tag);
-      if (kind == TraceEventKind::kAccess && WrapsAddressSpace(ev->addr, ev->size)) {
+      if (!RunInAddressSpace(ev->addr, ev->stride, ev->count, ev->size)) {
         return false;  // corrupt stream
       }
-      last_addr_ = static_cast<uint32_t>(
-          static_cast<int64_t>(ev->addr) +
-          ev->stride * static_cast<int64_t>(ev->count - 1));
+      last_addr_ = static_cast<uint32_t>(ev->addr +
+                                         static_cast<uint64_t>(ev->stride) * (ev->count - 1));
       break;
     }
     case TraceEventKind::kCpuDelta: {
@@ -187,26 +213,26 @@ bool TraceReader::Next(TraceEvent* ev) {
         return false;
       }
       const uint8_t mask = *p_++;
-      uint64_t* fields[8] = {&ev->delta.alu,
-                             &ev->delta.branches,
-                             &ev->delta.fp,
-                             &ev->delta.calls,
-                             &ev->delta.syscalls,
-                             &ev->delta.bounds_checks,
-                             &ev->delta.bounds_violations,
-                             &ev->delta.raw_cycles};
+      CpuDelta d;
+      uint64_t* fields[8] = {&d.alu,           &d.branches,         &d.fp,
+                             &d.calls,         &d.syscalls,         &d.bounds_checks,
+                             &d.bounds_violations, &d.raw_cycles};
       for (int i = 0; i < 8; ++i) {
         if (mask & (1u << i)) {
           *fields[i] = GetVarint(&p_, end_);
         }
       }
+      ev->aux = static_cast<uint32_t>(payload->deltas.size());
+      payload->deltas.push_back(d);
       break;
     }
     case TraceEventKind::kCommit:
     case TraceEventKind::kDecommit: {
-      const int64_t delta = UnZigZag(GetVarint(&p_, end_));
-      ev->page = static_cast<uint32_t>(static_cast<int64_t>(last_page_) + delta);
+      ev->page = last_page_ + static_cast<uint32_t>(UnZigZag(GetVarint(&p_, end_)));
       ev->count = GetVarint(&p_, end_);
+      if (ev->page > kPageSpace || ev->count > kPageSpace - ev->page) {
+        return false;  // corrupt stream: pages past 4 GiB
+      }
       last_page_ = static_cast<uint32_t>(ev->page + ev->count - 1);
       break;
     }
@@ -218,8 +244,9 @@ bool TraceReader::Next(TraceEvent* ev) {
           parallel_callers_.push_back(current_cpu_);
           break;
         case ParallelSub::kWorkerBegin:
-          ev->cpu = static_cast<uint32_t>(GetVarint(&p_, end_));
-          current_cpu_ = ev->cpu;
+          if (!enter_cpu(GetVarint(&p_, end_))) {
+            return false;  // corrupt stream
+          }
           break;
         case ParallelSub::kWorkerEnd:
           break;
@@ -238,14 +265,12 @@ bool TraceReader::Next(TraceEvent* ev) {
       ev->sub = (b0 >> 3) & 3u;
       switch (static_cast<MarkerSub>(ev->sub)) {
         case MarkerSub::kAlloc:
-          ev->addr = static_cast<uint32_t>(static_cast<int64_t>(last_addr_) +
-                                           UnZigZag(GetVarint(&p_, end_)));
+          ev->addr = last_addr_ + static_cast<uint32_t>(UnZigZag(GetVarint(&p_, end_)));
           ev->size = static_cast<uint32_t>(GetVarint(&p_, end_));
           last_addr_ = ev->addr;
           break;
         case MarkerSub::kFree:
-          ev->addr = static_cast<uint32_t>(static_cast<int64_t>(last_addr_) +
-                                           UnZigZag(GetVarint(&p_, end_)));
+          ev->addr = last_addr_ + static_cast<uint32_t>(UnZigZag(GetVarint(&p_, end_)));
           last_addr_ = ev->addr;
           break;
         case MarkerSub::kEpoch:
@@ -261,46 +286,51 @@ bool TraceReader::Next(TraceEvent* ev) {
           saw_end_ = true;
           break;
         case ControlSub::kSwitchCpu:
-          ev->cpu = static_cast<uint32_t>(GetVarint(&p_, end_));
-          current_cpu_ = ev->cpu;
-          break;
-        case ControlSub::kLoopRun: {
-          ev->period = static_cast<uint32_t>(GetVarint(&p_, end_));
-          ev->count = GetVarint(&p_, end_);  // iterations
-          if (ev->period == 0 || ev->period > kMaxLoopPeriod) {
+          if (!enter_cpu(GetVarint(&p_, end_))) {
             return false;  // corrupt stream
           }
+          break;
+        case ControlSub::kLoopRun: {
+          const uint64_t period = GetVarint(&p_, end_);
+          ev->count = GetVarint(&p_, end_);  // iterations
+          if (period == 0 || period > kMaxLoopPeriod) {
+            return false;  // corrupt stream
+          }
+          ev->period = static_cast<uint8_t>(period);
+          ev->aux = static_cast<uint32_t>(payload->phases.size());
+          const uint64_t last_iter = ev->count == 0 ? 0 : ev->count - 1;
           uint32_t prev = last_addr_;
           for (uint32_t j = 0; j < ev->period; ++j) {
-            LoopPhase& ph = ev->phases[j];
             if (p_ >= end_) {
+              payload->phases.resize(ev->aux);
               return false;
             }
+            LoopPhase ph;
             const uint8_t pb = *p_++;
             ph.klass = pb & 3u;
             const uint8_t tag = (pb >> 2) & 7u;
-            ph.addr = static_cast<uint32_t>(static_cast<int64_t>(prev) +
-                                            UnZigZag(GetVarint(&p_, end_)));
+            ph.addr = prev + static_cast<uint32_t>(UnZigZag(GetVarint(&p_, end_)));
             ph.iter_delta = UnZigZag(GetVarint(&p_, end_));
             if ((pb >> 5) & 1u) {
               ph.stride = UnZigZag(GetVarint(&p_, end_));
               ph.count = GetVarint(&p_, end_);
-            } else {
-              ph.stride = 0;
-              ph.count = 1;
             }
             ph.size = tag == 0 ? static_cast<uint32_t>(GetVarint(&p_, end_))
                                : SizeOfTag(tag);
-            if (WrapsAddressSpace(ph.addr, ph.size)) {
+            const __int128 last_base =
+                ph.addr + static_cast<__int128>(ph.iter_delta) * static_cast<__int128>(last_iter);
+            if (!RunInAddressSpace(ph.addr, ph.stride, ph.count, ph.size) ||
+                !RunInAddressSpace(last_base, ph.stride, ph.count, ph.size)) {
+              payload->phases.resize(ev->aux);
               return false;  // corrupt stream
             }
+            payload->phases.push_back(ph);
             prev = ph.addr;
           }
-          const LoopPhase& lastp = ev->phases[ev->period - 1];
+          const LoopPhase& lastp = payload->phases.back();
           last_addr_ = static_cast<uint32_t>(
-              static_cast<int64_t>(lastp.addr) +
-              lastp.iter_delta * static_cast<int64_t>(ev->count - 1) +
-              lastp.stride * static_cast<int64_t>(lastp.count - 1));
+              lastp.addr + static_cast<uint64_t>(lastp.iter_delta) * (ev->count - 1) +
+              static_cast<uint64_t>(lastp.stride) * (lastp.count - 1));
           break;
         }
         case ControlSub::kEcall:

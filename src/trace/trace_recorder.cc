@@ -16,10 +16,10 @@ void TraceRecorder::BeginRun(const TraceHeader& machine_fields) {
   std::string workload = std::move(trace_.header.workload);
   std::string note = std::move(trace_.header.note);
   trace_.header = machine_fields;
-  trace_.header.version = trace_.header.costs.TransitionsEnabled()
+  trace_.header.version = trace_.header.sim.costs.TransitionsEnabled()
                               ? kTraceVersionTransitions
                               : kTraceVersion;
-  trace_.header.cost_table_id = CostTableId(trace_.header.costs);
+  trace_.header.cost_table_id = CostTableId(trace_.header.sim.costs);
   if (!workload.empty()) {
     trace_.header.workload = std::move(workload);
   }

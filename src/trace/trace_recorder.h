@@ -52,7 +52,8 @@ class TraceRecorder {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   // Called once by the run harness before any event: fills the machine
-  // fields of the header (workload/note identification is preserved).
+  // fields of the header and derives its version and cost_table_id from
+  // sim.costs (workload/note identification is preserved).
   void BeginRun(const TraceHeader& machine_fields);
 
   // Registers a hardware thread by its live event counts (Cpu::events());

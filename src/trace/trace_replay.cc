@@ -8,20 +8,6 @@
 
 namespace sgxb {
 
-SimConfig SimConfigFromHeader(const TraceHeader& h) {
-  SimConfig cfg;
-  cfg.l1_bytes = h.l1_bytes;
-  cfg.l1_ways = h.l1_ways;
-  cfg.l2_bytes = h.l2_bytes;
-  cfg.l2_ways = h.l2_ways;
-  cfg.l3_bytes = h.l3_bytes;
-  cfg.l3_ways = h.l3_ways;
-  cfg.epc_bytes = h.epc_bytes;
-  cfg.enclave_mode = h.enclave_mode != 0;
-  cfg.costs = h.costs;
-  return cfg;
-}
-
 namespace {
 
 // Applies an aggregated compute delta through the live counting paths; the

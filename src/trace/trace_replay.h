@@ -30,7 +30,7 @@
 namespace sgxb {
 
 // The recording machine configuration; mutate fields to sweep.
-SimConfig SimConfigFromHeader(const TraceHeader& header);
+inline SimConfig SimConfigFromHeader(const TraceHeader& header) { return header.sim; }
 
 struct ReplayResult {
   uint64_t cycles = 0;       // main-cpu cycle total (the figures' time axis)

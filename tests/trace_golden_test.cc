@@ -25,9 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "src/trace/decoded_trace.h"
 #include "src/trace/record.h"
 #include "src/trace/trace_io.h"
-#include "src/trace/trace_reader.h"
 
 #ifndef SGXB_GOLDEN_TRACE_DIR
 #error "build must define SGXB_GOLDEN_TRACE_DIR"
@@ -79,26 +79,25 @@ Trace RecordGolden(const Golden& g) {
 
 // Reports the first decoded events on which the two streams diverge.
 void ReportEventDiff(const Trace& golden, const Trace& current) {
-  TraceReader rg(golden), rc(current);
-  TraceEvent eg, ec;
+  const DecodedTrace dg(golden), dc(current);
   int shown = 0;
-  while (shown < 10) {
-    const bool hg = rg.Next(&eg);
-    const bool hc = rc.Next(&ec);
+  for (uint64_t i = 0; shown < 10; ++i) {
+    const bool hg = i < dg.event_count();
+    const bool hc = i < dc.event_count();
     if (!hg && !hc) {
       break;
     }
     if (!hg || !hc) {
-      ADD_FAILURE() << "event #" << ((hg ? rc.position() : rg.position()) - 1)
-                    << ": " << (hg ? "current" : "golden") << " stream ends; "
-                    << (hg ? "golden" : "current")
-                    << " continues with: " << FormatTraceEvent(hg ? eg : ec);
+      const DecodedTrace& longer = hg ? dg : dc;
+      ADD_FAILURE() << "event #" << i << ": " << (hg ? "current" : "golden")
+                    << " stream ends; " << (hg ? "golden" : "current") << " continues with: "
+                    << FormatTraceEvent(longer.events()[i], longer.payload());
       break;
     }
-    if (!(eg == ec)) {
-      ADD_FAILURE() << "event #" << (rg.position() - 1) << " diverges\n"
-                    << "  golden:  " << FormatTraceEvent(eg) << "\n"
-                    << "  current: " << FormatTraceEvent(ec);
+    if (!SameTraceEvent(dg.events()[i], dg.payload(), dc.events()[i], dc.payload())) {
+      ADD_FAILURE() << "event #" << i << " diverges\n"
+                    << "  golden:  " << FormatTraceEvent(dg.events()[i], dg.payload()) << "\n"
+                    << "  current: " << FormatTraceEvent(dc.events()[i], dc.payload());
       ++shown;
     }
   }

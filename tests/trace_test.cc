@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/runtime/syscall_shim.h"
+#include "src/trace/decoded_trace.h"
 #include "src/trace/record.h"
 #include "src/trace/sweep.h"
 #include "src/trace/trace_io.h"
@@ -131,11 +132,12 @@ TEST(TraceReplay, SaveLoadRoundTripPreservesReplay) {
 
 // Builds a complete trace around a hand-written event stream, with the
 // stream hash re-stamped so LoadTrace's integrity check accepts it.
-Trace CraftedTrace(const TraceHeader& header, std::vector<uint8_t> events) {
+Trace CraftedTrace(const TraceHeader& header, std::vector<uint8_t> events,
+                   uint32_t cpu_count = 1) {
   Trace t;
   t.header = header;
   t.events = std::move(events);
-  t.summary.cpu_count = 1;
+  t.summary.cpu_count = cpu_count;
   t.summary.stream_hash = FnvUpdate(kFnvOffset, t.events.data(), t.events.size());
   return t;
 }
@@ -144,12 +146,60 @@ uint8_t AccessByte(TraceEventKind kind, uint32_t size) {
   return static_cast<uint8_t>(kind) | static_cast<uint8_t>(SizeTagOf(size) << 5);
 }
 
+uint8_t ControlByte(ControlSub sub) {
+  return static_cast<uint8_t>(TraceEventKind::kControl) |
+         static_cast<uint8_t>(static_cast<uint8_t>(sub) << 3);
+}
+
+uint8_t ParallelByte(ParallelSub sub) {
+  return static_cast<uint8_t>(TraceEventKind::kParallel) |
+         static_cast<uint8_t>(static_cast<uint8_t>(sub) << 3);
+}
+
+// A hand-written stream whose event number `good_events` is one the reader
+// must refuse: the events before it decode and replay (touching
+// `good_accesses` lines), the reader stops there, and the complete trace
+// decodes short of its end.
+struct CorruptCase {
+  const char* name;
+  std::vector<uint8_t> events;
+  uint32_t cpu_count;
+  uint64_t good_events;
+  uint64_t good_accesses;
+};
+
+void ExpectReaderStops(const TraceHeader& header, const CorruptCase& c) {
+  const std::string path = ::testing::TempDir() + "trace_corrupt.sgxtrace";
+  std::string error;
+  std::vector<uint8_t> events = c.events;
+  events.push_back(ControlByte(ControlSub::kEnd));
+  ASSERT_TRUE(SaveTrace(CraftedTrace(header, events, c.cpu_count), path, &error)) << error;
+  Trace loaded;
+  ASSERT_TRUE(LoadTrace(path, &loaded, &error)) << c.name << ": " << error;
+  std::remove(path.c_str());
+
+  TraceReader reader(loaded);
+  DecodedEvent ev;
+  EventPayload payload;
+  for (uint64_t i = 0; i < c.good_events; ++i) {
+    ASSERT_TRUE(reader.Next(&ev, &payload)) << c.name;
+  }
+  EXPECT_FALSE(reader.Next(&ev, &payload)) << c.name;
+  EXPECT_FALSE(reader.saw_end()) << c.name;
+  EXPECT_FALSE(DecodedTrace(loaded).whole()) << c.name;
+
+  const ReplayResult replay = ReplayTrace(loaded);
+  EXPECT_EQ(replay.events_replayed, c.good_events) << c.name;
+  EXPECT_EQ(replay.counters.l1_accesses, c.good_accesses) << c.name;
+}
+
 // An access whose bytes wrap past 4 GiB cannot come from a live run (the top
 // guard page traps first) but can come from a file. The reader must stop at
-// it rather than hand the replay a span that walks every cache line.
+// it rather than hand the replay a span that walks every cache line: a
+// single access, an access run's last element, and a loop phase at its first
+// or its last iteration.
 TEST(TraceReader, RejectsAccessesWrappingTheAddressSpace) {
   const RecordedRun rec = Record("histogram", PolicyKind::kNative, SizeClass::kXS);
-  const uint8_t end = static_cast<uint8_t>(TraceEventKind::kControl);  // kEnd
 
   // One good access, then one at 0xFFFFFFE0 spanning 64 bytes.
   std::vector<uint8_t> access;
@@ -157,43 +207,76 @@ TEST(TraceReader, RejectsAccessesWrappingTheAddressSpace) {
   PutZigZag(access, 0x1000);
   access.push_back(AccessByte(TraceEventKind::kAccess, 64));
   PutZigZag(access, int64_t{0xFFFFFFE0} - 0x1000);
-  access.push_back(end);
 
-  // A one-phase loop whose phase starts at the same wrapping address.
-  std::vector<uint8_t> loop;
-  loop.push_back(static_cast<uint8_t>(TraceEventKind::kControl) |
-                 static_cast<uint8_t>(static_cast<uint8_t>(ControlSub::kLoopRun) << 3));
-  PutVarint(loop, 1);                                      // period
-  PutVarint(loop, 2);                                      // iterations
-  loop.push_back(static_cast<uint8_t>(SizeTagOf(64) << 2));  // app load, no run
-  PutZigZag(loop, int64_t{0xFFFFFFE0});
-  PutZigZag(loop, 64);
-  loop.push_back(end);
+  // A run that starts at 0x1000 and strides past 4 GiB by its 17th element.
+  std::vector<uint8_t> run;
+  run.push_back(AccessByte(TraceEventKind::kAccessRun, 4));
+  PutZigZag(run, 0x1000);
+  PutZigZag(run, 0x10000000);  // stride
+  PutVarint(run, 32);          // count
 
-  struct Case {
-    const char* name;
-    std::vector<uint8_t> events;
-    uint64_t good_events;
+  // A one-phase loop of `iters` iterations: phase at `addr`, stepping `step`.
+  const auto loop = [](int64_t addr, int64_t step, uint64_t iters) {
+    std::vector<uint8_t> out;
+    out.push_back(ControlByte(ControlSub::kLoopRun));
+    PutVarint(out, 1);                                      // period
+    PutVarint(out, iters);                                  // iterations
+    out.push_back(static_cast<uint8_t>(SizeTagOf(64) << 2));  // app load, no run
+    PutZigZag(out, addr);
+    PutZigZag(out, step);
+    return out;
   };
-  for (const Case& c : {Case{"access", access, 1}, Case{"loop phase", loop, 0}}) {
-    const std::string path = ::testing::TempDir() + "trace_wrap.sgxtrace";
-    std::string error;
-    ASSERT_TRUE(SaveTrace(CraftedTrace(rec.trace.header, c.events), path, &error)) << error;
-    Trace loaded;
-    ASSERT_TRUE(LoadTrace(path, &loaded, &error)) << c.name << ": " << error;
-    std::remove(path.c_str());
 
-    TraceReader reader(loaded);
-    TraceEvent ev;
-    for (uint64_t i = 0; i < c.good_events; ++i) {
-      ASSERT_TRUE(reader.Next(&ev)) << c.name;
-    }
-    EXPECT_FALSE(reader.Next(&ev)) << c.name;
-    EXPECT_FALSE(reader.saw_end()) << c.name;
+  for (const CorruptCase& c :
+       {CorruptCase{"access", access, 1, 1, 1},
+        CorruptCase{"access run, last element", run, 1, 0, 0},
+        CorruptCase{"loop phase, first iteration", loop(0xFFFFFFE0, 64, 2), 1, 0, 0},
+        CorruptCase{"loop phase, last iteration", loop(0x1000, 0x1000, 0x100000), 1, 0, 0}}) {
+    ExpectReaderStops(rec.trace.header, c);
+  }
+}
 
-    const ReplayResult replay = ReplayTrace(loaded);
-    EXPECT_EQ(replay.events_replayed, c.good_events) << c.name;
-    EXPECT_EQ(replay.counters.l1_accesses, c.good_events) << c.name;
+// Replay builds a Cpu for every cpu id up to the one an event names, and
+// EpcSim aborts on a page past 4 GiB. A live run's cpu ids are dense (each
+// worker registers just before it begins) and below the summary's cpu
+// count, and its pages lie inside the 2^20-page space; the reader must stop
+// at an event that breaks either.
+TEST(TraceReader, RejectsCpuIdsAndPageRangesReplayCannotBuild) {
+  const RecordedRun rec = Record("histogram", PolicyKind::kNative, SizeClass::kXS);
+
+  std::vector<uint8_t> skip;  // cpu 2 before any cpu 1
+  skip.push_back(ControlByte(ControlSub::kSwitchCpu));
+  PutVarint(skip, 2);
+
+  std::vector<uint8_t> past_count;  // workers 1 and 2 of a two-cpu trace
+  past_count.push_back(ParallelByte(ParallelSub::kBegin));
+  PutVarint(past_count, 2);
+  past_count.push_back(ParallelByte(ParallelSub::kWorkerBegin));
+  PutVarint(past_count, 1);
+  past_count.push_back(ParallelByte(ParallelSub::kWorkerEnd));
+  past_count.push_back(ParallelByte(ParallelSub::kWorkerBegin));
+  PutVarint(past_count, 2);
+
+  // A commit of the last two pages (the range ends at 4 GiB), then a
+  // decommit one page further up.
+  std::vector<uint8_t> pages;
+  pages.push_back(static_cast<uint8_t>(TraceEventKind::kCommit));
+  PutZigZag(pages, (1 << 20) - 2);
+  PutVarint(pages, 2);
+  pages.push_back(static_cast<uint8_t>(TraceEventKind::kDecommit));
+  PutZigZag(pages, 0);  // first page (1 << 20) - 1, after the commit's last
+  PutVarint(pages, 2);
+
+  std::vector<uint8_t> count;  // a decommit count past the whole page space
+  count.push_back(static_cast<uint8_t>(TraceEventKind::kDecommit));
+  PutZigZag(count, 0);
+  PutVarint(count, (uint64_t{1} << 32) + 1);
+
+  for (const CorruptCase& c : {CorruptCase{"cpu id skips ahead", skip, 3, 0, 0},
+                               CorruptCase{"cpu id past cpu_count", past_count, 2, 3, 0},
+                               CorruptCase{"page range past 4 GiB", pages, 1, 1, 0},
+                               CorruptCase{"page count past 4 GiB", count, 1, 0, 0}}) {
+    ExpectReaderStops(rec.trace.header, c);
   }
 }
 
@@ -208,15 +291,15 @@ TEST(TraceIo, RejectsHeaderMachineConfigsTheModelsCannotBuild) {
     const char* field;
   };
   const Case cases[] = {
-      {"l1_ways=0", [](TraceHeader* h) { h->l1_ways = 0; }, "l1_ways"},
-      {"l1_ways=3", [](TraceHeader* h) { h->l1_ways = 3; }, "l1_bytes"},
-      {"epc_bytes=0", [](TraceHeader* h) { h->epc_bytes = 0; }, "epc_bytes"},
-      {"l1_bytes=2^36", [](TraceHeader* h) { h->l1_bytes = uint64_t{1} << 36; }, "4 GiB"},
+      {"l1_ways=0", [](TraceHeader* h) { h->sim.l1_ways = 0; }, "l1_ways"},
+      {"l1_ways=3", [](TraceHeader* h) { h->sim.l1_ways = 3; }, "l1_bytes"},
+      {"epc_bytes=0", [](TraceHeader* h) { h->sim.epc_bytes = 0; }, "epc_bytes"},
+      {"l1_bytes=2^36", [](TraceHeader* h) { h->sim.l1_bytes = uint64_t{1} << 36; }, "4 GiB"},
       // One set of 2^26 ways: a whole-row memmove on every miss.
       {"l1_ways=2^26",
        [](TraceHeader* h) {
-         h->l1_bytes = 4 * kGiB;
-         h->l1_ways = 1u << 26;
+         h->sim.l1_bytes = 4 * kGiB;
+         h->sim.l1_ways = 1u << 26;
        },
        "l1_ways"},
   };
@@ -291,7 +374,7 @@ TEST(TraceReplay, TransitionCostsReplayBitIdentical) {
   ASSERT_TRUE(LoadTrace(path, &loaded, &error)) << error;
   std::remove(path.c_str());
   EXPECT_EQ(loaded.header.version, kTraceVersionTransitions);
-  EXPECT_TRUE(loaded.header.costs == trace.header.costs);
+  EXPECT_TRUE(loaded.header.sim.costs == trace.header.sim.costs);
   const ReplayResult roundtrip = ReplayTrace(loaded);
   ExpectCountersEqual(roundtrip.counters, live.counters, "transitions round-trip");
 }
@@ -428,13 +511,9 @@ TEST(TraceRecorder, EventLimitRetainsDecodablePrefix) {
   EXPECT_EQ(trace.summary.truncated, 1u);
   EXPECT_GT(trace.summary.event_count, 512u);
 
-  TraceReader reader(trace);
-  TraceEvent ev;
-  uint64_t decoded = 0;
-  while (reader.Next(&ev)) {
-    ++decoded;
-  }
-  EXPECT_EQ(decoded, 512u);
+  const DecodedTrace decoded(trace);
+  EXPECT_EQ(decoded.event_count(), 512u);
+  EXPECT_TRUE(decoded.whole());
 }
 
 // The decode-once substrate: replaying a DecodedTrace equals streaming
@@ -559,7 +638,7 @@ TEST(SweepEngine, MatchesSequentialReplayOnSampledGrid) {
 
 // --bench_threads must never change results: the same grid swept on 1, 4 and
 // 16 threads produces identical ReplayResults AND identical stats (the
-// dedup/memo accounting is resolved before dispatch, not by racing workers).
+// duplicate fold is resolved before dispatch, not by racing workers).
 TEST(SweepEngine, ThreadCountInvariance) {
   const RecordedRun rec = Record("wordcount", PolicyKind::kSgxBounds, SizeClass::kXS);
   const DecodedTrace decoded(rec.trace);
@@ -576,7 +655,7 @@ TEST(SweepEngine, ThreadCountInvariance) {
       grid.push_back(req);
     }
   }
-  grid.push_back(grid.front());  // an in-batch duplicate must also be stable
+  grid.push_back(grid.front());  // a duplicate, folded onto the first request
 
   std::vector<std::vector<ReplayResult>> per_threads;
   std::vector<SweepStats> per_stats;
@@ -587,6 +666,7 @@ TEST(SweepEngine, ThreadCountInvariance) {
     per_threads.push_back(engine.Run(grid));
     per_stats.push_back(engine.stats());
   }
+  EXPECT_EQ(per_stats[0].memo_hits, 1u) << "the grid holds one duplicate";
   for (size_t t = 1; t < per_threads.size(); ++t) {
     ASSERT_EQ(per_threads[t].size(), per_threads[0].size());
     for (size_t i = 0; i < grid.size(); ++i) {
@@ -600,21 +680,6 @@ TEST(SweepEngine, ThreadCountInvariance) {
     EXPECT_EQ(per_stats[t].captures_built, per_stats[0].captures_built);
     EXPECT_EQ(per_stats[t].capture_replays, per_stats[0].capture_replays);
     EXPECT_EQ(per_stats[t].full_replays, per_stats[0].full_replays);
-  }
-
-  // Re-running the same grid on the same engine must answer from the memo.
-  SweepOptions opt;
-  opt.threads = 4;
-  SweepEngine engine(opt);
-  const std::vector<ReplayResult> first = engine.Run(grid);
-  const uint64_t replays_after_first =
-      engine.stats().capture_replays + engine.stats().full_replays;
-  const std::vector<ReplayResult> second = engine.Run(grid);
-  EXPECT_EQ(engine.stats().capture_replays + engine.stats().full_replays,
-            replays_after_first)
-      << "second pass should be pure memo hits";
-  for (size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(second[i].cycles, first[i].cycles) << "memoized request " << i;
   }
 }
 
