@@ -205,10 +205,9 @@ int Main(int argc, char** argv) {
       t.decoded = DecodedTrace(mapped.header(), mapped.summary(), mapped.events_begin(),
                                mapped.events_end());
       if (!t.decoded.whole()) {
-        std::fprintf(stderr,
-                     "corrupt event stream: decoding stopped after %" PRIu64 " of %" PRIu64
-                     " events, before the end marker: %s\n",
-                     t.decoded.event_count(), mapped.summary().event_count, path.c_str());
+        std::fprintf(stderr, "%s\n",
+                     CorruptStreamMessage(path, t.decoded.event_count(), mapped.summary())
+                         .c_str());
         return 2;
       }
       traces.push_back(std::move(t));

@@ -49,10 +49,7 @@ void PrintHeader(const TraceHeader& h) {
 // The exit of a complete trace whose stream stopped after `decoded` events
 // at a corrupt one, short of its kEnd.
 int CorruptStream(const std::string& path, uint64_t decoded, const TraceSummary& s) {
-  std::fprintf(stderr,
-               "corrupt event stream: decoding stopped after %" PRIu64 " of %" PRIu64
-               " events, before the end marker: %s\n",
-               decoded, s.event_count, path.c_str());
+  std::fprintf(stderr, "%s\n", CorruptStreamMessage(path, decoded, s).c_str());
   return 2;
 }
 

@@ -81,6 +81,12 @@ bool ValidateSimConfig(const SimConfig& config, std::string* error) {
   return true;
 }
 
+uint64_t CpuFootprintBytes(const SimConfig& config) {
+  const uint64_t slots =
+      (config.l1_bytes / kCacheLineSize + 1) + (config.l2_bytes / kCacheLineSize + 1);
+  return sizeof(Cpu) + slots * sizeof(uint32_t);
+}
+
 MemorySystem::MemorySystem(const SimConfig& config)
     : config_(config),
       l3_(config.l3_bytes, config.l3_ways),
@@ -183,9 +189,9 @@ void Cpu::MemAccessRun(uint32_t addr, uint32_t size, int64_t stride, uint64_t co
 
 void Cpu::MemAccessSpan(uint32_t first_line, uint32_t last_line) {
   // An access that wraps past 4 GiB would walk every line of the address
-  // space. Live runs trap on the top guard page first and the trace reader
-  // rejects wrapping accesses and loop phases; this is the backstop for the
-  // elements of a corrupt access run.
+  // space. Live runs trap on the top guard page first, and the trace reader
+  // rejects every wrapping access, access-run element and loop iteration;
+  // this is a last-resort backstop.
   CHECK(first_line <= last_line);
   for (uint32_t line = first_line;; ++line) {
     ++events_.l1_accesses;

@@ -44,6 +44,10 @@ namespace sgxb {
 // file's header.
 bool ValidateSimConfig(const SimConfig& config, std::string* error);
 
+// Bytes one Cpu built under `config` holds: the object and the slot arrays of
+// its private L1 and L2 (one 4-byte slot per line, plus a sentinel each).
+uint64_t CpuFootprintBytes(const SimConfig& config);
+
 // The one price list: cycles of every priced event category in `events`
 // under `config`. Priced categories are ALU/branch/FP ops, calls, syscalls
 // (exit cost inside the enclave, native cost outside), L1/L2/L3 hits and

@@ -203,6 +203,11 @@ bool ParseTraceImage(const uint8_t* data, size_t size, const std::string& path,
   if (!in.ok() || footer != kTraceFooterMagic) {
     return Fail(error, "corrupt trace file (bad footer): " + path);
   }
+  if (s.cpu_count > kMaxReplayCpuBytes / CpuFootprintBytes(h.sim)) {
+    return Fail(error, "cpu_count " + std::to_string(s.cpu_count) +
+                           " in trace summary: its Cpus would hold more than " +
+                           std::to_string(kMaxReplayCpuBytes / kMiB) + " MiB: " + path);
+  }
 
   // Integrity: for complete traces the retained bytes are the whole stream,
   // so their hash must match the summary. Truncated prefixes carry the

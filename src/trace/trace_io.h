@@ -5,7 +5,8 @@
 // u32 length + bytes. Load verifies magic/version/footer, checks the header's
 // machine config with ValidateSimConfig, and re-hashes the retained event
 // bytes against the summary (full-stream hash for complete traces, prefix
-// consistency left to the caller for truncated ones).
+// consistency left to the caller for truncated ones), and bounds the
+// summary's cpu count (kMaxReplayCpuBytes).
 
 #ifndef SGXBOUNDS_SRC_TRACE_TRACE_IO_H_
 #define SGXBOUNDS_SRC_TRACE_TRACE_IO_H_
@@ -16,6 +17,13 @@
 #include "src/trace/trace_format.h"
 
 namespace sgxb {
+
+// The most memory a trace's replay may spend on Cpus (CpuFootprintBytes
+// each, one per cpu id below the summary's cpu_count). The summary is not
+// covered by the stream hash, so a file can claim any count; load rejects
+// one whose Cpus would not fit. A live run's cpu count is 1 plus the threads
+// of each parallel region, a few hundred at most.
+inline constexpr uint64_t kMaxReplayCpuBytes = uint64_t{1} << 30;
 
 // Returns true on success; on failure fills *error. LoadTrace loads through
 // MappedTrace and copies the event view into trace->events.

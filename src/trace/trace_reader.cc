@@ -15,19 +15,18 @@ constexpr uint32_t kPageSpace = static_cast<uint32_t>(kAddressSpace / kPageSize)
 
 // True when `count` accesses of `size` bytes, the first at `first` and the
 // rest `stride` bytes apart, all lie inside [0, 4 GiB). The elements are
-// evenly spaced, so checking the first and the last covers them all. No live
-// run can produce a wrapping access (the top guard page traps first), so one
-// marks a corrupt or hand-crafted stream; replayed, it would walk every
-// cache line of the address space.
+// evenly spaced, so checking the first and the last covers them all. A count
+// below 2 checks the access at `first`: replay makes one access of a loop
+// phase whose run is that short. No live run can produce a wrapping access
+// (the top guard page traps first), so one marks a corrupt or hand-crafted
+// stream; replayed, it would walk every cache line of the address space.
 bool RunInAddressSpace(__int128 first, int64_t stride, uint64_t count, uint32_t size) {
   const auto in_space = [size](__int128 addr) {
     return addr >= 0 && addr < kAddressSpace && addr + size <= kAddressSpace;
   };
-  if (count == 0) {
-    return true;
-  }
+  const uint64_t last = count < 2 ? 0 : count - 1;
   return in_space(first) &&
-         in_space(first + static_cast<__int128>(stride) * static_cast<__int128>(count - 1));
+         in_space(first + static_cast<__int128>(stride) * static_cast<__int128>(last));
 }
 
 }  // namespace
@@ -164,6 +163,16 @@ std::string FormatTraceEvent(const DecodedEvent& ev, const EventPayload& payload
       break;
   }
   return buf;
+}
+
+std::string CorruptStreamMessage(const std::string& path, uint64_t decoded,
+                                 const TraceSummary& summary) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "corrupt event stream: decoding stopped after %" PRIu64 " of %" PRIu64
+                " events, before the end marker: ",
+                decoded, summary.event_count);
+  return buf + path;
 }
 
 bool TraceReader::Next(DecodedEvent* ev, EventPayload* payload) {

@@ -69,6 +69,11 @@ std::string FormatTraceEvent(const DecodedEvent& ev, const EventPayload& payload
 bool SameTraceEvent(const DecodedEvent& a, const EventPayload& a_payload,
                     const DecodedEvent& b, const EventPayload& b_payload);
 
+// The error for a complete trace whose stream stopped at a corrupt event
+// after `decoded` events, short of its kEnd (TraceReader::ReadWhole false).
+std::string CorruptStreamMessage(const std::string& path, uint64_t decoded,
+                                 const TraceSummary& summary);
+
 class TraceReader {
  public:
   explicit TraceReader(const Trace& trace)
@@ -89,7 +94,8 @@ class TraceReader {
   //     summary's cpu count;
   //   - a commit or decommit range leaving the 2^20-page space;
   //   - an access, an access run's first or last element, or a loop phase's
-  //     run at its first or last iteration, whose bytes leave [0, 4 GiB).
+  //     run (at least its one access) at its first or last iteration, whose
+  //     bytes leave [0, 4 GiB).
   bool Next(DecodedEvent* ev, EventPayload* payload);
 
   // Once Next() has returned false: true when the reader has read all the

@@ -10,7 +10,8 @@
 // mutation, so the loaders' integrity check passes and the bytes reach the
 // decoder. Each case runs LoadTrace, MappedTrace and DecodedTrace, checks the
 // decoded events against the bounds (dense cpu ids below the summary's cpu
-// count, page ranges inside the 2^20-page space, every access inside
+// count, the Cpus they make replay build inside kMaxReplayCpuBytes, page
+// ranges inside the 2^20-page space, every access replay makes inside
 // [0, 4 GiB)), then replays under the header's machine when the decode
 // expands to no more line touches than the seed's: a crafted loop count can
 // describe an honest but very long run, which no decoder bound can tell
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/sim/machine.h"
 #include "src/trace/decoded_trace.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_replay.h"
@@ -44,6 +46,10 @@ constexpr int kPrefixCases = 1600;
 
 constexpr __int128 kAddressSpace = __int128{1} << 32;
 constexpr uint64_t kPageSpace = (uint64_t{1} << 32) / kPageSize;
+
+// The accesses replay makes for one iteration of a loop phase: a run, or a
+// single access when the phase's count is below 2.
+uint64_t PhaseAccesses(const LoopPhase& ph) { return std::max<uint64_t>(ph.count, 1); }
 
 // An upper bound on the cache lines `count` accesses of `size` bytes touch
 // (a zero-size access still costs its iteration).
@@ -66,7 +72,8 @@ uint64_t Expansion(const DecodedTrace& t) {
                static_cast<ControlSub>(ev.sub) == ControlSub::kLoopRun) {
       unsigned __int128 per_iter = 0;
       for (uint32_t j = 0; j < ev.period; ++j) {
-        per_iter += LineTouches(t.phases(ev.aux)[j].count, t.phases(ev.aux)[j].size);
+        const LoopPhase& ph = t.phases(ev.aux)[j];
+        per_iter += LineTouches(PhaseAccesses(ph), ph.size);
       }
       add(std::min(per_iter, kCap) * ev.count);
     }
@@ -105,6 +112,10 @@ std::string OutOfBounds(const DecodedTrace& t) {
                std::to_string(max_cpu) + " of " + std::to_string(t.summary().cpu_count);
       }
       max_cpu = std::max(max_cpu, ev.cpu);
+      if ((uint64_t{max_cpu} + 1) * CpuFootprintBytes(t.header().sim) > kMaxReplayCpuBytes) {
+        return where + "cpu " + std::to_string(ev.cpu) + ": replay's Cpus exceed " +
+               std::to_string(kMaxReplayCpuBytes) + " bytes";
+      }
     }
     if ((ev.kind == TraceEventKind::kCommit || ev.kind == TraceEventKind::kDecommit) &&
         (ev.page > kPageSpace || ev.count > kPageSpace - ev.page)) {
@@ -121,8 +132,8 @@ std::string OutOfBounds(const DecodedTrace& t) {
       for (uint32_t j = 0; j < ev.period; ++j) {
         const LoopPhase& ph = t.phases(ev.aux)[j];
         const __int128 last_base = ph.addr + static_cast<__int128>(ph.iter_delta) * last_iter;
-        if (!RunInSpace(ph.addr, ph.stride, ph.count, ph.size) ||
-            !RunInSpace(last_base, ph.stride, ph.count, ph.size)) {
+        if (!RunInSpace(ph.addr, ph.stride, PhaseAccesses(ph), ph.size) ||
+            !RunInSpace(last_base, ph.stride, PhaseAccesses(ph), ph.size)) {
           return where + "loop phase " + std::to_string(j) + " leaves the address space";
         }
       }

@@ -227,11 +227,24 @@ TEST(TraceReader, RejectsAccessesWrappingTheAddressSpace) {
     return out;
   };
 
+  // A loop whose one phase, at 0xFFFFFFE0, is flagged as a run of 0
+  // accesses: replay still makes the phase's one access there.
+  std::vector<uint8_t> empty_run;
+  empty_run.push_back(ControlByte(ControlSub::kLoopRun));
+  PutVarint(empty_run, 1);  // period
+  PutVarint(empty_run, 1);  // iterations
+  empty_run.push_back(static_cast<uint8_t>(SizeTagOf(64) << 2 | 1u << 5));  // app load, run
+  PutZigZag(empty_run, 0xFFFFFFE0);
+  PutZigZag(empty_run, 0);   // step
+  PutZigZag(empty_run, 64);  // stride
+  PutVarint(empty_run, 0);   // count
+
   for (const CorruptCase& c :
        {CorruptCase{"access", access, 1, 1, 1},
         CorruptCase{"access run, last element", run, 1, 0, 0},
         CorruptCase{"loop phase, first iteration", loop(0xFFFFFFE0, 64, 2), 1, 0, 0},
-        CorruptCase{"loop phase, last iteration", loop(0x1000, 0x1000, 0x100000), 1, 0, 0}}) {
+        CorruptCase{"loop phase, last iteration", loop(0x1000, 0x1000, 0x100000), 1, 0, 0},
+        CorruptCase{"loop phase, zero-count run", empty_run, 1, 0, 0}}) {
     ExpectReaderStops(rec.trace.header, c);
   }
 }
@@ -282,7 +295,8 @@ TEST(TraceReader, RejectsCpuIdsAndPageRangesReplayCannotBuild) {
 
 // A trace header's machine config is rebuilt into Cache and EpcSim objects on
 // replay. Loading must reject a config those constructors would abort on (or
-// a cache too big to allocate) with a message, before any replay starts.
+// a cache too big to allocate), and a cpu count whose Cpus would not fit,
+// with a message, before any replay starts.
 TEST(TraceIo, RejectsHeaderMachineConfigsTheModelsCannotBuild) {
   const RecordedRun rec = Record("histogram", PolicyKind::kNative, SizeClass::kXS);
   struct Case {
@@ -320,6 +334,24 @@ TEST(TraceIo, RejectsHeaderMachineConfigsTheModelsCannotBuild) {
     EXPECT_FALSE(mapped.Load(path, &error)) << c.name;
     EXPECT_FALSE(mapped.loaded()) << c.name;
     EXPECT_NE(error.find("trace header"), std::string::npos) << c.name << ": " << error;
+  }
+  std::remove(path.c_str());
+
+  // The summary's cpu count is not hashed; replay builds a Cpu, with its
+  // private L1 and L2, for every id below it. A count whose Cpus would not
+  // fit kMaxReplayCpuBytes is refused at load.
+  for (const uint32_t cpu_count : {uint32_t{0xFFFFFFFF}, uint32_t{1} << 16}) {
+    Trace crafted = rec.trace;
+    crafted.summary.cpu_count = cpu_count;
+    std::string error;
+    ASSERT_TRUE(SaveTrace(crafted, path, &error)) << error;
+    Trace loaded;
+    EXPECT_FALSE(LoadTrace(path, &loaded, &error)) << cpu_count;
+    EXPECT_NE(error.find("cpu_count"), std::string::npos) << error;
+    MappedTrace mapped;
+    error.clear();
+    EXPECT_FALSE(mapped.Load(path, &error)) << cpu_count;
+    EXPECT_NE(error.find("cpu_count"), std::string::npos) << error;
   }
   std::remove(path.c_str());
 
